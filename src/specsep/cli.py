@@ -255,8 +255,9 @@ def cmd_falsify(args):
     _, spec = _load_spectrum(args.state, _tol_scale(args))
     result = oracles.as_falsify_search(spec, spec.dims, args.samples, args.seed)
     if result.found:
-        print("found: NPT after %d samples (unitary seed %d, min PT eigenvalue %.12g)"
-              % (result.samples_used, result.unitary_seed, result.min_pt_eigenvalue))
+        print("found: NPT after %d samples (unitary seed %d, index %d, min PT eigenvalue %.12g)"
+              % (result.samples_used, result.unitary_seed, result.unitary_index,
+                 result.min_pt_eigenvalue))
     else:
         print("not found after %d samples (min PT eigenvalue seen %.12g); inconclusive"
               % (result.samples_used, result.min_pt_eigenvalue))
@@ -266,6 +267,7 @@ def cmd_falsify(args):
             "input_digest": fileio.digest(fileio.state_to_payload(spec=spec)),
             "found": result.found,
             "unitary_seed": result.unitary_seed,
+            "unitary_index": result.unitary_index,
             "min_pt_eigenvalue": result.min_pt_eigenvalue,
             "samples_used": result.samples_used,
             "samples_requested": args.samples,

@@ -1,23 +1,21 @@
 """State and report files.
 
-JSON with every float printed as a decimal with 17 significant digits, so
-save -> load -> save is byte-identical and exact for doubles.  A state file
-carries either an explicit complex matrix (row-major, (re, im) pairs) or a
-bare spectrum, never both.
+Strict JSON with every finite float printed as a decimal with 17
+significant digits, so save -> load -> save is byte-identical and exact for
+doubles; non-finite floats (an infinite spectral ratio, say) are written as
+``null``.  A state file carries either an explicit complex matrix
+(row-major, (re, im) pairs) or a bare spectrum, never both.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
 from .states import Dims, InvalidStateError, density_matrix, spectrum_from_values
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def dumps(obj):
@@ -34,7 +32,7 @@ def dumps(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError("cannot serialize %r" % type(obj))
@@ -54,6 +52,10 @@ def save_state(path, rho=None, spec=None):
         fh.write(dumps(state_to_payload(rho=rho, spec=spec)) + "\n")
 
 
+def _reject_constant(name):
+    raise ValueError("non-finite number %s" % name)
+
+
 def load_state(path, tol_scale=1.0):
     """Parse a state file; returns (DensityMatrix | None, Spectrum | None).
 
@@ -62,8 +64,8 @@ def load_state(path, tol_scale=1.0):
     """
     try:
         with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            payload = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise InvalidStateError("cannot parse state file %s: %s" % (path, exc))
     try:
         locals_ = tuple(int(d) for d in payload["dims"]["locals"])

@@ -8,70 +8,106 @@ rearrangement minimizer works on sorted eigenvalue lists alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import partial_transpose, spectral_ratio, spectrum
+from .states import spectral_ratio, spectrum
 
 NPT_THRESHOLD = -1e-9
+
+# Batch sizes of an orbit search, the last one repeating: a hit on the first
+# samples costs one small batch, while a long search runs few LAPACK calls.
+SEARCH_BATCHES = (1, 4, 16, 64, 256)
 
 
 @dataclass(frozen=True)
 class FalsificationResult:
-    """Outcome of a Haar-random search for an entangling unitary."""
+    """Outcome of a Haar-random search for an entangling unitary.
+
+    On a hit, ``haar_unitaries(D, unitary_seed, unitary_index + 1)[unitary_index]``
+    is the entangling unitary; both fields are None otherwise.
+    """
 
     found: bool
     unitary_seed: int | None
+    unitary_index: int | None
     min_pt_eigenvalue: float
     samples_used: int
+
+
+def _partial_transpose(m, d_a, d_b):
+    """Transpose the second factor of each (d_a d_b)-square matrix in a stack."""
+    lead = m.shape[:-2]
+    t = m.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -1)
+    return t.reshape(lead + (d_a * d_b, d_a * d_b))
 
 
 def ppt_min_eigenvalue(rho):
     """Smallest eigenvalue of the partial transpose; below -1e-9 certifies
     entanglement."""
-    return float(np.linalg.eigvalsh(partial_transpose(rho)).min())
+    d_a, d_b = rho.dims.bipartite()
+    return float(np.linalg.eigvalsh(_partial_transpose(rho.matrix, d_a, d_b)).min())
+
+
+def _haar_batch(rng, dim, n):
+    # QR of a complex Gaussian matrix with the phase-corrected diagonal.  Q
+    # does not depend on the Gaussian's scale, so the draw is left unscaled.
+    z = rng.standard_normal((n, dim, dim, 2)).view(complex)[..., 0]
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+def haar_unitaries(dim, seed, n):
+    """``n`` Haar-distributed unitaries as an (n, dim, dim) array.
+
+    Deterministic per seed, and a batch of k is the prefix of a batch of
+    n >= k drawn from the same seed.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    return _haar_batch(np.random.default_rng(seed), dim, n)
 
 
 def haar_unitary(dim, seed):
-    """Haar-distributed unitary via QR of a complex Gaussian matrix with the
-    phase-corrected diagonal; deterministic per seed."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
-def _pt_min_eig_of_rotated(diag_vals, d_a, d_b, u):
-    rho = (u * diag_vals) @ u.conj().T
-    t = rho.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)
-    return float(np.linalg.eigvalsh(t).min())
+    """One Haar-distributed unitary; deterministic per seed."""
+    return haar_unitaries(dim, seed, 1)[0]
 
 
 def as_falsify_search(s, dims, samples, seed):
     """Sample Haar unitaries and PPT-test each rotation of the spectrum.
 
     Stops at the first NPT hit.  A not-found result is inconclusive: it
-    never certifies absolute separability.  Per-sample seeds are
-    ``seed + index`` so any hit is reproducible in isolation.
+    never certifies absolute separability.  Sample ``i`` is
+    ``haar_unitaries(D, seed, i + 1)[i]``, so a hit is reproducible from the
+    search seed and its index (``unitary_seed``, ``unitary_index``) alone.
     """
     d_a, d_b = dims.bipartite()
     if len(s.values) != dims.total:
         raise ValueError("spectrum length does not match dims")
-    vals = s.values
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %d" % samples)
+    rng = np.random.default_rng(seed)
+    sizes = itertools.chain(SEARCH_BATCHES, itertools.repeat(SEARCH_BATCHES[-1]))
     overall_min = math.inf
-    for i in range(samples):
-        min_eig = _pt_min_eig_of_rotated(vals, d_a, d_b, haar_unitary(dims.total, seed + i))
-        overall_min = min(overall_min, min_eig)
-        if min_eig < NPT_THRESHOLD:
-            return FalsificationResult(found=True, unitary_seed=seed + i,
-                                       min_pt_eigenvalue=min_eig, samples_used=i + 1)
-    return FalsificationResult(found=False, unitary_seed=None,
+    done = 0
+    while done < samples:
+        n = min(next(sizes), samples - done)
+        u = _haar_batch(rng, dims.total, n)
+        rotated = (u * s.values) @ u.conj().swapaxes(-2, -1)
+        mins = np.linalg.eigvalsh(_partial_transpose(rotated, d_a, d_b)).min(axis=-1)
+        hits = np.flatnonzero(mins < NPT_THRESHOLD)
+        if hits.size:
+            i = int(hits[0])
+            return FalsificationResult(found=True, unitary_seed=seed, unitary_index=done + i,
+                                       min_pt_eigenvalue=float(mins[i]),
+                                       samples_used=done + i + 1)
+        overall_min = min(overall_min, float(mins.min()))
+        done += n
+    return FalsificationResult(found=False, unitary_seed=None, unitary_index=None,
                                min_pt_eigenvalue=overall_min, samples_used=samples)
 
 

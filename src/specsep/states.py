@@ -93,9 +93,9 @@ class Spectrum:
 def density_matrix(matrix, dims, tol_scale=1.0):
     """Validate ``matrix`` against the density-matrix invariants and wrap it.
 
-    Raises InvalidStateError on non-Hermitian, non-PSD (below -1e-10) or
-    non-unit-trace input.  ``tol_scale`` loosens all tolerances uniformly
-    (used by the CLI --tol-override escape hatch only).
+    Raises InvalidStateError on non-finite, non-Hermitian, non-PSD (below
+    -1e-10) or non-unit-trace input.  ``tol_scale`` loosens all tolerances
+    uniformly (used by the CLI --tol-override escape hatch only).
     """
     m = np.asarray(matrix, dtype=complex)
     dims = dims if isinstance(dims, Dims) else Dims(tuple(dims))
@@ -104,6 +104,8 @@ def density_matrix(matrix, dims, tol_scale=1.0):
         raise InvalidStateError(
             "matrix shape %r does not match dims %r (total %d)" % (m.shape, dims.locals, d)
         )
+    if not np.isfinite(m).all():
+        raise InvalidStateError("matrix has non-finite entries")
     scale = max(np.abs(m).max(), 1.0)
     herm_residual = np.abs(m - m.conj().T).max()
     if herm_residual > HERMITICITY_TOL * scale * tol_scale:
@@ -119,13 +121,16 @@ def density_matrix(matrix, dims, tol_scale=1.0):
 
 
 def spectrum_from_values(values, dims, tol_scale=1.0):
-    """Validate an eigenvalue list (clamp tiny negatives, check the sum)."""
+    """Validate an eigenvalue list (reject non-finite values, clamp tiny
+    negatives, check the sum)."""
     v = np.sort(np.asarray(values, dtype=float))[::-1].copy()
     dims = dims if isinstance(dims, Dims) else Dims(tuple(dims))
     if len(v) != dims.total:
         raise InvalidStateError(
             "spectrum has %d values, dims %r require %d" % (len(v), dims.locals, dims.total)
         )
+    if not np.isfinite(v).all():
+        raise InvalidStateError("spectrum has non-finite values")
     if v.min() < -EIG_CLAMP * tol_scale:
         raise InvalidStateError("negative eigenvalue %.3e below clamp threshold" % v.min())
     v[v < 0.0] = 0.0

@@ -79,6 +79,43 @@ def test_classify_malformed_file(tmp_path):
     assert main(["classify", str(both)]) == EXIT_INVALID
 
 
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError("non-finite constant %s" % name)
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_reports_on_singular_states_are_strict_json(tmp_path):
+    # an infinite spectral ratio or beta is written as null
+    phi = _write(tmp_path, "phi.json", rho=make_named_state("phi_plus"))
+    report = str(tmp_path / "classify.json")
+    assert main(["classify", phi, "--output", report]) == EXIT_OK
+    verdicts = {v["name"]: v for v in _strict_json(report)["verdicts"]}
+    assert verdicts["ratio_cas"]["computed"]["ratio"] is None
+    seed = _write(tmp_path, "seed.json", rho=make_named_state("seed_state"))
+    werner = _write(tmp_path, "werner.json", rho=make_named_state("werner"))
+    report = str(tmp_path / "transform.json")
+    assert main(["transform", seed, werner, "--output", report]) == EXIT_OK
+    assert _strict_json(report)["plan"]["beta"] is None
+
+
+@pytest.mark.parametrize("body", [
+    '{"dims":{"locals":[2,2]},"spectrum":[NaN,NaN,NaN,NaN]}',
+    '{"dims":{"locals":[2,2]},"spectrum":[Infinity,0,0,0]}',
+    '{"dims":{"locals":[2,2]},"spectrum":[1e400,0,0,0]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[NaN,0],[0,0]],[[0,0],[0.5,0]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[1e400,0],[0,0]],[[0,0],[0.5,0]]]}',
+], ids=["nan-spectrum", "infinity-spectrum", "overflow-spectrum", "nan-matrix",
+        "overflow-matrix"])
+def test_non_finite_state_file_is_invalid(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    assert main(["classify", str(path)]) == EXIT_INVALID
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_transform_worked_example(tmp_path, capsys):
     rho = _write(tmp_path, "rho.json",
                  rho=density_matrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), (2, 2)))
@@ -162,6 +199,18 @@ def test_falsify_deterministic_reports(tmp_path):
     assert open(r1, "rb").read() == open(r2, "rb").read()
     payload = json.loads(open(r1).read())
     assert payload["found"] is True
+    assert payload["unitary_seed"] == 5
+    assert payload["samples_used"] == payload["unitary_index"] + 1
+
+
+def test_falsify_needs_a_positive_sample_count(tmp_path, capsys):
+    state = _write(tmp_path, "pure.json", rho=make_named_state("phi_plus"))
+    report = tmp_path / "f.json"
+    for samples in ("0", "-3"):
+        assert main(["falsify", state, "--samples", samples,
+                     "--output", str(report)]) == EXIT_INVALID
+        assert "samples must be >= 1" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_falsify_not_found_inconclusive(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsep import (
     density_matrix,
@@ -15,13 +16,20 @@ from specsep import (
 from specsep.oracles import (
     FalsificationResult,
     as_falsify_search,
+    haar_unitaries,
     haar_unitary,
     ppt_min_eigenvalue,
     pure_state_pt_spectrum,
     rearrangement_min,
     thm2_violation_value,
 )
-from specsep.states import bipartite_dims, make_omega_t, make_rho_tilde
+from specsep.states import (
+    DensityMatrix,
+    bipartite_dims,
+    make_omega_t,
+    make_rho_tilde,
+    partial_transpose,
+)
 
 from conftest import rand_spectrum, rand_valid_map, rand_full_rank_state
 
@@ -43,6 +51,52 @@ def test_haar_unitary_properties():
         haar_unitary(0, 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_haar_unitaries_are_unitary(dim, seed, n):
+    us = haar_unitaries(dim, seed, n)
+    assert us.shape == (n, dim, dim)
+    eye = np.eye(dim)
+    assert np.abs(us @ us.conj().swapaxes(-2, -1) - eye).max() < 1e-12
+    assert np.array_equal(haar_unitary(dim, seed), us[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(1, 20), extra=st.integers(0, 20))
+def test_haar_unitaries_batch_is_a_prefix(dim, seed, k, extra):
+    assert np.array_equal(haar_unitaries(dim, seed, k),
+                          haar_unitaries(dim, seed, k + extra)[:k])
+
+
+@settings(max_examples=25, deadline=None)
+@given(local=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4)]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), data=st.data())
+def test_falsify_not_found_minimum_matches_plain_loop(local, seed, n, data):
+    # eigenvalues within the ratio threshold (d+1)/(d-1): no rotation is NPT
+    d = min(local)
+    big_d = local[0] * local[1]
+    weights = data.draw(st.lists(st.floats(1.0, (d + 1) / (d - 1)),
+                                 min_size=big_d, max_size=big_d))
+    dims = bipartite_dims(*local)
+    s = spectrum_from_values(np.array(weights) / sum(weights), dims)
+    result = as_falsify_search(s, dims, samples=n, seed=seed)
+    assert not result.found and result.samples_used == n
+    assert result.unitary_seed is None and result.unitary_index is None
+    loop_min = math.inf
+    for u in haar_unitaries(big_d, seed, n):
+        rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T)
+        loop_min = min(loop_min, float(np.linalg.eigvalsh(partial_transpose(rho)).min()))
+    assert result.min_pt_eigenvalue == pytest.approx(loop_min, abs=1e-12)
+
+
+def _replayed_min(s, dims, seed, index):
+    """Smallest PT eigenvalue of sample ``index`` of a search, rebuilt from
+    the search seed alone."""
+    u = haar_unitaries(dims.total, seed, index + 1)[index]
+    return ppt_min_eigenvalue(density_matrix((u * s.values) @ u.conj().T, dims))
+
+
 def test_falsify_finds_npt_orbit_of_tensor_square():
     # two copies of a spectral-ratio-3 qubit pair: the copy bound says one
     # copy is safe but two are not, so some unitary orbit point is NPT
@@ -53,10 +107,32 @@ def test_falsify_finds_npt_orbit_of_tensor_square():
     result = as_falsify_search(s, dims, samples=2000, seed=0)
     assert result.found
     assert result.min_pt_eigenvalue < -1e-9
-    assert 1 <= result.samples_used <= 2000
-    # the reported seed reproduces the hit
-    replay = as_falsify_search(s, dims, samples=1, seed=result.unitary_seed)
-    assert replay.found and replay.samples_used == 1
+    assert result.samples_used == result.unitary_index + 1 <= 2000
+    # the reported seed and index reproduce the hit
+    assert _replayed_min(s, dims, result.unitary_seed, result.unitary_index) == pytest.approx(
+        result.min_pt_eigenvalue, abs=1e-12)
+
+
+def test_falsify_hit_replays_from_seed_and_index():
+    # lambda_1 = 0.4 exceeds lambda_3 + 2 sqrt(lambda_2 lambda_4) = 0.3, so
+    # some rotations are NPT, but few enough that most searches need
+    # several samples to find one
+    dims = bipartite_dims(2, 2)
+    s = spectrum_from_values([0.4, 0.3, 0.3, 0.0], dims)
+    indices = []
+    for seed in range(8):
+        result = as_falsify_search(s, dims, samples=2000, seed=seed)
+        assert result.found and result.unitary_seed == seed
+        i = result.unitary_index
+        assert result.samples_used == i + 1
+        assert result.min_pt_eigenvalue < -1e-9
+        assert _replayed_min(s, dims, seed, i) == pytest.approx(result.min_pt_eigenvalue,
+                                                               abs=1e-12)
+        if i > 0:
+            assert not as_falsify_search(s, dims, samples=i, seed=seed).found
+        indices.append(i)
+    # hits inside the first batch, past it, and past the first four batches
+    assert min(indices) == 0 and max(indices) > 85
 
 
 def test_falsify_not_found_on_maximally_mixed():
@@ -74,6 +150,14 @@ def test_falsify_pure_state_found_immediately():
     s = spectrum_from_values([1.0, 0, 0, 0], dims)
     result = as_falsify_search(s, dims, samples=20, seed=0)
     assert result.found and result.samples_used <= 3
+
+
+def test_falsify_requires_a_sample():
+    dims = bipartite_dims(2, 2)
+    s = spectrum(maximally_mixed(dims))
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            as_falsify_search(s, dims, samples=samples, seed=0)
 
 
 def test_falsify_rejects_mismatched_spectrum():

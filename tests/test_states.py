@@ -210,3 +210,13 @@ def test_validation_rejects_bad_trace_and_negativity():
         density_matrix(m, (2, 2))
     with pytest.raises(InvalidStateError):
         spectrum_from_values([0.5, 0.6, -0.1, 0.0], (2, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validation_rejects_non_finite(bad):
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        spectrum_from_values([bad, 0.5, 0.5, 0.0], (2, 2))
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 0] = bad
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        density_matrix(m, (2, 2))
