@@ -14,7 +14,7 @@ from specsep.witnesses import evaluate, make_separating_witness
 
 
 def show(label, rho):
-    report = run_all(spectrum(rho), rho.dims)
+    report = run_all(spectrum(rho))
     print(label)
     for v in report.verdicts:
         print("  %-20s %s" % (v.name, v.status.value))

@@ -16,9 +16,11 @@ import numpy as np
 
 from .states import (
     EIG_CLAMP,
+    PSD_TOL,
     Dims,
-    DensityMatrix,
+    as_dims,
     density_matrix,
+    hermitian_part,
     make_named_state,
     make_omega_t,
     maximally_mixed,
@@ -26,7 +28,6 @@ from .states import (
     spectrum,
 )
 
-PSD_TOL = 1e-10
 SUBPOVM_TOL = 1e-10
 UNITALITY_TOL = 1e-9
 RATIO_SLACK = 1e-12
@@ -68,24 +69,18 @@ class TransformPlan:
     k: float
     c: float
     theta: float
-    x: np.ndarray
-    y: np.ndarray
-    phi1: DensityMatrix
-    phi2: DensityMatrix
 
 
 def make_map(dims, branches):
     """Validate the branch list and wrap it with its unitality factor."""
-    dims = dims if isinstance(dims, Dims) else Dims(tuple(dims))
+    dims = as_dims(dims)
     big_d = dims.total
     checked = []
     for effect, output in branches:
         e = np.asarray(effect, dtype=complex)
         if e.shape != (big_d, big_d):
             raise SubPovmViolation("effect shape %r does not match dims" % (e.shape,))
-        if np.abs(e - e.conj().T).max() > 1e-10 * max(np.abs(e).max(), 1.0):
-            raise SubPovmViolation("effect is not Hermitian")
-        e = 0.5 * (e + e.conj().T)
+        e = hermitian_part(e, SubPovmViolation)
         if float(np.linalg.eigvalsh(e).min()) < -PSD_TOL:
             raise SubPovmViolation("effect has a negative eigenvalue")
         if output.dims.total != big_d:
@@ -187,10 +182,7 @@ def construct_transformation(rho, sigma, c_choice=None):
 
     if np.abs(sigma.matrix - eye / big_d).max() <= 1e-12:
         depol = make_map(rho.dims, [(eye, maximally_mixed(rho.dims))])
-        plan = TransformPlan(alpha=1.0, beta=1.0, k=0.0, c=1.0, theta=0.0,
-                             x=np.zeros(big_d), y=np.zeros(big_d),
-                             phi1=maximally_mixed(rho.dims), phi2=maximally_mixed(rho.dims))
-        return depol, plan
+        return depol, TransformPlan(alpha=1.0, beta=1.0, k=0.0, c=1.0, theta=0.0)
 
     rho_vals, rho_vecs = np.linalg.eigh(rho.matrix)
     lam_min_rho = float(rho_vals[0])
@@ -241,9 +233,7 @@ def construct_transformation(rho, sigma, c_choice=None):
     m1 = c * np.outer(x, x.conj())
     m2 = c * k * np.outer(y, y.conj())
     instrument = make_map(rho.dims, [(m1, phi1), (m2, phi2)])
-    plan = TransformPlan(alpha=alpha, beta=beta, k=k, c=c, theta=theta,
-                         x=x, y=y, phi1=phi1, phi2=phi2)
-    return instrument, plan
+    return instrument, TransformPlan(alpha=alpha, beta=beta, k=k, c=c, theta=theta)
 
 
 def entangle_from(rho, c_choice=None):

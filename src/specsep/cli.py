@@ -65,8 +65,6 @@ def build_parser():
     p = sub.add_parser("bounds", parents=[parent], help="closed-form bounds")
     p.add_argument("--copies", type=float, default=None, metavar="R",
                    help="copy bound for a state of spectral ratio R")
-    p.add_argument("--ratio", type=float, default=None,
-                   help="ratio input for --copies when given as a bare flag")
     p.add_argument("--h-norm", type=float, default=None, help="Hamiltonian sup norm")
     p.add_argument("--l", type=int, default=None, help="side-dimension cutoff")
     p.add_argument("--k-b", type=float, default=1.0)
@@ -80,7 +78,12 @@ def build_parser():
 
 
 def _tol_scale(args):
-    return args.tol_override if args.tol_override else 1.0
+    scale = args.tol_override
+    if scale is None:
+        return 1.0
+    if not 0 < scale < math.inf:
+        raise InvalidStateError("--tol-override must be a finite positive number, got %r" % scale)
+    return scale
 
 
 def _load_spectrum(path, tol_scale):
@@ -105,7 +108,7 @@ def _print_verdicts(report, label):
 
 def cmd_classify(args):
     _, spec = _load_spectrum(args.state, _tol_scale(args))
-    report = criteria.run_all(spec, spec.dims)
+    report = criteria.run_all(spec)
     _print_verdicts(report, args.state)
     if args.compare_criteria:
         _print_comparison(spec.dims)
@@ -116,10 +119,8 @@ def cmd_classify(args):
             "dims": list(spec.dims.locals),
             "spectrum": [float(v) for v in spec.values],
             "verdicts": [_verdict_payload(v) for v in report.verdicts],
-            "tool_version": __version__,
-            "seed": args.seed,
         }
-        fileio.save_report(args.output, payload)
+        fileio.save_report(args.output, payload, args.seed)
     return EXIT_OK
 
 
@@ -138,7 +139,7 @@ def _print_comparison(dims):
     print("named-state comparison at dims %s:" % ("x".join(map(str, dims.locals))))
     rows = _named_states_for(dims)
     for name, rho in rows:
-        report = criteria.run_all(states.spectrum(rho), dims)
+        report = criteria.run_all(states.spectrum(rho))
         detected = [v.name for v in report.verdicts if v.status is criteria.Status.DETECTED]
         print("  %-16s detected-by: %s" % (name, ", ".join(detected) or "(none)"))
 
@@ -179,7 +180,7 @@ def cmd_transform(args):
             "plan": {"alpha": plan.alpha, "beta": plan.beta, "k": plan.k,
                      "c": plan.c, "theta": plan.theta},
             "branches": [
-                {"effect": [[[z.real, z.imag] for z in row] for row in effect],
+                {"effect": fileio.matrix_to_payload(effect),
                  "output": fileio.state_to_payload(rho=output)}
                 for effect, output in instrument.branches
             ],
@@ -188,10 +189,8 @@ def cmd_transform(args):
             "verification": {"unitality_residual": unitality_residual,
                              "output_residual": output_residual,
                              "ratio_monotone": monotone},
-            "tool_version": __version__,
-            "seed": args.seed,
         }
-        fileio.save_report(args.output, payload)
+        fileio.save_report(args.output, payload, args.seed)
     return EXIT_OK
 
 
@@ -215,26 +214,21 @@ def cmd_witness(args):
             "command": "witness",
             "kind": args.kind,
             "dims": list(dims.locals),
-            "matrix": [[[z.real, z.imag] for z in row] for row in w.matrix],
+            "matrix": fileio.matrix_to_payload(w.matrix),
             "trace_norm": witnesses.trace_norm(w),
-            "tool_version": __version__,
-            "seed": args.seed,
         }
         if value is not None:
             payload["expectation"] = value
-        fileio.save_report(args.output, payload)
+        fileio.save_report(args.output, payload, args.seed)
     return EXIT_OK
 
 
 def cmd_bounds(args):
     results = {}
-    copies_ratio = args.copies if args.copies is not None else None
-    if copies_ratio is None and args.ratio is not None:
-        copies_ratio = args.ratio
-    if copies_ratio is not None:
-        n = criteria.copy_bound(copies_ratio)
-        results["copy_bound"] = {"ratio": copies_ratio, "n": n}
-        print("copy bound for R = %.12g: n = %d" % (copies_ratio, n))
+    if args.copies is not None:
+        n = criteria.copy_bound(args.copies)
+        results["copy_bound"] = {"ratio": args.copies, "n": n}
+        print("copy bound for R = %.12g: n = %d" % (args.copies, n))
     if args.h_norm is not None:
         if args.l is None:
             raise InvalidStateError("--h-norm requires --l")
@@ -245,9 +239,7 @@ def cmd_bounds(args):
     if not results:
         raise InvalidStateError("bounds: nothing requested (use --copies or --h-norm)")
     if args.output:
-        results["tool_version"] = __version__
-        results["seed"] = args.seed
-        fileio.save_report(args.output, results)
+        fileio.save_report(args.output, results, args.seed)
     return EXIT_OK
 
 
@@ -271,10 +263,8 @@ def cmd_falsify(args):
             "min_pt_eigenvalue": result.min_pt_eigenvalue,
             "samples_used": result.samples_used,
             "samples_requested": args.samples,
-            "tool_version": __version__,
-            "seed": args.seed,
         }
-        fileio.save_report(args.output, payload)
+        fileio.save_report(args.output, payload, args.seed)
     return EXIT_OK
 
 

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
-from .states import Dims, is_singular, purity, spectral_ratio
+from .states import Dims, as_dims, is_singular, purity, spectral_ratio
 
 BOUNDARY_TOL = 1e-12
 
@@ -41,7 +39,6 @@ class CriterionVerdict:
 @dataclass(frozen=True)
 class CriterionReport:
     dims: Dims
-    spectrum: "np.ndarray"
     verdicts: tuple
 
 
@@ -71,29 +68,29 @@ def ratio_criterion(s, d, mode="cas"):
     return _verdict(name, detected, {"ratio": ratio, "threshold": threshold})
 
 
-def purity_ball(s, dims):
+def purity_ball(s):
     """Largest separable ball: Tr(rho^2) <= 1/(D-1) certifies (absolute)
     separability."""
-    big_d = dims.total
+    big_d = s.dims.total
     p = purity(s)
     bound = 1.0 / (big_d - 1)
     return _verdict("purity_ball", p <= bound + BOUNDARY_TOL, {"purity": p, "bound": bound})
 
 
-def region_checks(s, dims):
+def region_checks(s):
     """Endpoint checks for the convex-hull criterion conv(A u B).
 
     Region A: lambda_min >= 1/(D+2).  Region B: the purity ball.  Full
     membership in the convex hull is not decided here; non-membership can be
     certified with a separating witness.
     """
-    big_d = dims.total
+    big_d = s.dims.total
     lam_min = float(s.values[-1])
     bound_a = 1.0 / (big_d + 2)
     verdict_a = _verdict(
         "region_a", lam_min >= bound_a - BOUNDARY_TOL, {"lambda_min": lam_min, "bound": bound_a}
     )
-    verdict_b = purity_ball(s, dims)
+    verdict_b = purity_ball(s)
     verdict_b = CriterionVerdict(
         name="region_b", status=verdict_b.status, computed=verdict_b.computed
     )
@@ -133,7 +130,7 @@ def _filippov_condition(p, big_d):
     return k, lhs, rhs
 
 
-def purity_bound_report(s, dims):
+def purity_bound_report(s):
     """The three purity-based necessary conditions, as a list of verdicts.
 
     (i)  CAS purity:  Tr(rho^2) <= (d_A/d_B)/(d_A^2 - 1)  (d_A <= d_B).
@@ -143,8 +140,8 @@ def purity_bound_report(s, dims):
     Detected means "consistent with" the respective set; NotDetected
     certifies exclusion.
     """
-    d_a, d_b = sorted(dims.bipartite())
-    big_d = dims.total
+    d_a, d_b = sorted(s.dims.bipartite())
+    big_d = s.dims.total
     p = purity(s)
 
     cas_bound = (d_a / d_b) / (d_a**2 - 1)
@@ -171,8 +168,8 @@ def multipartite_guarantee(s, locals, l):
     """
     if l < 2:
         raise ValueError("l must be >= 2")
-    locals = tuple(int(d) for d in locals)
-    if int(np.prod(locals)) != len(s.values):
+    locals = as_dims(locals).locals
+    if math.prod(locals) != len(s.values):
         raise ValueError("product of locals must equal the spectrum length")
     if spectral_ratio(s) > (l + 1) / (l - 1) + BOUNDARY_TOL:
         return []
@@ -183,8 +180,8 @@ def multipartite_guarantee(s, locals, l):
         for side in combinations(range(1, n), r - 1):
             left = (0,) + side
             right = tuple(i for i in parties if i not in left)
-            dim_left = int(np.prod([locals[i] for i in left]))
-            dim_right = int(np.prod([locals[i] for i in right]))
+            dim_left = math.prod(locals[i] for i in left)
+            dim_right = math.prod(locals[i] for i in right)
             if min(dim_left, dim_right) <= l:
                 out.append((left, right))
     return out
@@ -196,8 +193,9 @@ def gibbs_threshold(h_inf_norm, l, k_b=1.0):
     T* = 2 ||H||_inf / (k_B ln((l+1)/(l-1)))."""
     if l < 2:
         raise ValueError("l must be >= 2")
-    if h_inf_norm < 0 or k_b <= 0:
-        raise ValueError("need h_inf_norm >= 0 and k_b > 0")
+    if not (0 <= h_inf_norm < math.inf and 0 < k_b < math.inf):
+        raise ValueError("need finite h_inf_norm >= 0 and k_b > 0, got %r and %r"
+                         % (h_inf_norm, k_b))
     return 2.0 * h_inf_norm / (k_b * math.log((l + 1) / (l - 1)))
 
 
@@ -212,14 +210,14 @@ def copy_bound(ratio):
     return int(math.floor(bound)) + 1
 
 
-def run_all(s, dims):
+def run_all(s):
     """Evaluate every registered criterion once and bundle the verdicts."""
-    d = dims.min_local
+    d = s.dims.min_local
     verdicts = [ratio_criterion(s, d, mode="cas"),
                 ratio_criterion(s, d, mode="separability"),
-                purity_ball(s, dims)]
-    verdicts.extend(region_checks(s, dims))
-    if dims.total >= 3:
+                purity_ball(s)]
+    verdicts.extend(region_checks(s))
+    if s.dims.total >= 3:
         verdicts.append(appt_spectral_necessary(s))
-    verdicts.extend(purity_bound_report(s, dims))
-    return CriterionReport(dims=dims, spectrum=s.values, verdicts=tuple(verdicts))
+    verdicts.extend(purity_bound_report(s))
+    return CriterionReport(dims=s.dims, verdicts=tuple(verdicts))

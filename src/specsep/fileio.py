@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .states import Dims, InvalidStateError, density_matrix, spectrum_from_values
+from . import __version__
+from .states import InvalidStateError, as_dims, density_matrix, spectrum_from_values
 
 
 def dumps(obj):
@@ -38,18 +39,30 @@ def dumps(obj):
     raise TypeError("cannot serialize %r" % type(obj))
 
 
+def matrix_to_payload(m):
+    """A complex matrix as row-major lists of (re, im) pairs."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
+
+
 def state_to_payload(rho=None, spec=None):
     if (rho is None) == (spec is None):
         raise ValueError("exactly one of matrix state / spectrum expected")
     if rho is not None:
-        matrix = [[[z.real, z.imag] for z in row] for row in np.asarray(rho.matrix)]
-        return {"dims": {"locals": list(rho.dims.locals)}, "matrix": matrix}
+        return {"dims": {"locals": list(rho.dims.locals)}, "matrix": matrix_to_payload(rho.matrix)}
     return {"dims": {"locals": list(spec.dims.locals)}, "spectrum": [float(v) for v in spec.values]}
 
 
+def _write(path, payload):
+    text = dumps(payload) + "\n"
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from exc
+
+
 def save_state(path, rho=None, spec=None):
-    with open(path, "w") as fh:
-        fh.write(dumps(state_to_payload(rho=rho, spec=spec)) + "\n")
+    _write(path, state_to_payload(rho=rho, spec=spec))
 
 
 def _reject_constant(name):
@@ -65,28 +78,27 @@ def load_state(path, tol_scale=1.0):
     try:
         with open(path) as fh:
             payload = json.load(fh, parse_constant=_reject_constant)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidStateError("cannot parse state file %s: %s" % (path, exc))
     try:
-        locals_ = tuple(int(d) for d in payload["dims"]["locals"])
+        dims = as_dims(payload["dims"]["locals"])
     except (KeyError, TypeError, ValueError):
         raise InvalidStateError("state file lacks a valid dims.locals entry")
     has_matrix = "matrix" in payload
     has_spectrum = "spectrum" in payload
     if has_matrix == has_spectrum:
         raise InvalidStateError("state file must contain exactly one of matrix/spectrum")
-    dims = Dims(locals_)
     if has_matrix:
         try:
             m = np.array(
                 [[complex(re, im) for re, im in row] for row in payload["matrix"]]
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidStateError("matrix entries must be (re, im) pairs")
         return density_matrix(m, dims, tol_scale=tol_scale), None
     try:
         vals = [float(v) for v in payload["spectrum"]]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidStateError("spectrum entries must be real numbers")
     return None, spectrum_from_values(vals, dims, tol_scale=tol_scale)
 
@@ -96,6 +108,6 @@ def digest(payload):
     return hashlib.sha256(dumps(payload).encode()).hexdigest()
 
 
-def save_report(path, report):
-    with open(path, "w") as fh:
-        fh.write(dumps(report) + "\n")
+def save_report(path, report, seed):
+    """Write a CLI report stamped with the tool version and the run's seed."""
+    _write(path, {**report, "tool_version": __version__, "seed": seed})

@@ -9,6 +9,7 @@ invariants; all operations are pure functions over immutable values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,32 +34,34 @@ class Dims:
     locals: tuple
 
     def __post_init__(self):
-        locs = tuple(int(d) for d in self.locals)
+        try:
+            locs = tuple(operator.index(d) for d in self.locals)
+        except TypeError:  # not a sequence of integers
+            locs = ()
         if not locs or any(d < 1 for d in locs):
-            raise ValueError("local dimensions must be positive integers")
+            raise ValueError("local dimensions must be positive integers, got %r"
+                             % (self.locals,))
         object.__setattr__(self, "locals", locs)
 
     @property
     def total(self):
-        return int(np.prod(self.locals))
-
-    @property
-    def n_parties(self):
-        return len(self.locals)
-
-    @property
-    def is_bipartite(self):
-        return len(self.locals) == 2
+        return math.prod(self.locals)
 
     def bipartite(self):
         """Return (d_A, d_B), raising if not a two-party system."""
-        if not self.is_bipartite:
+        if len(self.locals) != 2:
             raise ValueError("operation requires bipartite dims, got %r" % (self.locals,))
         return self.locals
 
     @property
     def min_local(self):
         return min(self.locals)
+
+
+def as_dims(dims):
+    """``dims`` itself if it is a Dims, else Dims over the sequence of local
+    dimensions it holds."""
+    return dims if isinstance(dims, Dims) else Dims(dims)
 
 
 def bipartite_dims(d_a, d_b):
@@ -90,6 +93,16 @@ class Spectrum:
         self.values.flags.writeable = False
 
 
+def hermitian_part(m, error, tol_scale=1.0):
+    """(m + m^dagger) / 2, raising ``error`` when the Hermiticity residual of
+    ``m`` exceeds HERMITICITY_TOL * tol_scale relative to its largest entry
+    (or to 1, whichever is larger)."""
+    residual = np.abs(m - m.conj().T).max()
+    if residual > HERMITICITY_TOL * max(np.abs(m).max(), 1.0) * tol_scale:
+        raise error("matrix is not Hermitian (residual %.3e)" % residual)
+    return 0.5 * (m + m.conj().T)
+
+
 def density_matrix(matrix, dims, tol_scale=1.0):
     """Validate ``matrix`` against the density-matrix invariants and wrap it.
 
@@ -98,7 +111,7 @@ def density_matrix(matrix, dims, tol_scale=1.0):
     uniformly (used by the CLI --tol-override escape hatch only).
     """
     m = np.asarray(matrix, dtype=complex)
-    dims = dims if isinstance(dims, Dims) else Dims(tuple(dims))
+    dims = as_dims(dims)
     d = dims.total
     if m.shape != (d, d):
         raise InvalidStateError(
@@ -106,11 +119,7 @@ def density_matrix(matrix, dims, tol_scale=1.0):
         )
     if not np.isfinite(m).all():
         raise InvalidStateError("matrix has non-finite entries")
-    scale = max(np.abs(m).max(), 1.0)
-    herm_residual = np.abs(m - m.conj().T).max()
-    if herm_residual > HERMITICITY_TOL * scale * tol_scale:
-        raise InvalidStateError("matrix is not Hermitian (residual %.3e)" % herm_residual)
-    m = 0.5 * (m + m.conj().T)
+    m = hermitian_part(m, InvalidStateError, tol_scale)
     tr = m.trace().real
     if abs(m.trace() - 1.0) > TRACE_TOL * tol_scale:
         raise InvalidStateError("trace is %.17g, expected 1" % tr)
@@ -124,7 +133,7 @@ def spectrum_from_values(values, dims, tol_scale=1.0):
     """Validate an eigenvalue list (reject non-finite values, clamp tiny
     negatives, check the sum)."""
     v = np.sort(np.asarray(values, dtype=float))[::-1].copy()
-    dims = dims if isinstance(dims, Dims) else Dims(tuple(dims))
+    dims = as_dims(dims)
     if len(v) != dims.total:
         raise InvalidStateError(
             "spectrum has %d values, dims %r require %d" % (len(v), dims.locals, dims.total)
@@ -198,7 +207,7 @@ def max_entangled_ket(d_a, d_b):
 
 
 def maximally_mixed(dims):
-    dims = dims if isinstance(dims, Dims) else Dims(tuple(dims))
+    dims = as_dims(dims)
     d = dims.total
     return DensityMatrix(dims=dims, matrix=np.eye(d, dtype=complex) / d)
 
@@ -234,8 +243,9 @@ def make_named_state(name, **params):
     if name == "omega_t":
         d_a = params.get("d_a", 2)
         d_b = params.get("d_b", 2)
-        t = float(params["t"])
-        return make_omega_t(d_a, d_b, t)
+        if params.get("t") is None:
+            raise ValueError("omega_t requires the parameter t")
+        return make_omega_t(d_a, d_b, float(params["t"]))
 
     if name == "rho_tilde":
         return make_rho_tilde(params["d_a"], params["d_b"])
@@ -317,5 +327,5 @@ def gibbs_spectrum(energies, temperature, k_b=1.0, locals=None):
     e = np.asarray(energies, dtype=float)
     w = np.exp(-(e - e.min()) / (k_b * temperature))
     w /= w.sum()
-    dims = Dims(tuple(locals)) if locals is not None else Dims((len(e),))
+    dims = Dims(locals if locals is not None else (len(e),))
     return spectrum_from_values(w, dims)

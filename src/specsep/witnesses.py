@@ -11,13 +11,14 @@ import numpy as np
 from .states import (
     Dims,
     DensityMatrix,
+    as_dims,
     bipartite_dims,
+    hermitian_part,
     max_entangled_ket,
     partial_transpose,
     rho_tilde_projector,
 )
 
-HERMITICITY_TOL = 1e-10
 SEESAW_CONVERGENCE = 1e-12
 
 
@@ -35,14 +36,11 @@ class Witness:
 
 def make_witness(matrix, dims):
     m = np.asarray(matrix, dtype=complex)
-    dims = dims if isinstance(dims, Dims) else Dims(tuple(dims))
+    dims = as_dims(dims)
     dims.bipartite()
     if m.shape != (dims.total, dims.total):
         raise ValueError("witness shape %r does not match dims %r" % (m.shape, dims.locals))
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
-        raise ValueError("witness must be Hermitian")
-    m = 0.5 * (m + m.conj().T)
+    m = hermitian_part(m, ValueError)
     return Witness(dims=dims, matrix=m, trace=float(m.trace().real))
 
 
@@ -63,7 +61,7 @@ def make_ppt_witness(dims):
     Trace 1, spectrum in [-1/d, 1/d], block positive; detects every NPT
     state that a maximally-entangled-fidelity test can see.
     """
-    dims = dims if isinstance(dims, Dims) else Dims(tuple(dims))
+    dims = as_dims(dims)
     d_a, d_b = dims.bipartite()
     psi = max_entangled_ket(d_a, d_b)
     proj = DensityMatrix(dims=dims, matrix=np.outer(psi, psi.conj()))

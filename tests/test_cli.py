@@ -5,7 +5,7 @@ import pytest
 
 from specsep import density_matrix, make_named_state, spectrum
 from specsep.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, main
-from specsep.fileio import load_state, save_state
+from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
 from specsep.states import make_omega_t, make_rho_tilde
 
 
@@ -174,8 +174,8 @@ def test_bounds_copy_and_gibbs(tmp_path, capsys):
     assert payload["copy_bound"]["n"] == 2
 
     assert main(["bounds", "--h-norm", "1", "--l", "2"]) == EXIT_OK
-    assert main(["bounds", "--ratio", "2"]) == EXIT_OK
-    assert main(["bounds", "--ratio", "1"]) == EXIT_INVALID  # no finite copy bound
+    assert main(["bounds", "--copies", "2"]) == EXIT_OK
+    assert main(["bounds", "--copies", "1"]) == EXIT_INVALID  # no finite copy bound
     assert main(["bounds"]) == EXIT_INVALID
     assert main(["bounds", "--h-norm", "1"]) == EXIT_INVALID  # missing --l
 
@@ -248,3 +248,62 @@ def test_tol_override_admits_slightly_off_trace(tmp_path):
     path.write_text(payload)
     assert main(["classify", str(path)]) == EXIT_INVALID
     assert main(["classify", str(path), "--tol-override", "1e7"]) == EXIT_OK
+
+
+def test_construct_omega_t_without_t_is_invalid(tmp_path, capsys):
+    out = tmp_path / "o.state.json"
+    assert main(["construct", "omega_t", "--output", str(out)]) == EXIT_INVALID
+    assert "requires the parameter t" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deeply_nested_state_file_is_invalid(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dims":{"locals":[2,2]},"spectrum":%s}' % ("[" * 10**5 + "]" * 10**5))
+    assert main(["classify", str(path)]) == EXIT_INVALID
+    assert "cannot parse state file" in capsys.readouterr().err
+
+
+def test_output_into_missing_directory_is_invalid(tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    assert main(["construct", "werner", "--output", str(missing / "w.json")]) == EXIT_INVALID
+    assert main(["bounds", "--copies", "3", "--output", str(missing / "b.json")]) == EXIT_INVALID
+    assert capsys.readouterr().err.count("error: cannot write") == 2
+
+
+@pytest.mark.parametrize("body,message", [
+    ('{"dims":{"locals":[2.7,2]},"spectrum":[0.25,0.25,0.25,0.25]}', "dims.locals"),
+    ('{"dims":{"locals":"22"},"spectrum":[0.25,0.25,0.25,0.25]}', "dims.locals"),
+    ('{"dims":{"locals":[4294967296,4294967296]},"spectrum":[]}', "18446744073709551616"),
+], ids=["float-dims", "string-dims", "overflowing-dims"])
+def test_malformed_dims_state_file_is_invalid(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    assert main(["classify", str(path)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--h-norm", "nan", "--l", "2"],
+    ["--h-norm", "inf", "--l", "2"],
+    ["--h-norm", "1", "--l", "2", "--k-b", "nan"],
+], ids=["nan-h-norm", "inf-h-norm", "nan-k-b"])
+def test_bounds_rejects_non_finite_gibbs_inputs(tmp_path, capsys, flags):
+    report = tmp_path / "b.json"
+    assert main(["bounds", *flags, "--output", str(report)]) == EXIT_INVALID
+    assert "need finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_tol_override_must_be_finite_and_positive(tmp_path, capsys, scale):
+    # a Hermiticity residual of 0.4: no finite scale near 1 admits it
+    m = np.eye(4) / 4
+    m[0, 1] = 0.4
+    path = tmp_path / "skew.json"
+    path.write_text(dumps({"dims": {"locals": [2, 2]}, "matrix": matrix_to_payload(m)}))
+    report = tmp_path / "c.json"
+    assert main(["classify", str(path), "--tol-override", scale,
+                 "--output", str(report)]) == EXIT_INVALID
+    assert "--tol-override must be a finite positive number" in capsys.readouterr().err
+    assert not report.exists()

@@ -17,7 +17,7 @@ from specsep.criteria import (
     region_checks,
     run_all,
 )
-from specsep.states import Dims, bipartite_dims, density_matrix, make_rho_tilde
+from specsep.states import density_matrix, make_rho_tilde
 
 
 def _sorted_dirichlet(rng, n, d, alpha=1.0):
@@ -71,28 +71,28 @@ def test_ratio_scale_free(rng):
 
 def test_purity_ball_examples():
     mm = spectrum_from_values([1 / 6] * 6, (2, 3))
-    assert purity_ball(mm, Dims((2, 3))).status is Status.DETECTED
+    assert purity_ball(mm).status is Status.DETECTED
     rt = spectrum(make_rho_tilde(2, 3))
-    assert purity_ball(rt, Dims((2, 3))).status is Status.NOT_DETECTED
+    assert purity_ball(rt).status is Status.NOT_DETECTED
     boundary = spectrum_from_values([1 / 3, 1 / 3, 1 / 3, 0.0], (2, 2))
-    v = purity_ball(boundary, Dims((2, 2)))
+    v = purity_ball(boundary)
     assert v.status is Status.DETECTED
     assert v.computed["purity"] == pytest.approx(v.computed["bound"], abs=1e-12)
 
 
 def test_region_checks():
     mm = spectrum_from_values([1 / 6] * 6, (2, 3))
-    a, b = region_checks(mm, Dims((2, 3)))
+    a, b = region_checks(mm)
     assert a.status is Status.DETECTED and b.status is Status.DETECTED
     rt = spectrum(make_rho_tilde(2, 3))
-    a, b = region_checks(rt, Dims((2, 3)))
+    a, b = region_checks(rt)
     assert a.status is Status.NOT_DETECTED
     assert b.status is Status.NOT_DETECTED
     # constructed exactly on the region-A boundary
     d = 6
     vals = np.full(d, 1 / (d + 2))
     vals[0] = 3 / (d + 2)
-    a, _ = region_checks(spectrum_from_values(vals, (2, 3)), Dims((2, 3)))
+    a, _ = region_checks(spectrum_from_values(vals, (2, 3)))
     assert a.status is Status.DETECTED
 
 
@@ -117,7 +117,7 @@ def test_appt_needs_three_levels():
 
 def test_cas_purity_bound_matches_purity_ball_at_two_qubits():
     s = spectrum_from_values([0.25] * 4, (2, 2))
-    report = {v.name: v for v in purity_bound_report(s, Dims((2, 2)))}
+    report = {v.name: v for v in purity_bound_report(s)}
     assert report["cas_purity"].computed["bound"] == pytest.approx(1 / 3)
 
 
@@ -126,7 +126,7 @@ def test_as_purity_two_qubit_threshold():
     a = (2 + math.sqrt(4 + 2.24)) / 8
     b = (1 - a) / 3
     s = spectrum_from_values([a, b, b, b], (2, 2))
-    report = {v.name: v for v in purity_bound_report(s, Dims((2, 2)))}
+    report = {v.name: v for v in purity_bound_report(s)}
     assert report["as_purity"].computed["bound"] == pytest.approx(3 / 8)
     assert report["as_purity"].status is Status.NOT_DETECTED
 
@@ -139,7 +139,7 @@ def test_filippov_strict_at_as_bound():
     vals[0] += x * math.sqrt((d - 1) / d)
     vals[1:] -= x / math.sqrt(d * (d - 1))
     s = spectrum_from_values(vals, (2, 3))
-    report = {v.name: v for v in purity_bound_report(s, Dims((2, 3)))}
+    report = {v.name: v for v in purity_bound_report(s)}
     fil = report["filippov"]
     assert fil.computed["purity"] == pytest.approx(2 / d, abs=1e-12)
     assert fil.computed["lhs"] == pytest.approx(1.0, abs=1e-9)
@@ -150,9 +150,9 @@ def test_filippov_strict_at_as_bound():
 def test_purity_bounds_swap_unequal_dims():
     s = spectrum(make_rho_tilde(2, 3))
     r1 = {v.name: v.computed.get("bound", v.computed.get("rhs"))
-          for v in purity_bound_report(s, Dims((2, 3)))}
+          for v in purity_bound_report(s)}
     r2 = {v.name: v.computed.get("bound", v.computed.get("rhs"))
-          for v in purity_bound_report(s, Dims((3, 2)))}
+          for v in purity_bound_report(spectrum_from_values(s.values, (3, 2)))}
     assert r1 == r2
     assert r1["cas_purity"] == pytest.approx((2 / 3) / 3)
 
@@ -278,7 +278,7 @@ def test_appt_implies_as_purity():
 
 def test_run_all_report_shape():
     s = spectrum(make_rho_tilde(2, 3))
-    report = run_all(s, bipartite_dims(2, 3))
+    report = run_all(s)
     names = [v.name for v in report.verdicts]
     assert names == ["ratio_cas", "ratio_separability", "purity_ball", "region_a",
                      "region_b", "appt_necessary", "cas_purity", "as_purity", "filippov"]

@@ -1,0 +1,178 @@
+"""Properties of the state and report files over generated inputs: exact
+round trips, strict JSON reports, and exit code 2 on malformed state files."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from specsep import __version__, density_matrix, spectrum_from_values
+from specsep.cli import EXIT_INVALID, EXIT_OK, main
+from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
+
+LOCALS = st.sampled_from([(2,), (1, 2), (2, 2), (2, 3), (3, 3), (2, 2, 2)])
+BIPARTITE = st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def matrix_states(draw, locals_=LOCALS):
+    """A random density matrix of random rank, singular ones included."""
+    dims = draw(locals_)
+    d = math.prod(dims)
+    rank = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(SEEDS))
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return density_matrix(m / m.trace().real, dims)
+
+
+@st.composite
+def spectra(draw):
+    """A random spectrum with exact zeros in a random number of places."""
+    dims = draw(LOCALS)
+    d = math.prod(dims)
+    rng = np.random.default_rng(draw(SEEDS))
+    vals = rng.dirichlet(np.ones(d))
+    vals[rng.permutation(d)[:draw(st.integers(0, d - 1))]] = 0.0
+    return spectrum_from_values(vals / vals.sum(), dims)
+
+
+def _run(argv):
+    """(exit code, stderr) of one CLI command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _strict_load(path):
+    def refuse(name):
+        raise ValueError("non-finite constant %s" % name)
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=matrix_states(), spec=spectra(), of_matrix=st.booleans())
+def test_save_load_save_is_byte_identical(rho, spec, of_matrix):
+    state = {"rho": rho} if of_matrix else {"spec": spec}
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+        save_state(first, **state)
+        loaded_rho, loaded_spec = load_state(first)
+        save_state(second, rho=loaded_rho, spec=loaded_spec)
+        assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho=matrix_states(BIPARTITE), seed=st.integers(0, 2**31 - 1),
+       samples=st.integers(1, 40), ratio=st.floats(1.001, 1e6),
+       h_norm=st.floats(0.0, 1e6), l=st.integers(2, 50), k_b=st.floats(1e-3, 1e3))
+def test_every_report_is_strict_json_with_version_and_seed(rho, seed, samples, ratio,
+                                                          h_norm, l, k_b):
+    d_a, d_b = rho.dims.locals
+    # (rho + I/D)/2 has a strictly smaller spectral ratio, so it is reachable
+    big_d = rho.dims.total
+    target = density_matrix((rho.matrix + np.eye(big_d) / big_d) / 2, rho.dims)
+    with tempfile.TemporaryDirectory() as tmp:
+        state, mixed = str(Path(tmp, "rho.json")), str(Path(tmp, "target.json"))
+        save_state(state, rho=rho)
+        save_state(mixed, rho=target)
+        commands = [
+            ["classify", state],
+            ["transform", state, mixed],
+            ["witness", "ppt", "--d-a", str(d_a), "--d-b", str(d_b), "--evaluate", state],
+            ["bounds", "--copies", repr(ratio), "--h-norm", repr(h_norm), "--l", str(l),
+             "--k-b", repr(k_b)],
+            ["falsify", state, "--samples", str(samples)],
+        ]
+        if d_a < d_b:
+            commands.append(["witness", "separating", "--d-a", str(d_a), "--d-b", str(d_b),
+                             "--evaluate", state])
+        for i, argv in enumerate(commands):
+            report = str(Path(tmp, "report%d.json" % i))
+            assert _run(argv + ["--seed", str(seed), "--output", report]) == (EXIT_OK, "")
+            payload = _strict_load(report)
+            assert payload["tool_version"] == __version__
+            assert payload["seed"] == seed
+
+
+_VALID = {"dims": {"locals": [2, 2]}, "spectrum": [0.25, 0.25, 0.25, 0.25]}
+_VALID_MATRIX = {"dims": {"locals": [2, 2]}, "matrix": matrix_to_payload(np.eye(4) / 4)}
+_NOT_ITERABLE = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=False, allow_infinity=False))
+_NOT_A_NUMBER = st.one_of(st.none(), st.just([]), st.just({}), st.just([0.25, 0.0]))
+
+
+@st.composite
+def malformed_state_files(draw):
+    """The text of a state file that must be refused."""
+    base = draw(st.sampled_from([_VALID, _VALID_MATRIX]))
+    key = "matrix" if "matrix" in base else "spectrum"
+    payload = json.loads(dumps(base))
+    kind = draw(st.sampled_from(["bad-json", "missing-key", "both-keys", "nesting",
+                                 "wrong-type", "wrong-entry", "dims"]))
+    if kind == "bad-json":
+        text = dumps(base)
+        return text[:draw(st.integers(0, len(text) - 2))]
+    if kind == "missing-key":
+        victim = draw(st.sampled_from(["dims", "locals", key]))
+        if victim == "locals":
+            del payload["dims"]["locals"]
+        else:
+            del payload[victim]
+    elif kind == "both-keys":
+        payload["spectrum" if key == "matrix" else "matrix"] = []
+    elif kind == "nesting":
+        where = draw(st.sampled_from(["dims", "locals", "body", "flat"]))
+        if where == "dims":
+            payload["dims"] = payload["dims"]["locals"]
+        elif where == "locals":
+            payload["dims"]["locals"] = [payload["dims"]["locals"]]
+        elif where == "body":
+            payload[key] = [payload[key]]
+        elif key == "matrix":
+            payload[key] = [[z for pair in row for z in pair] for row in payload[key]]
+        else:
+            payload[key] = [[v] for v in payload[key]]
+    elif kind == "wrong-type":
+        victim = draw(st.sampled_from(["dims", "locals", key]))
+        value = draw(_NOT_ITERABLE | st.text() if victim != key else _NOT_ITERABLE)
+        if victim == "locals":
+            payload["dims"]["locals"] = value
+        else:
+            payload[victim] = value
+    elif kind == "wrong-entry":
+        i = draw(st.integers(0, 3))
+        if key == "matrix":
+            payload[key][i][draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(
+                _NOT_A_NUMBER | st.text())
+        else:
+            payload[key][i] = draw(_NOT_A_NUMBER)
+    else:
+        payload["dims"]["locals"] = draw(st.one_of(
+            st.lists(st.integers(max_value=0), min_size=1, max_size=3).map(lambda l: l + [4]),
+            st.lists(st.floats().filter(lambda x: not x.is_integer()), min_size=1, max_size=3),
+            st.lists(st.text(), min_size=1, max_size=3),
+            st.lists(st.integers(2**32, 2**70), min_size=1, max_size=3),
+            st.sampled_from([[], [2], [2, 3], [3, 3], [4, 2, 2]]),
+        ))
+    return dumps(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=malformed_state_files())
+def test_malformed_state_files_exit_2_with_an_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "bad.json")
+        path.write_text(text)
+        code, err = _run(["classify", str(path)])
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ")

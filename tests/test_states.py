@@ -212,6 +212,16 @@ def test_validation_rejects_bad_trace_and_negativity():
         spectrum_from_values([0.5, 0.6, -0.1, 0.0], (2, 2))
 
 
+def test_dims_total_is_exact():
+    assert Dims((2**32, 2**32)).total == 2**64
+
+
+@pytest.mark.parametrize("locals_", [(2.7, 2), (2.0, 2), "22", (2, "2"), (0, 2), (), 4])
+def test_dims_accept_only_positive_integers(locals_):
+    with pytest.raises(ValueError, match="positive integers"):
+        Dims(locals_)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_validation_rejects_non_finite(bad):
     with pytest.raises(InvalidStateError, match="non-finite"):
