@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import Status, ratio_criterion
 from .states import (
-    EIG_CLAMP,
     PSD_TOL,
     Dims,
     as_dims,
     density_matrix,
     hermitian_part,
+    is_singular,
     make_named_state,
     make_omega_t,
     maximally_mixed,
@@ -77,10 +78,7 @@ def make_map(dims, branches):
     big_d = dims.total
     checked = []
     for effect, output in branches:
-        e = np.asarray(effect, dtype=complex)
-        if e.shape != (big_d, big_d):
-            raise SubPovmViolation("effect shape %r does not match dims" % (e.shape,))
-        e = hermitian_part(e, SubPovmViolation)
+        e = hermitian_part(effect, dims, SubPovmViolation)
         if float(np.linalg.eigvalsh(e).min()) < -PSD_TOL:
             raise SubPovmViolation("effect has a negative eigenvalue")
         if output.dims.total != big_d:
@@ -145,29 +143,6 @@ def make_sec_c_example():
     return make_map(dims, [(e_sigma, sigma_hat), (e_w, werner)])
 
 
-def _bisect_interpolation(rho_vals, v_max, v_min, target):
-    """Unit vector y(theta) between the extreme eigenvectors of rho with
-    <y|rho|y> = target, found by bisection on theta in [0, pi/2]."""
-    lam_max, lam_min = rho_vals
-    if target >= lam_max:
-        return v_max, 0.0
-    if target <= lam_min:
-        return v_min, math.pi / 2
-    lo, hi = 0.0, math.pi / 2  # <y|rho|y> decreases from lam_max to lam_min
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = lam_max * math.cos(mid) ** 2 + lam_min * math.sin(mid) ** 2
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(val - target) <= 1e-15 * max(target, 1e-300):
-            break
-    theta = 0.5 * (lo + hi)
-    y = math.cos(theta) * v_max + math.sin(theta) * v_min
-    return y / np.linalg.norm(y), theta
-
-
 def construct_transformation(rho, sigma, c_choice=None):
     """Stochastic unital map carrying rho to sigma with nonzero probability.
 
@@ -188,13 +163,12 @@ def construct_transformation(rho, sigma, c_choice=None):
     lam_min_rho = float(rho_vals[0])
     lam_max_rho = float(rho_vals[-1])
     v_min, v_max = rho_vecs[:, 0], rho_vecs[:, -1]
-    singular = lam_min_rho <= EIG_CLAMP
 
-    sig_spec = spectrum(sigma)
+    rho_spec, sig_spec = spectrum(rho), spectrum(sigma)
     lam_max_sig = float(sig_spec.values[0])
     lam_min_sig = float(sig_spec.values[-1])
 
-    if singular:
+    if is_singular(rho_spec):
         # Any alpha above D * lambda_max(sigma) works; take a unit margin.
         alpha = big_d * lam_max_sig + 1.0
         beta = math.inf
@@ -204,12 +178,11 @@ def construct_transformation(rho, sigma, c_choice=None):
         x, y = v_max, v_min  # y lies in ker(rho)
         theta = math.pi / 2
     else:
-        if lam_min_sig <= EIG_CLAMP:
+        if is_singular(sig_spec):
             raise RatioTooSmall(
                 "full-rank input cannot reach a singular target (ratio monotone)"
             )
-        ratio_rho = lam_max_rho / lam_min_rho
-        ratio_sig = lam_max_sig / lam_min_sig
+        ratio_rho, ratio_sig = spectral_ratio(rho_spec), spectral_ratio(sig_spec)
         if ratio_rho < ratio_sig - RATIO_SLACK:
             raise RatioTooSmall(
                 "R(rho) = %.12g < R(sigma) = %.12g" % (ratio_rho, ratio_sig)
@@ -222,8 +195,13 @@ def construct_transformation(rho, sigma, c_choice=None):
         phi2 = density_matrix((alpha * eye / big_d - sigma.matrix) / (alpha - 1.0), rho.dims)
         k = (alpha - 1.0) / (1.0 - 1.0 / beta)
         x = v_max
-        target = lam_max_rho / (alpha * beta)
-        y, theta = _bisect_interpolation((lam_max_rho, lam_min_rho), v_max, v_min, target)
+        # y = cos(theta) v_max + sin(theta) v_min with <y|rho|y> = the target
+        # lam_max / (alpha beta), which R(rho) >= R(sigma) puts in [lam_min, lam_max]
+        cos2 = (lam_max_rho / (alpha * beta) - lam_min_rho) / (lam_max_rho - lam_min_rho)
+        cos2 = min(max(cos2, 0.0), 1.0)
+        cos_t, sin_t = math.sqrt(cos2), math.sqrt(1.0 - cos2)
+        theta = math.atan2(sin_t, cos_t)
+        y = cos_t * v_max + sin_t * v_min
 
     c_max = 1.0 / (1.0 + k)
     c = c_max if c_choice is None else float(c_choice)
@@ -246,17 +224,12 @@ def entangle_from(rho, c_choice=None):
     """
     d_a, d_b = rho.dims.bipartite()
     d = min(d_a, d_b)
-    s = spectrum(rho)
-    ratio = spectral_ratio(s)
-    threshold = (d + 1) / (d - 1)
-    if math.isfinite(ratio):
-        if ratio <= threshold + RATIO_SLACK:
-            raise InputIsCAS(
-                "spectral ratio %.12g within CAS threshold %.12g" % (ratio, threshold)
-            )
-        t = d * (ratio - 1.0) / (ratio + 1.0)
-    else:
-        t = (1.0 + d) / 2.0
+    cas = ratio_criterion(spectrum(rho), d)
+    ratio = cas.computed["ratio"]
+    if cas.status is Status.DETECTED:
+        raise InputIsCAS("spectral ratio %.12g within CAS threshold %.12g"
+                         % (ratio, cas.computed["threshold"]))
+    t = d * (ratio - 1.0) / (ratio + 1.0) if math.isfinite(ratio) else (1.0 + d) / 2.0
     target = make_omega_t(d_a, d_b, t)
     instrument, _ = construct_transformation(rho, target, c_choice=c_choice)
     return instrument, target

@@ -164,7 +164,7 @@ def cmd_transform(args):
         raise InvalidStateError("transform needs explicit matrix state files")
     instrument, plan = channels.construct_transformation(rho, sigma, c_choice=args.c)
     out, prob = channels.apply_map(instrument, rho)
-    q = channels.validate_map(instrument)
+    q = instrument.unitality_factor
     image = channels.apply_to_operator(instrument, np.eye(rho.dims.total, dtype=complex))
     unitality_residual = float(np.abs(image - q * np.eye(rho.dims.total)).max())
     output_residual = float(np.abs(out / prob - sigma.matrix).max())

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .states import Dims, as_dims, is_singular, purity, spectral_ratio
+from .states import Dims, is_singular, purity, spectral_ratio
 
 BOUNDARY_TOL = 1e-12
 
@@ -159,18 +159,19 @@ def purity_bound_report(s):
     return [v_cas, v_as, v_fil]
 
 
-def multipartite_guarantee(s, locals, l):
+def multipartite_guarantee(s, l):
     """Bipartitions guaranteed separable by the multipartite ratio bound.
 
-    If R <= (l+1)/(l-1), returns every bipartition of the parties whose
-    smaller side has Hilbert dimension at most l (as pairs of index tuples,
-    first side containing party 0).  Otherwise returns [].
+    If R <= (l+1)/(l-1), returns every bipartition of the parties in
+    ``s.dims`` whose smaller side has Hilbert dimension at most l (as pairs
+    of index tuples, first side containing party 0).  Otherwise returns [].
     """
     if l < 2:
         raise ValueError("l must be >= 2")
-    locals = as_dims(locals).locals
-    if math.prod(locals) != len(s.values):
-        raise ValueError("product of locals must equal the spectrum length")
+    locals = s.dims.locals
+    if len(locals) < 2:
+        raise ValueError("multipartite guarantee needs at least two parties, got dims %r"
+                         % (locals,))
     if spectral_ratio(s) > (l + 1) / (l - 1) + BOUNDARY_TOL:
         return []
     n = len(locals)

@@ -69,6 +69,13 @@ def _reject_constant(name):
     raise ValueError("non-finite number %s" % name)
 
 
+def _number(x):
+    """A JSON number as a float; strings, booleans and containers are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError("%r is not a number" % (x,))
+    return float(x)
+
+
 def load_state(path, tol_scale=1.0):
     """Parse a state file; returns (DensityMatrix | None, Spectrum | None).
 
@@ -90,14 +97,13 @@ def load_state(path, tol_scale=1.0):
         raise InvalidStateError("state file must contain exactly one of matrix/spectrum")
     if has_matrix:
         try:
-            m = np.array(
-                [[complex(re, im) for re, im in row] for row in payload["matrix"]]
-            )
+            m = np.array([[complex(_number(re), _number(im)) for re, im in row]
+                          for row in payload["matrix"]])
         except (TypeError, ValueError, OverflowError):
-            raise InvalidStateError("matrix entries must be (re, im) pairs")
+            raise InvalidStateError("matrix entries must be (re, im) pairs of numbers")
         return density_matrix(m, dims, tol_scale=tol_scale), None
     try:
-        vals = [float(v) for v in payload["spectrum"]]
+        vals = [_number(v) for v in payload["spectrum"]]
     except (TypeError, ValueError, OverflowError):
         raise InvalidStateError("spectrum entries must be real numbers")
     return None, spectrum_from_values(vals, dims, tol_scale=tol_scale)

@@ -160,15 +160,22 @@ def thm2_violation_value(s, d_a, d_bprime):
 
 
 def verify_ratio_monotone(m, rho):
-    """Spectral-ratio monotonicity of a validated map on a full-rank input:
-    either the success probability vanishes or the normalized output's ratio
-    does not exceed the input's (within 1e-9)."""
-    from .channels import apply_map  # local import to avoid a cycle
+    """Spectral-ratio monotonicity of a map on a full-rank input: either the
+    success probability vanishes or the normalized output's ratio does not
+    exceed the input's.  The slack is 1e-9 plus D eps R_in (R_in + R_out),
+    the conditioning of the two ratios computed from eigenvalues.
 
-    out, prob = apply_map(m, rho)
+    The output sum_i Tr(E_i rho) phi_i is computed here, not by the map code.
+    """
+    out = sum(np.einsum("ij,ji->", effect, rho.matrix) * phi.matrix for effect, phi in m.branches)
+    prob = float(out.trace().real)
     if prob <= 1e-12:
         return True
     out_vals = np.linalg.eigvalsh(out / prob)
     lo, hi = float(out_vals.min()), float(out_vals.max())
-    out_ratio = math.inf if lo <= 1e-15 else hi / max(lo, 1e-300)
-    return out_ratio <= spectral_ratio(spectrum(rho)) + 1e-9
+    r_in = spectral_ratio(spectrum(rho))
+    if lo <= 1e-15:
+        return math.isinf(r_in)
+    r_out = hi / lo
+    slack = 1e-9 + len(out_vals) * np.finfo(float).eps * r_in * (r_in + r_out)
+    return bool(r_out <= r_in + slack)

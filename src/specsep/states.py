@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Validation tolerances.  Eigenvalues in (-EIG_CLAMP, 0) are treated as
-# numerical noise and clamped to zero; anything more negative is a genuine
-# invariant violation.
+# Validation tolerances.  Each state invariant is checked once, when a value
+# enters the library: shape, finiteness and Hermiticity in ``hermitian_part``,
+# PSD and trace in ``spectrum_from_values``.  Eigenvalues in [-PSD_TOL, 0)
+# are numerical noise and clamped to zero; anything more negative is a
+# genuine invariant violation.  EIG_CLAMP only marks a state as singular
+# (smallest eigenvalue at or below it).
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -93,10 +96,20 @@ class Spectrum:
         self.values.flags.writeable = False
 
 
-def hermitian_part(m, error, tol_scale=1.0):
-    """(m + m^dagger) / 2, raising ``error`` when the Hermiticity residual of
-    ``m`` exceeds HERMITICITY_TOL * tol_scale relative to its largest entry
-    (or to 1, whichever is larger)."""
+def hermitian_part(m, dims, error, tol_scale=1.0):
+    """(m + m^dagger) / 2 for a finite (D, D) matrix over ``dims`` (a Dims).
+
+    Raises ``error`` on a wrong shape, a non-finite entry, or a Hermiticity
+    residual above HERMITICITY_TOL * tol_scale relative to the largest entry
+    of ``m`` (or to 1, whichever is larger).
+    """
+    m = np.asarray(m, dtype=complex)
+    d = dims.total
+    if m.shape != (d, d):
+        raise error("matrix shape %r does not match dims %r (total %d)"
+                    % (m.shape, dims.locals, d))
+    if not np.isfinite(m).all():
+        raise error("matrix has non-finite entries")
     residual = np.abs(m - m.conj().T).max()
     if residual > HERMITICITY_TOL * max(np.abs(m).max(), 1.0) * tol_scale:
         raise error("matrix is not Hermitian (residual %.3e)" % residual)
@@ -106,33 +119,32 @@ def hermitian_part(m, error, tol_scale=1.0):
 def density_matrix(matrix, dims, tol_scale=1.0):
     """Validate ``matrix`` against the density-matrix invariants and wrap it.
 
-    Raises InvalidStateError on non-finite, non-Hermitian, non-PSD (below
-    -1e-10) or non-unit-trace input.  ``tol_scale`` loosens all tolerances
-    uniformly (used by the CLI --tol-override escape hatch only).
+    Raises InvalidStateError on a matrix that ``hermitian_part`` refuses or
+    whose eigenvalues ``spectrum_from_values`` refuses.  ``tol_scale``
+    loosens all tolerances uniformly (used by the CLI --tol-override escape
+    hatch only).
     """
-    m = np.asarray(matrix, dtype=complex)
     dims = as_dims(dims)
-    d = dims.total
-    if m.shape != (d, d):
-        raise InvalidStateError(
-            "matrix shape %r does not match dims %r (total %d)" % (m.shape, dims.locals, d)
-        )
-    if not np.isfinite(m).all():
-        raise InvalidStateError("matrix has non-finite entries")
-    m = hermitian_part(m, InvalidStateError, tol_scale)
-    tr = m.trace().real
-    if abs(m.trace() - 1.0) > TRACE_TOL * tol_scale:
-        raise InvalidStateError("trace is %.17g, expected 1" % tr)
-    min_eig = float(np.linalg.eigvalsh(m).min())
-    if min_eig < -PSD_TOL * tol_scale:
-        raise InvalidStateError("matrix is not PSD (min eigenvalue %.3e)" % min_eig)
+    m = hermitian_part(matrix, dims, InvalidStateError, tol_scale)
+    spectrum_from_values(np.linalg.eigvalsh(m), dims, tol_scale)
     return DensityMatrix(dims=dims, matrix=m)
 
 
+def _clamped_spectrum(values, dims):
+    v = np.sort(values)[::-1].copy()
+    v[v < 0.0] = 0.0
+    return Spectrum(values=v, dims=dims)
+
+
 def spectrum_from_values(values, dims, tol_scale=1.0):
-    """Validate an eigenvalue list (reject non-finite values, clamp tiny
-    negatives, check the sum)."""
-    v = np.sort(np.asarray(values, dtype=float))[::-1].copy()
+    """Validate an eigenvalue list and wrap it, descending.
+
+    The values must be finite, at least -PSD_TOL (the noise above that is
+    clamped to zero) and sum to 1 within TRACE_TOL before clamping; both
+    tolerances are multiplied by ``tol_scale``.  This is the only PSD and
+    trace check of a state, for matrices and spectra alike.
+    """
+    v = np.asarray(values, dtype=float)
     dims = as_dims(dims)
     if len(v) != dims.total:
         raise InvalidStateError(
@@ -140,18 +152,18 @@ def spectrum_from_values(values, dims, tol_scale=1.0):
         )
     if not np.isfinite(v).all():
         raise InvalidStateError("spectrum has non-finite values")
-    if v.min() < -EIG_CLAMP * tol_scale:
-        raise InvalidStateError("negative eigenvalue %.3e below clamp threshold" % v.min())
-    v[v < 0.0] = 0.0
+    if v.min() < -PSD_TOL * tol_scale:
+        raise InvalidStateError("state is not PSD (eigenvalue %.3e below -%.3g)"
+                                % (v.min(), PSD_TOL * tol_scale))
     if abs(v.sum() - 1.0) > TRACE_TOL * tol_scale:
-        raise InvalidStateError("spectrum sums to %.17g, expected 1" % v.sum())
-    return Spectrum(values=v, dims=dims)
+        raise InvalidStateError("trace is %.17g, expected 1" % v.sum())
+    return _clamped_spectrum(v, dims)
 
 
 def spectrum(rho):
-    """Eigenvalues of a state, descending, with tiny negatives clamped."""
-    vals = np.linalg.eigvalsh(rho.matrix)
-    return spectrum_from_values(vals, rho.dims)
+    """Eigenvalues of a validated state, descending, with the noise
+    negatives clamped to zero.  Nothing is checked again."""
+    return _clamped_spectrum(np.linalg.eigvalsh(rho.matrix), rho.dims)
 
 
 def is_singular(s):
@@ -161,11 +173,7 @@ def is_singular(s):
 
 def spectral_ratio(s):
     """lambda_max / lambda_min; +inf for singular spectra."""
-    lo = float(s.values[-1])
-    hi = float(s.values[0])
-    if lo <= EIG_CLAMP:
-        return math.inf
-    return hi / lo
+    return math.inf if is_singular(s) else float(s.values[0]) / float(s.values[-1])
 
 
 def purity(s):

@@ -35,12 +35,9 @@ class Witness:
 
 
 def make_witness(matrix, dims):
-    m = np.asarray(matrix, dtype=complex)
     dims = as_dims(dims)
     dims.bipartite()
-    if m.shape != (dims.total, dims.total):
-        raise ValueError("witness shape %r does not match dims %r" % (m.shape, dims.locals))
-    m = hermitian_part(m, ValueError)
+    m = hermitian_part(matrix, dims, ValueError)
     return Witness(dims=dims, matrix=m, trace=float(m.trace().real))
 
 

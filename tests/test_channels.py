@@ -240,3 +240,11 @@ def test_success_probability_range(rng):
         m = rand_valid_map(rng, (2, 2))
         _, prob = apply_map(m, rand_state(rng, (2, 2)))
         assert 0.0 <= prob <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_map_rejects_non_finite_effects(bad):
+    effect = np.eye(4, dtype=complex) / 2
+    effect[0, 0] = bad
+    with pytest.raises(SubPovmViolation, match="non-finite"):
+        make_map(DIMS22, [(effect, maximally_mixed(DIMS22))])

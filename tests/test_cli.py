@@ -307,3 +307,53 @@ def test_tol_override_must_be_finite_and_positive(tmp_path, capsys, scale):
                  "--output", str(report)]) == EXIT_INVALID
     assert "--tol-override must be a finite positive number" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("body", [
+    '{"dims":{"locals":[2,2]},"spectrum":["0.25","0.25","0.25","0.25"]}',
+    '{"dims":{"locals":[2,2]},"spectrum":[true,false,false,false]}',
+    '{"dims":{"locals":[1,2]},"matrix":'
+    '[[[true,false],[false,false]],[[false,false],[false,false]]]}',
+], ids=["string-spectrum", "bool-spectrum", "bool-matrix"])
+def test_non_number_state_file_is_invalid(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    assert main(["classify", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integer_spectrum_loads(tmp_path):
+    path = tmp_path / "pure.json"
+    path.write_text('{"dims":{"locals":[2,2]},"spectrum":[1,0,0,0]}')
+    _, spec = load_state(str(path))
+    assert list(spec.values) == [1.0, 0.0, 0.0, 0.0]
+    assert main(["classify", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("min_eig,flags", [(-5e-11, []), (-5e-9, ["--tol-override", "100"])],
+                         ids=["default", "tol-override"])
+def test_noise_negative_state_file_runs_every_command(tmp_path, min_eig, flags):
+    # the eigenvalue the file was admitted with is clamped, not checked again
+    m = np.diag([0.4, 0.3, 0.3 - min_eig, min_eig]).astype(complex)
+    path = tmp_path / "noisy.json"
+    path.write_text(dumps({"dims": {"locals": [2, 2]}, "matrix": matrix_to_payload(m)}))
+    state = str(path)
+    for argv in (["classify", state], ["falsify", state, "--samples", "5"],
+                 ["transform", state, state], ["witness", "ppt", "--evaluate", state]):
+        assert main(argv + flags) == EXIT_OK
+
+
+def test_self_transform_of_near_singular_state(tmp_path):
+    # R(rho) and R(sigma) come from one eigensolver, and the oracle allows for
+    # the conditioning of ratios near 5e9
+    from specsep.oracles import haar_unitaries
+
+    vals = np.array([0.5, 0.3, 0.2 - 1e-10, 1e-10])
+    for seed in range(20):
+        u = haar_unitaries(4, seed, 1)[0]
+        state = _write(tmp_path, "r.json", rho=density_matrix((u * vals) @ u.conj().T, (2, 2)))
+        report = str(tmp_path / "t.json")
+        assert main(["transform", state, state, "--output", report]) == EXIT_OK
+        verification = _strict_json(report)["verification"]
+        assert verification["ratio_monotone"] is True
+        assert verification["output_residual"] < 1e-9

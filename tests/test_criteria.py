@@ -162,7 +162,7 @@ def test_purity_bounds_swap_unequal_dims():
 def test_multipartite_three_qubits():
     vals = np.array([3.0, 2, 2, 2, 2, 1, 1, 1])
     s = spectrum_from_values(vals / vals.sum(), (2, 2, 2))
-    cuts = multipartite_guarantee(s, (2, 2, 2), 2)
+    cuts = multipartite_guarantee(s, 2)
     assert len(cuts) == 3
     for left, right in cuts:
         assert min(len(left), len(right)) == 1
@@ -170,30 +170,30 @@ def test_multipartite_three_qubits():
 
 def test_multipartite_uniform_all_small_cuts():
     s = spectrum_from_values([1 / 8] * 8, (2, 2, 2))
-    cuts = multipartite_guarantee(s, (2, 2, 2), 2)
+    cuts = multipartite_guarantee(s, 2)
     assert len(cuts) == 3
     s4 = spectrum_from_values([1 / 16] * 16, (2, 2, 2, 2))
-    cuts4 = multipartite_guarantee(s4, (2, 2, 2, 2), 4)
+    cuts4 = multipartite_guarantee(s4, 4)
     assert len(cuts4) == 7  # every bipartition of four qubits qualifies
 
 
 def test_multipartite_large_ratio_empty():
     vals = np.array([10.0, 1, 1, 1, 1, 1, 1, 1])
     s = spectrum_from_values(vals / vals.sum(), (2, 2, 2))
-    assert multipartite_guarantee(s, (2, 2, 2), 2) == []
+    assert multipartite_guarantee(s, 2) == []
 
 
 def test_multipartite_side_dimension_cap(rng):
     s = spectrum_from_values([1 / 16] * 16, (2, 2, 2, 2))
     for l in (2, 3, 4):
-        for left, right in multipartite_guarantee(s, (2, 2, 2, 2), l):
+        for left, right in multipartite_guarantee(s, l):
             assert min(2 ** len(left), 2 ** len(right)) <= l
 
 
-def test_multipartite_dims_mismatch():
-    s = spectrum_from_values([1 / 8] * 8, (2, 2, 2))
-    with pytest.raises(ValueError):
-        multipartite_guarantee(s, (2, 2), 2)
+def test_multipartite_needs_two_parties():
+    s = spectrum_from_values([1 / 8] * 8, (8,))
+    with pytest.raises(ValueError, match="two parties"):
+        multipartite_guarantee(s, 2)
 
 
 def test_gibbs_threshold_values():

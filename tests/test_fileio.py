@@ -9,9 +9,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from specsep import __version__, density_matrix, spectrum_from_values
+from specsep import InvalidStateError, __version__, density_matrix, spectrum_from_values
 from specsep.cli import EXIT_INVALID, EXIT_OK, main
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
 
@@ -102,6 +102,48 @@ def test_every_report_is_strict_json_with_version_and_seed(rho, seed, samples, r
             payload = _strict_load(report)
             assert payload["tool_version"] == __version__
             assert payload["seed"] == seed
+
+
+@st.composite
+def near_psd_state_files(draw):
+    """(matrix payload, spectrum payload) of one rotated state whose smallest
+    eigenvalue is drawn from [-2e-10, 0], next to the -1e-10 PSD tolerance."""
+    dims = draw(BIPARTITE)
+    d = math.prod(dims)
+    rng = np.random.default_rng(draw(SEEDS))
+    low = draw(st.floats(-2e-10, 0.0))
+    vals = np.append(rng.dirichlet(np.ones(d - 1)) * (1.0 - low), low)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    locals_ = {"locals": list(dims)}
+    return ({"dims": locals_, "matrix": matrix_to_payload((u * vals) @ u.conj().T)},
+            {"dims": locals_, "spectrum": [float(v) for v in vals]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=near_psd_state_files(), scale=st.one_of(st.none(), st.floats(0.5, 2.0)))
+def test_near_psd_files_get_one_verdict_and_run(files, scale):
+    # the matrix form only knows its eigenvalues to about D eps, so skip a
+    # smallest eigenvalue within 1e-14 of the tolerance itself
+    tol = 1.0 if scale is None else scale
+    assume(abs(min(files[1]["spectrum"]) + 1e-10 * tol) > 1e-14)
+    flags = [] if scale is None else ["--tol-override", repr(scale)]
+    accepted = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, payload in enumerate(files):
+            path = str(Path(tmp, "state%d.json" % i))
+            Path(path).write_text(dumps(payload))
+            try:
+                load_state(path, tol_scale=tol)
+            except InvalidStateError:
+                accepted.append(False)
+                continue
+            accepted.append(True)
+            commands = [["classify", path], ["falsify", path, "--samples", "1"]]
+            if "matrix" in payload:
+                commands.append(["transform", path, path])
+            for argv in commands:
+                assert _run(argv + flags) == (EXIT_OK, "")
+    assert accepted[0] == accepted[1]
 
 
 _VALID = {"dims": {"locals": [2, 2]}, "spectrum": [0.25, 0.25, 0.25, 0.25]}

@@ -289,3 +289,18 @@ def test_verify_ratio_monotone_examples(rng):
     # the worked example is allowed to *increase* the ratio only because its
     # input is singular (infinite ratio), which still verifies
     assert verify_ratio_monotone(make_sec_c_example(), make_named_state("seed_state"))
+
+
+def test_verify_ratio_monotone_flags_a_ratio_increase():
+    # a raw, unvalidated map whose only branch prepares a state of ratio 7
+    # from an input of ratio 2 increases the ratio
+    from specsep.channels import MeasurePrepareMap
+    from specsep.oracles import verify_ratio_monotone
+
+    dims = (2, 2)
+    rho = density_matrix(np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex), dims)
+    phi = density_matrix(np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex), dims)
+    raw = MeasurePrepareMap(dims=rho.dims, branches=((np.eye(4, dtype=complex), phi),),
+                            unitality_factor=1.0)
+    assert verify_ratio_monotone(raw, rho) is False
+    assert verify_ratio_monotone(raw, phi) is True

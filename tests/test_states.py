@@ -230,3 +230,32 @@ def test_validation_rejects_non_finite(bad):
     m[0, 0] = bad
     with pytest.raises(InvalidStateError, match="non-finite"):
         density_matrix(m, (2, 2))
+
+
+def test_noise_negatives_clamp_in_both_forms():
+    # eigenvalues in [-PSD_TOL, 0) are noise for spectra and matrices alike
+    vals = [0.4, 0.3, 0.3 + 5e-11, -5e-11]
+    s = spectrum_from_values(vals, (2, 2))
+    assert s.values[-1] == 0.0
+    rho = density_matrix(np.diag(vals).astype(complex), (2, 2))
+    assert spectrum(rho).values[-1] == 0.0
+    for bad in ([0.4, 0.3, 0.3 + 2e-10, -2e-10], [0.4, 0.3, 0.3 + 5e-9, -5e-9]):
+        with pytest.raises(InvalidStateError, match="not PSD"):
+            spectrum_from_values(bad, (2, 2))
+        with pytest.raises(InvalidStateError, match="not PSD"):
+            density_matrix(np.diag(bad).astype(complex), (2, 2))
+
+
+def test_spectrum_does_not_validate_again():
+    # a state admitted under a loosened tolerance keeps its spectrum
+    rho = density_matrix(np.diag([0.4, 0.3, 0.3 + 5e-9, -5e-9]).astype(complex), (2, 2),
+                         tol_scale=100)
+    s = spectrum(rho)
+    assert s.values[-1] == 0.0
+    assert s.values[0] == pytest.approx(0.4, abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (4, 5)])
+def test_validation_rejects_wrong_shapes(shape):
+    with pytest.raises(InvalidStateError, match="does not match dims"):
+        density_matrix(np.zeros(shape), (2, 2))

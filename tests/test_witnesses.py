@@ -187,3 +187,13 @@ def test_make_witness_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
         make_witness(m, bipartite_dims(2, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_witness_rejects_non_finite(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        make_witness(m, bipartite_dims(2, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        make_witness(np.full((4, 4), bad), bipartite_dims(2, 2))
