@@ -25,13 +25,13 @@ from .states import (
     make_named_state,
     make_omega_t,
     maximally_mixed,
+    ratio_at_least,
     spectral_ratio,
     spectrum,
 )
 
 SUBPOVM_TOL = 1e-10
 UNITALITY_TOL = 1e-9
-RATIO_SLACK = 1e-12
 
 
 class SubPovmViolation(ValueError):
@@ -182,11 +182,9 @@ def construct_transformation(rho, sigma, c_choice=None):
             raise RatioTooSmall(
                 "full-rank input cannot reach a singular target (ratio monotone)"
             )
-        ratio_rho, ratio_sig = spectral_ratio(rho_spec), spectral_ratio(sig_spec)
-        if ratio_rho < ratio_sig - RATIO_SLACK:
-            raise RatioTooSmall(
-                "R(rho) = %.12g < R(sigma) = %.12g" % (ratio_rho, ratio_sig)
-            )
+        if not ratio_at_least(rho_spec, sig_spec):
+            raise RatioTooSmall("R(rho) = %.12g < R(sigma) = %.12g"
+                                % (spectral_ratio(rho_spec), spectral_ratio(sig_spec)))
         alpha = big_d * lam_max_sig
         beta = 1.0 / (big_d * lam_min_sig)
         phi1 = density_matrix(

@@ -176,6 +176,20 @@ def spectral_ratio(s):
     return math.inf if is_singular(s) else float(s.values[0]) / float(s.values[-1])
 
 
+def ratio_at_least(s, t):
+    """R(s) >= R(t) within the eigenvalue backward error.
+
+    Each eigenvalue ``eigvalsh`` returns is off by at most about D eps
+    lambda_max (Weyl), so a finite ratio R = lambda_max / lambda_min is only
+    known to about D eps R^2; the comparison allows D eps (R(s)^2 + R(t)^2).
+    A singular s reaches every t, a singular t only a singular s.
+    """
+    r_s, r_t = spectral_ratio(s), spectral_ratio(t)
+    if math.isinf(r_s) or math.isinf(r_t):
+        return r_s >= r_t
+    return r_s >= r_t - s.dims.total * np.finfo(float).eps * (r_s * r_s + r_t * r_t)
+
+
 def purity(s):
     """Sum of squared eigenvalues, Tr(rho^2)."""
     return float(np.dot(s.values, s.values))

@@ -117,46 +117,58 @@ def _random_unit(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def seesaw_minimize(w, b0, iters=100):
-    """Alternating minimization of <a x b|W|a x b> from a fixed B-side start.
+def seesaw_minimize(w, starts, iters):
+    """Alternating minimization of <a x b|W|a x b> from a (k, d_b) stack of
+    B-side starts, all advanced together.
 
     Fixing one side, the optimal other side is the minimal eigenvector of
-    the contracted local operator; the objective is therefore non-increasing.
-    Returns (best value, per-iteration objective history).
+    the contracted local operator; each start's objective is therefore
+    non-increasing.  A start stops at its first iteration with
+    best - value < SEESAW_CONVERGENCE (keeping the smaller of the two) and is
+    masked out of the later ones.  Returns (best value per start, history),
+    where history is an (iterations run, k) array of objective values that
+    reads NaN once a start has stopped.
     """
     d_a, d_b = w.dims.bipartite()
-    tensor = w.matrix.reshape(d_a, d_b, d_a, d_b)
-    b = b0
-    history = []
-    best = math.inf
-    for _ in range(iters):
-        m_a = np.einsum("ijkl,j,l->ik", tensor, b.conj(), b)
-        vals, vecs = np.linalg.eigh(m_a)
-        a = vecs[:, 0]
-        m_b = np.einsum("ijkl,i,k->jl", tensor, a.conj(), a)
-        vals, vecs = np.linalg.eigh(m_b)
-        b = vecs[:, 0]
-        value = float(vals[0])
-        history.append(value)
-        if best - value < SEESAW_CONVERGENCE:
-            best = min(best, value)
-            break
-        best = value
-    return best, history
+    b = np.asarray(starts, dtype=complex)
+    if b.ndim != 2 or b.shape[1] != d_b:
+        raise ValueError("starts must be a (k, %d) stack, got shape %r" % (d_b, b.shape))
+    k = len(b)
+    # <a x b|W|a x b> = sum W[i,j,m,n] conj(a_i) conj(b_j) a_m b_n; each half-step
+    # contracts the stacked outer products conj(v)_i v_j with one matrix
+    t = w.matrix.reshape(d_a, d_b, d_a, d_b)
+    from_b = t.transpose(1, 3, 0, 2).reshape(d_b * d_b, d_a * d_a)
+    from_a = t.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    history = np.full((iters, k), np.nan)
+    best = np.full(k, math.inf)
+    active = np.arange(k)
+    run = 0
+    while run < iters and len(active):
+        m_a = (b.conj()[:, :, None] * b[:, None, :]).reshape(-1, d_b * d_b) @ from_b
+        a = np.linalg.eigh(m_a.reshape(-1, d_a, d_a))[1][:, :, 0]
+        m_b = (a.conj()[:, :, None] * a[:, None, :]).reshape(-1, d_a * d_a) @ from_a
+        vals, vecs = np.linalg.eigh(m_b.reshape(-1, d_b, d_b))
+        value = vals[:, 0]
+        history[run, active] = value
+        run += 1
+        done = best[active] - value < SEESAW_CONVERGENCE
+        best[active] = np.where(done, np.minimum(best[active], value), value)
+        active, b = active[~done], vecs[~done, :, 0]
+    return best, history[:run]
 
 
 def min_product_expectation(w, restarts=32, iters=100, seed=0):
     """Best (smallest) product-vector expectation found by the see-saw.
 
     An upper bound on the true minimum over product states; a value below
-    zero disproves block positivity.  Deterministic for a fixed seed.
+    zero disproves block positivity.  Restart r starts from
+    ``_random_unit(default_rng(seed + r), d_b)``, and all restarts run as one
+    batched see-saw, so the result is deterministic for a fixed seed.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
     _, d_b = w.dims.bipartite()
-    best = math.inf
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        value, _ = seesaw_minimize(w, _random_unit(rng, d_b), iters=iters)
-        best = min(best, value)
-    return best
+    starts = np.array([_random_unit(np.random.default_rng(seed + r), d_b)
+                       for r in range(restarts)])
+    best, _ = seesaw_minimize(w, starts, iters)
+    return float(best.min())

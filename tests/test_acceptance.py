@@ -264,8 +264,10 @@ def _grid_min_product_expectation(w):
     f = _bloch_features()
     left = f @ k
     best = math.inf
-    for j in range(0, len(f), 256):
-        best = min(best, float((left @ f[j:j + 256].T).min()))
+    tile = 1024  # 8 MB product blocks; full-width ones (133 MB) spill out of cache
+    for i in range(0, len(f), tile):
+        for j in range(0, len(f), tile):
+            best = min(best, float((left[i:i + tile] @ f[j:j + tile].T).min()))
     return best
 
 

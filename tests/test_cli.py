@@ -344,16 +344,20 @@ def test_noise_negative_state_file_runs_every_command(tmp_path, min_eig, flags):
 
 
 def test_self_transform_of_near_singular_state(tmp_path):
-    # R(rho) and R(sigma) come from one eigensolver, and the oracle allows for
-    # the conditioning of ratios near 5e9
+    # R(rho) and R(sigma) come from one eigensolver and are compared within
+    # their conditioning, as the oracle also allows for it: ratios near 5e9
+    # are known to about 1e4.  Each rotation goes onto itself and onto a
+    # second rotation of the same spectrum.
     from specsep.oracles import haar_unitaries
 
     vals = np.array([0.5, 0.3, 0.2 - 1e-10, 1e-10])
     for seed in range(20):
-        u = haar_unitaries(4, seed, 1)[0]
-        state = _write(tmp_path, "r.json", rho=density_matrix((u * vals) @ u.conj().T, (2, 2)))
-        report = str(tmp_path / "t.json")
-        assert main(["transform", state, state, "--output", report]) == EXIT_OK
-        verification = _strict_json(report)["verification"]
-        assert verification["ratio_monotone"] is True
-        assert verification["output_residual"] < 1e-9
+        a, b = (_write(tmp_path, name, rho=density_matrix((u * vals) @ u.conj().T, (2, 2)))
+                for name, u in (("a.json", haar_unitaries(4, seed, 1)[0]),
+                                ("b.json", haar_unitaries(4, seed + 100, 1)[0])))
+        for target in (a, b):
+            report = str(tmp_path / "t.json")
+            assert main(["transform", a, target, "--output", report]) == EXIT_OK
+            verification = _strict_json(report)["verification"]
+            assert verification["ratio_monotone"] is True
+            assert verification["output_residual"] < 1e-9

@@ -19,7 +19,7 @@ from specsep import (
     spectrum_from_values,
     tensor_product,
 )
-from specsep.states import is_singular, make_omega_t, make_rho_tilde
+from specsep.states import is_singular, make_omega_t, make_rho_tilde, ratio_at_least
 from specsep.oracles import haar_unitary
 
 from conftest import rand_state
@@ -55,6 +55,19 @@ def test_spectral_ratio_examples():
     singular = spectrum_from_values([1 / 3, 1 / 3, 1 / 3, 0.0], (2, 2))
     assert math.isinf(spectral_ratio(singular))
     assert is_singular(singular)
+
+
+def test_ratio_at_least_allows_eigenvalue_error():
+    def spec(lam_min):
+        return spectrum_from_values([0.5, 0.3, 0.2 - lam_min, lam_min], (2, 2))
+
+    near, lower = spec(1e-10), spec(1e-10 * (1 + 1e-6))  # R 5e9 and 5e9 - 5e3
+    assert ratio_at_least(near, lower) and ratio_at_least(lower, near)
+    assert ratio_at_least(spec(1e-3), spec(2e-3))
+    assert not ratio_at_least(spec(2e-3), spec(1e-3))
+    singular = spec(0.0)
+    assert ratio_at_least(singular, near) and ratio_at_least(singular, singular)
+    assert not ratio_at_least(near, singular)
 
 
 def test_purity_examples():
