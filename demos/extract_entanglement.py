@@ -10,7 +10,7 @@ transpose.
 import numpy as np
 
 from specsep import density_matrix, spectral_ratio, spectrum
-from specsep.channels import apply_map, entangle_from, validate_map
+from specsep.channels import apply_map, entangle_from
 from specsep.oracles import ppt_min_eigenvalue
 
 
@@ -22,7 +22,7 @@ def main():
     print("extraction threshold for two qubits: R > 3  ->  %s" % (r > 3))
 
     instrument, target = entangle_from(rho)
-    q = validate_map(instrument)
+    q = instrument.unitality_factor
     print("branch is stochastic unital with Lambda(1) = %.4g * 1" % q)
 
     out, prob = apply_map(instrument, rho)

@@ -96,11 +96,6 @@ def make_map(dims, branches):
     return MeasurePrepareMap(dims=dims, branches=tuple(checked), unitality_factor=q)
 
 
-def validate_map(m):
-    """Re-check both invariants; returns the unitality factor q > 0."""
-    return make_map(m.dims, m.branches).unitality_factor
-
-
 def apply_to_operator(m, x):
     """Raw action sum_i Tr(E_i X) phi_i on an arbitrary operator."""
     big_d = m.dims.total
@@ -222,7 +217,7 @@ def entangle_from(rho, c_choice=None):
     """
     d_a, d_b = rho.dims.bipartite()
     d = min(d_a, d_b)
-    cas = ratio_criterion(spectrum(rho), d)
+    cas = ratio_criterion(spectrum(rho))
     ratio = cas.computed["ratio"]
     if cas.status is Status.DETECTED:
         raise InputIsCAS("spectral ratio %.12g within CAS threshold %.12g"
@@ -238,7 +233,7 @@ def complete_to_deterministic(m):
 
     The completed instrument is trace preserving and unital (q = 1).
     """
-    q = validate_map(m)
+    q = m.unitality_factor
     if q > 1.0 + 1e-10:
         raise NotUnital("unitality factor %.17g exceeds 1; cannot complete" % q)
     big_d = m.dims.total

@@ -87,10 +87,8 @@ def _tol_scale(args):
 
 
 def _load_spectrum(path, tol_scale):
-    rho, spec = fileio.load_state(path, tol_scale=tol_scale)
-    if spec is None:
-        spec = states.spectrum(rho)
-    return rho, spec
+    state = fileio.load_state(path, tol_scale=tol_scale)
+    return state if isinstance(state, states.Spectrum) else states.spectrum(state)
 
 
 def _verdict_payload(v):
@@ -107,7 +105,7 @@ def _print_verdicts(report, label):
 
 
 def cmd_classify(args):
-    _, spec = _load_spectrum(args.state, _tol_scale(args))
+    spec = _load_spectrum(args.state, _tol_scale(args))
     report = criteria.run_all(spec)
     _print_verdicts(report, args.state)
     if args.compare_criteria:
@@ -115,7 +113,7 @@ def cmd_classify(args):
     if args.output:
         payload = {
             "command": "classify",
-            "input_digest": fileio.digest(fileio.state_to_payload(spec=spec)),
+            "input_digest": fileio.digest(fileio.state_to_payload(spec)),
             "dims": list(spec.dims.locals),
             "spectrum": [float(v) for v in spec.values],
             "verdicts": [_verdict_payload(v) for v in report.verdicts],
@@ -150,7 +148,7 @@ def cmd_construct(args):
         params["t"] = args.t
     rho = states.make_named_state(args.name, **params)
     out = args.output or ("%s.state.json" % args.name)
-    fileio.save_state(out, rho=rho)
+    fileio.save_state(out, rho)
     spec = states.spectrum(rho)
     print("wrote %s; spectrum: %s" % (out, " ".join(format(v, ".12g") for v in spec.values)))
     return EXIT_OK
@@ -158,9 +156,9 @@ def cmd_construct(args):
 
 def cmd_transform(args):
     tol = _tol_scale(args)
-    rho, _ = fileio.load_state(args.rho, tol_scale=tol)
-    sigma, _ = fileio.load_state(args.sigma, tol_scale=tol)
-    if rho is None or sigma is None:
+    rho = fileio.load_state(args.rho, tol_scale=tol)
+    sigma = fileio.load_state(args.sigma, tol_scale=tol)
+    if not (isinstance(rho, states.DensityMatrix) and isinstance(sigma, states.DensityMatrix)):
         raise InvalidStateError("transform needs explicit matrix state files")
     instrument, plan = channels.construct_transformation(rho, sigma, c_choice=args.c)
     out, prob = channels.apply_map(instrument, rho)
@@ -181,7 +179,7 @@ def cmd_transform(args):
                      "c": plan.c, "theta": plan.theta},
             "branches": [
                 {"effect": fileio.matrix_to_payload(effect),
-                 "output": fileio.state_to_payload(rho=output)}
+                 "output": fileio.state_to_payload(output)}
                 for effect, output in instrument.branches
             ],
             "unitality_factor": q,
@@ -204,8 +202,8 @@ def cmd_witness(args):
           % (args.kind, args.d_a, args.d_b, w.trace, witnesses.trace_norm(w)))
     value = None
     if args.evaluate:
-        rho, spec = fileio.load_state(args.evaluate, tol_scale=_tol_scale(args))
-        if rho is None:
+        rho = fileio.load_state(args.evaluate, tol_scale=_tol_scale(args))
+        if not isinstance(rho, states.DensityMatrix):
             raise InvalidStateError("witness evaluation needs a matrix state file")
         value = witnesses.evaluate(w, rho)
         print("Tr(W rho) = %.12g  (%s)" % (value, "detects" if value < 0 else "no detection"))
@@ -244,7 +242,7 @@ def cmd_bounds(args):
 
 
 def cmd_falsify(args):
-    _, spec = _load_spectrum(args.state, _tol_scale(args))
+    spec = _load_spectrum(args.state, _tol_scale(args))
     result = oracles.as_falsify_search(spec, spec.dims, args.samples, args.seed)
     if result.found:
         print("found: NPT after %d samples (unitary seed %d, index %d, min PT eigenvalue %.12g)"
@@ -256,7 +254,7 @@ def cmd_falsify(args):
     if args.output:
         payload = {
             "command": "falsify",
-            "input_digest": fileio.digest(fileio.state_to_payload(spec=spec)),
+            "input_digest": fileio.digest(fileio.state_to_payload(spec)),
             "found": result.found,
             "unitary_seed": result.unitary_seed,
             "unitary_index": result.unitary_index,

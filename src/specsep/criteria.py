@@ -47,54 +47,44 @@ def _verdict(name, detected, computed, reason=""):
     return CriterionVerdict(name=name, status=status, computed=computed, reason=reason)
 
 
-def ratio_criterion(s, d, mode="cas"):
-    """Eigenvalue-ratio test R <= (d+1)/(d-1).
+def ratio_criterion(s):
+    """Eigenvalue-ratio test R <= (d+1)/(d-1), d the smaller local dimension.
 
-    mode "cas": complete absolute separability (iff condition; singular
-    spectra are never CAS since CAS states are full rank).
-    mode "separability": sufficient condition for plain separability.
+    Detected means completely absolutely separable (the condition is iff),
+    hence separable.  Singular spectra are never CAS: CAS states are full
+    rank.
     """
+    d = min(s.dims.bipartite())
     if d < 2:
         raise ValueError("smaller local dimension must be >= 2")
-    if mode not in ("cas", "separability"):
-        raise ValueError("mode must be 'cas' or 'separability'")
     threshold = (d + 1) / (d - 1)
-    ratio = spectral_ratio(s)
-    name = "ratio_%s" % mode
     if is_singular(s):
-        reason = "singular spectrum" + (": CAS states are full rank" if mode == "cas" else "")
-        return _verdict(name, False, {"ratio": math.inf, "threshold": threshold}, reason)
-    detected = ratio <= threshold + BOUNDARY_TOL
-    return _verdict(name, detected, {"ratio": ratio, "threshold": threshold})
+        return _verdict("ratio_cas", False, {"ratio": math.inf, "threshold": threshold},
+                        "singular spectrum: CAS states are full rank")
+    ratio = spectral_ratio(s)
+    return _verdict("ratio_cas", ratio <= threshold + BOUNDARY_TOL,
+                    {"ratio": ratio, "threshold": threshold})
 
 
 def purity_ball(s):
     """Largest separable ball: Tr(rho^2) <= 1/(D-1) certifies (absolute)
-    separability."""
+    separability.  It is region B of the convex-hull criterion conv(A u B)."""
     big_d = s.dims.total
     p = purity(s)
     bound = 1.0 / (big_d - 1)
     return _verdict("purity_ball", p <= bound + BOUNDARY_TOL, {"purity": p, "bound": bound})
 
 
-def region_checks(s):
-    """Endpoint checks for the convex-hull criterion conv(A u B).
+def region_a(s):
+    """Region A of the convex-hull criterion conv(A u B): lambda_min >= 1/(D+2).
 
-    Region A: lambda_min >= 1/(D+2).  Region B: the purity ball.  Full
-    membership in the convex hull is not decided here; non-membership can be
-    certified with a separating witness.
+    Region B is ``purity_ball``.  Full membership in the convex hull is not
+    decided here; non-membership can be certified with a separating witness.
     """
-    big_d = s.dims.total
     lam_min = float(s.values[-1])
-    bound_a = 1.0 / (big_d + 2)
-    verdict_a = _verdict(
-        "region_a", lam_min >= bound_a - BOUNDARY_TOL, {"lambda_min": lam_min, "bound": bound_a}
-    )
-    verdict_b = purity_ball(s)
-    verdict_b = CriterionVerdict(
-        name="region_b", status=verdict_b.status, computed=verdict_b.computed
-    )
-    return verdict_a, verdict_b
+    bound = 1.0 / (s.dims.total + 2)
+    return _verdict("region_a", lam_min >= bound - BOUNDARY_TOL,
+                    {"lambda_min": lam_min, "bound": bound})
 
 
 def appt_spectral_necessary(s):
@@ -197,7 +187,14 @@ def gibbs_threshold(h_inf_norm, l, k_b=1.0):
     if not (0 <= h_inf_norm < math.inf and 0 < k_b < math.inf):
         raise ValueError("need finite h_inf_norm >= 0 and k_b > 0, got %r and %r"
                          % (h_inf_norm, k_b))
-    return 2.0 * h_inf_norm / (k_b * math.log((l + 1) / (l - 1)))
+    # ln((l+1)/(l-1)) as log1p(2/(l-1)): the quotient rounds to 1 (log 0) once
+    # l passes about 1e16, and int / int rounds 2/(l-1) correctly for any int l
+    denominator = k_b * math.log1p(2 / (l - 1))
+    t_star = 2.0 * h_inf_norm / denominator if denominator > 0 else math.inf
+    if t_star == math.inf:
+        raise ValueError("T* overflows a double for h_inf_norm %r, l %r, k_b %r"
+                         % (h_inf_norm, l, k_b))
+    return t_star
 
 
 def copy_bound(ratio):
@@ -213,11 +210,7 @@ def copy_bound(ratio):
 
 def run_all(s):
     """Evaluate every registered criterion once and bundle the verdicts."""
-    d = s.dims.min_local
-    verdicts = [ratio_criterion(s, d, mode="cas"),
-                ratio_criterion(s, d, mode="separability"),
-                purity_ball(s)]
-    verdicts.extend(region_checks(s))
+    verdicts = [ratio_criterion(s), purity_ball(s), region_a(s)]
     if s.dims.total >= 3:
         verdicts.append(appt_spectral_necessary(s))
     verdicts.extend(purity_bound_report(s))

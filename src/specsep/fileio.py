@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .states import InvalidStateError, as_dims, density_matrix, spectrum_from_values
+from .states import InvalidStateError, Spectrum, as_dims, density_matrix, spectrum_from_values
 
 
 def dumps(obj):
@@ -44,12 +44,14 @@ def matrix_to_payload(m):
     return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
 
 
-def state_to_payload(rho=None, spec=None):
-    if (rho is None) == (spec is None):
-        raise ValueError("exactly one of matrix state / spectrum expected")
-    if rho is not None:
-        return {"dims": {"locals": list(rho.dims.locals)}, "matrix": matrix_to_payload(rho.matrix)}
-    return {"dims": {"locals": list(spec.dims.locals)}, "spectrum": [float(v) for v in spec.values]}
+def state_to_payload(state):
+    """A DensityMatrix as its matrix, a Spectrum as its eigenvalues."""
+    payload = {"dims": {"locals": list(state.dims.locals)}}
+    if isinstance(state, Spectrum):
+        payload["spectrum"] = [float(v) for v in state.values]
+    else:
+        payload["matrix"] = matrix_to_payload(state.matrix)
+    return payload
 
 
 def _write(path, payload):
@@ -61,8 +63,8 @@ def _write(path, payload):
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from exc
 
 
-def save_state(path, rho=None, spec=None):
-    _write(path, state_to_payload(rho=rho, spec=spec))
+def save_state(path, state):
+    _write(path, state_to_payload(state))
 
 
 def _reject_constant(name):
@@ -77,10 +79,9 @@ def _number(x):
 
 
 def load_state(path, tol_scale=1.0):
-    """Parse a state file; returns (DensityMatrix | None, Spectrum | None).
-
-    Exactly one of the two is non-None.  Raises InvalidStateError on
-    malformed content or invariant violations.
+    """Parse a state file into a DensityMatrix (matrix file) or a Spectrum
+    (spectrum file).  Raises InvalidStateError on malformed content or
+    invariant violations.
     """
     try:
         with open(path) as fh:
@@ -101,12 +102,12 @@ def load_state(path, tol_scale=1.0):
                           for row in payload["matrix"]])
         except (TypeError, ValueError, OverflowError):
             raise InvalidStateError("matrix entries must be (re, im) pairs of numbers")
-        return density_matrix(m, dims, tol_scale=tol_scale), None
+        return density_matrix(m, dims, tol_scale=tol_scale)
     try:
         vals = [_number(v) for v in payload["spectrum"]]
     except (TypeError, ValueError, OverflowError):
         raise InvalidStateError("spectrum entries must be real numbers")
-    return None, spectrum_from_values(vals, dims, tol_scale=tol_scale)
+    return spectrum_from_values(vals, dims, tol_scale=tol_scale)
 
 
 def digest(payload):

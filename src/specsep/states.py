@@ -195,20 +195,13 @@ def purity(s):
     return float(np.dot(s.values, s.values))
 
 
-def partial_transpose(rho, subsystem=1):
-    """Transpose one tensor factor of a bipartite state.
+def partial_transpose(rho):
+    """Transpose the second tensor factor of a bipartite state.
 
-    Returns a plain Hermitian ndarray (generally not PSD).  Defaults to
-    transposing the second subsystem.
+    Returns a plain Hermitian ndarray (generally not PSD).
     """
     d_a, d_b = rho.dims.bipartite()
-    if subsystem not in (0, 1):
-        raise ValueError("subsystem index must be 0 or 1")
-    t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
+    t = rho.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1)
     return np.ascontiguousarray(t.reshape(d_a * d_b, d_a * d_b))
 
 

@@ -112,11 +112,6 @@ def trace_norm(w):
     return float(np.abs(np.linalg.eigvalsh(w.matrix)).sum())
 
 
-def _random_unit(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def seesaw_minimize(w, starts, iters):
     """Alternating minimization of <a x b|W|a x b> from a (k, d_b) stack of
     B-side starts, all advanced together.
@@ -161,14 +156,15 @@ def min_product_expectation(w, restarts=32, iters=100, seed=0):
     """Best (smallest) product-vector expectation found by the see-saw.
 
     An upper bound on the true minimum over product states; a value below
-    zero disproves block positivity.  Restart r starts from
-    ``_random_unit(default_rng(seed + r), d_b)``, and all restarts run as one
-    batched see-saw, so the result is deterministic for a fixed seed.
+    zero disproves block positivity.  The starts are the rows of one
+    ``default_rng(seed).standard_normal((restarts, d_b, 2))`` draw, read as
+    complex (re, im) pairs and normalized; all restarts run as one batched
+    see-saw, so the result is deterministic for a fixed seed.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
     _, d_b = w.dims.bipartite()
-    starts = np.array([_random_unit(np.random.default_rng(seed + r), d_b)
-                       for r in range(restarts)])
+    starts = np.random.default_rng(seed).standard_normal((restarts, d_b, 2)).view(complex)[..., 0]
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     best, _ = seesaw_minimize(w, starts, iters)
     return float(best.min())

@@ -17,7 +17,6 @@ from specsep.channels import (
     make_map,
     make_sec_c_example,
     normalized_output,
-    validate_map,
 )
 from specsep.oracles import ppt_min_eigenvalue, verify_ratio_monotone
 from specsep.states import bipartite_dims, make_omega_t, make_rho_tilde
@@ -34,7 +33,7 @@ def _diag_state(vals, dims=(2, 2)):
 # --- validation ------------------------------------------------------------
 
 def test_sec_c_unitality_factor():
-    assert validate_map(make_sec_c_example()) == pytest.approx(5 / 12, abs=1e-12)
+    assert make_sec_c_example().unitality_factor == pytest.approx(5 / 12, abs=1e-12)
 
 
 def test_depolarizing_is_unital():
@@ -174,7 +173,7 @@ def test_entangle_from_singular_input():
 
 def test_complete_sec_c():
     completed = complete_to_deterministic(make_sec_c_example())
-    assert validate_map(completed) == pytest.approx(1.0, abs=1e-10)
+    assert completed.unitality_factor == pytest.approx(1.0, abs=1e-10)
     total = sum(e for e, _ in completed.branches)
     assert np.abs(total - np.eye(4)).max() < 1e-10
     # trace preserved on the seed state, with the Werner branch inside
@@ -189,14 +188,14 @@ def test_complete_sec_c():
 def test_complete_already_deterministic():
     depol = make_map(DIMS22, [(np.eye(4, dtype=complex), maximally_mixed(DIMS22))])
     completed = complete_to_deterministic(depol)
-    assert validate_map(completed) == pytest.approx(1.0, abs=1e-12)
+    assert completed.unitality_factor == pytest.approx(1.0, abs=1e-12)
     assert float(completed.branches[-1][0].trace().real) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_complete_random_maps(rng):
     for _ in range(25):
         m = rand_valid_map(rng, (2, 2))
-        assert validate_map(complete_to_deterministic(m)) == pytest.approx(1.0, abs=1e-9)
+        assert complete_to_deterministic(m).unitality_factor == pytest.approx(1.0, abs=1e-9)
 
 
 # --- properties ------------------------------------------------------------
@@ -221,7 +220,7 @@ def test_round_trip_random_pairs(rng):
             out, prob = apply_map(instrument, rho)
             assert prob > 0
             assert np.abs(out / prob - sigma.matrix).max() < 1e-9
-            assert validate_map(instrument) > 0
+            assert instrument.unitality_factor > 0
 
 
 def test_apply_map_linear(rng):

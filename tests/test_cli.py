@@ -1,17 +1,19 @@
+import decimal
 import json
 
 import numpy as np
 import pytest
 
-from specsep import density_matrix, make_named_state, spectrum
+from specsep import DensityMatrix, density_matrix, make_named_state, spectrum
 from specsep.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, main
+from specsep.criteria import gibbs_threshold
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
 from specsep.states import make_omega_t, make_rho_tilde
 
 
-def _write(tmp_path, name, rho=None, spec=None):
+def _write(tmp_path, name, state):
     path = tmp_path / name
-    save_state(path, rho=rho, spec=spec)
+    save_state(path, state)
     return str(path)
 
 
@@ -20,15 +22,15 @@ def test_construct_werner(tmp_path, capsys):
     assert main(["construct", "werner", "--output", out]) == EXIT_OK
     printed = capsys.readouterr().out
     assert "0.625" in printed and "0.125" in printed
-    rho, spec = load_state(out)
-    assert spec is None
+    rho = load_state(out)
+    assert isinstance(rho, DensityMatrix)
     assert np.allclose(rho.matrix, make_named_state("werner").matrix, atol=1e-15)
 
 
 def test_construct_omega_t_requires_valid_t(tmp_path):
     out = str(tmp_path / "o.state.json")
     assert main(["construct", "omega_t", "--t", "1.2", "--output", out]) == EXIT_OK
-    rho, _ = load_state(out)
+    rho = load_state(out)
     assert np.allclose(rho.matrix, make_omega_t(2, 2, 1.2).matrix, atol=1e-15)
     assert main(["construct", "omega_t", "--t", "2.5", "--output", out]) == EXIT_INVALID
 
@@ -41,7 +43,7 @@ def test_construct_rho_tilde_needs_unequal_dims(tmp_path):
 
 
 def test_classify_rho_tilde(tmp_path, capsys):
-    state = _write(tmp_path, "rt.json", rho=make_rho_tilde(2, 3))
+    state = _write(tmp_path, "rt.json", make_rho_tilde(2, 3))
     report = str(tmp_path / "report.json")
     assert main(["classify", state, "--output", report]) == EXIT_OK
     payload = json.loads(open(report).read())
@@ -57,12 +59,12 @@ def test_classify_spectrum_file(tmp_path):
     from specsep import spectrum_from_values
 
     spec = spectrum_from_values([0.4, 0.3, 0.2, 0.1], (2, 2))
-    state = _write(tmp_path, "s.json", spec=spec)
+    state = _write(tmp_path, "s.json", spec)
     assert main(["classify", state]) == EXIT_OK
 
 
 def test_classify_compare_criteria(tmp_path, capsys):
-    state = _write(tmp_path, "rt.json", rho=make_rho_tilde(2, 3))
+    state = _write(tmp_path, "rt.json", make_rho_tilde(2, 3))
     assert main(["classify", state, "--compare-criteria"]) == EXIT_OK
     printed = capsys.readouterr().out
     assert "maximally_mixed" in printed and "rho_tilde" in printed
@@ -89,13 +91,13 @@ def _strict_json(path):
 
 def test_reports_on_singular_states_are_strict_json(tmp_path):
     # an infinite spectral ratio or beta is written as null
-    phi = _write(tmp_path, "phi.json", rho=make_named_state("phi_plus"))
+    phi = _write(tmp_path, "phi.json", make_named_state("phi_plus"))
     report = str(tmp_path / "classify.json")
     assert main(["classify", phi, "--output", report]) == EXIT_OK
     verdicts = {v["name"]: v for v in _strict_json(report)["verdicts"]}
     assert verdicts["ratio_cas"]["computed"]["ratio"] is None
-    seed = _write(tmp_path, "seed.json", rho=make_named_state("seed_state"))
-    werner = _write(tmp_path, "werner.json", rho=make_named_state("werner"))
+    seed = _write(tmp_path, "seed.json", make_named_state("seed_state"))
+    werner = _write(tmp_path, "werner.json", make_named_state("werner"))
     report = str(tmp_path / "transform.json")
     assert main(["transform", seed, werner, "--output", report]) == EXIT_OK
     assert _strict_json(report)["plan"]["beta"] is None
@@ -118,8 +120,8 @@ def test_non_finite_state_file_is_invalid(tmp_path, capsys, body):
 
 def test_transform_worked_example(tmp_path, capsys):
     rho = _write(tmp_path, "rho.json",
-                 rho=density_matrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), (2, 2)))
-    sigma = _write(tmp_path, "sigma.json", rho=make_omega_t(2, 2, 1.2))
+                 density_matrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), (2, 2)))
+    sigma = _write(tmp_path, "sigma.json", make_omega_t(2, 2, 1.2))
     report = str(tmp_path / "plan.json")
     assert main(["transform", rho, sigma, "--output", report]) == EXIT_OK
     printed = capsys.readouterr().out
@@ -132,8 +134,8 @@ def test_transform_worked_example(tmp_path, capsys):
 
 def test_transform_precondition_failure(tmp_path):
     # CAS input cannot reach a higher-ratio target
-    rho = _write(tmp_path, "rho.json", rho=make_rho_tilde(2, 3))
-    sigma = _write(tmp_path, "sigma.json", rho=make_omega_t(2, 3, 1.4))
+    rho = _write(tmp_path, "rho.json", make_rho_tilde(2, 3))
+    sigma = _write(tmp_path, "sigma.json", make_omega_t(2, 3, 1.4))
     assert main(["transform", rho, sigma]) == EXIT_PRECONDITION
 
 
@@ -141,13 +143,13 @@ def test_transform_needs_matrix_files(tmp_path):
     from specsep import spectrum_from_values
 
     spec = spectrum_from_values([0.4, 0.3, 0.2, 0.1], (2, 2))
-    s = _write(tmp_path, "spec.json", spec=spec)
-    m = _write(tmp_path, "m.json", rho=make_omega_t(2, 2, 1.2))
+    s = _write(tmp_path, "spec.json", spec)
+    m = _write(tmp_path, "m.json", make_omega_t(2, 2, 1.2))
     assert main(["transform", s, m]) == EXIT_INVALID
 
 
 def test_witness_evaluate(tmp_path, capsys):
-    state = _write(tmp_path, "rt.json", rho=make_rho_tilde(2, 3))
+    state = _write(tmp_path, "rt.json", make_rho_tilde(2, 3))
     report = str(tmp_path / "w.json")
     rc = main(["witness", "separating", "--d-a", "2", "--d-b", "3",
                "--evaluate", state, "--output", report])
@@ -188,9 +190,28 @@ def test_bounds_gibbs_value(capsys):
     assert format(2 / math.log(3), ".12g") in printed
 
 
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 10**6, 10**17, 2**80])
+def test_gibbs_threshold_is_accurate_for_large_l(tmp_path, l):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        expected = float(2 / ((decimal.Decimal(l) + 1) / (decimal.Decimal(l) - 1)).ln())
+    t_star = gibbs_threshold(1.0, l)
+    assert abs(t_star - expected) <= 4 * np.finfo(float).eps * expected
+
+    def refuse(name):
+        raise ValueError("non-finite constant %s" % name)
+
+    for h_norm, temperature in (("1", t_star), ("0", 0.0)):
+        out = tmp_path / "b.json"
+        argv = ["bounds", "--h-norm", h_norm, "--l", str(l), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["gibbs_threshold"]["temperature"] == temperature
+
+
 def test_falsify_deterministic_reports(tmp_path):
     state = _write(tmp_path, "pure.json",
-                   rho=make_named_state("phi_plus"))
+                   make_named_state("phi_plus"))
     r1, r2 = str(tmp_path / "f1.json"), str(tmp_path / "f2.json")
     assert main(["falsify", state, "--samples", "20", "--seed", "5",
                  "--output", r1]) == EXIT_OK
@@ -204,7 +225,7 @@ def test_falsify_deterministic_reports(tmp_path):
 
 
 def test_falsify_needs_a_positive_sample_count(tmp_path, capsys):
-    state = _write(tmp_path, "pure.json", rho=make_named_state("phi_plus"))
+    state = _write(tmp_path, "pure.json", make_named_state("phi_plus"))
     report = tmp_path / "f.json"
     for samples in ("0", "-3"):
         assert main(["falsify", state, "--samples", samples,
@@ -217,7 +238,7 @@ def test_falsify_not_found_inconclusive(tmp_path, capsys):
     from specsep import maximally_mixed
     from specsep.states import bipartite_dims
 
-    state = _write(tmp_path, "mm.json", rho=maximally_mixed(bipartite_dims(2, 2)))
+    state = _write(tmp_path, "mm.json", maximally_mixed(bipartite_dims(2, 2)))
     assert main(["falsify", state, "--samples", "10"]) == EXIT_OK
     assert "inconclusive" in capsys.readouterr().out
 
@@ -226,9 +247,9 @@ def test_state_file_round_trip_bytes(tmp_path):
     rho = make_rho_tilde(2, 3)
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    save_state(p1, rho=rho)
-    loaded, _ = load_state(p1)
-    save_state(p2, rho=loaded)
+    save_state(p1, rho)
+    loaded = load_state(p1)
+    save_state(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -236,9 +257,9 @@ def test_spectrum_file_round_trip_bytes(tmp_path):
     spec = spectrum(make_rho_tilde(2, 4))
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    save_state(p1, spec=spec)
-    _, loaded = load_state(p1)
-    save_state(p2, spec=loaded)
+    save_state(p1, spec)
+    loaded = load_state(p1)
+    save_state(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -295,6 +316,18 @@ def test_bounds_rejects_non_finite_gibbs_inputs(tmp_path, capsys, flags):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--h-norm", "1", "--l", str(10**400)],
+    ["--h-norm", "1e308", "--l", "2"],
+    ["--h-norm", "1", "--l", str(10**17), "--k-b", "5e-324"],
+], ids=["huge-l", "huge-h-norm", "tiny-k-b"])
+def test_bounds_rejects_overflowing_gibbs_threshold(tmp_path, capsys, flags):
+    report = tmp_path / "b.json"
+    assert main(["bounds", *flags, "--output", str(report)]) == EXIT_INVALID
+    assert "overflows a double" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
 def test_tol_override_must_be_finite_and_positive(tmp_path, capsys, scale):
     # a Hermiticity residual of 0.4: no finite scale near 1 admits it
@@ -325,7 +358,7 @@ def test_non_number_state_file_is_invalid(tmp_path, capsys, body):
 def test_integer_spectrum_loads(tmp_path):
     path = tmp_path / "pure.json"
     path.write_text('{"dims":{"locals":[2,2]},"spectrum":[1,0,0,0]}')
-    _, spec = load_state(str(path))
+    spec = load_state(str(path))
     assert list(spec.values) == [1.0, 0.0, 0.0, 0.0]
     assert main(["classify", str(path)]) == EXIT_OK
 
@@ -352,7 +385,7 @@ def test_self_transform_of_near_singular_state(tmp_path):
 
     vals = np.array([0.5, 0.3, 0.2 - 1e-10, 1e-10])
     for seed in range(20):
-        a, b = (_write(tmp_path, name, rho=density_matrix((u * vals) @ u.conj().T, (2, 2)))
+        a, b = (_write(tmp_path, name, density_matrix((u * vals) @ u.conj().T, (2, 2)))
                 for name, u in (("a.json", haar_unitaries(4, seed, 1)[0]),
                                 ("b.json", haar_unitaries(4, seed + 100, 1)[0])))
         for target in (a, b):

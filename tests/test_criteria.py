@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from specsep import make_named_state, spectrum, spectrum_from_values, tensor_product
 from specsep.criteria import (
@@ -14,7 +15,7 @@ from specsep.criteria import (
     purity_ball,
     purity_bound_report,
     ratio_criterion,
-    region_checks,
+    region_a,
     run_all,
 )
 from specsep.states import density_matrix, make_rho_tilde
@@ -28,14 +29,14 @@ def _sorted_dirichlet(rng, n, d, alpha=1.0):
 # --- ratio criterion -------------------------------------------------------
 
 def test_ratio_maximally_mixed_detected():
-    s = spectrum_from_values([0.25] * 4, (2, 2))
     for d in (2, 3, 5):
-        assert ratio_criterion(s, d).status is Status.DETECTED
+        s = spectrum_from_values([1 / d**2] * d**2, (d, d))
+        assert ratio_criterion(s).status is Status.DETECTED
 
 
 def test_ratio_rho_tilde_boundary_detected():
     s = spectrum(make_rho_tilde(2, 3))
-    v = ratio_criterion(s, 2, mode="cas")
+    v = ratio_criterion(s)
     assert v.status is Status.DETECTED
     assert v.computed["ratio"] == pytest.approx(3.0, abs=1e-12)
     assert v.computed["threshold"] == 3.0
@@ -43,27 +44,27 @@ def test_ratio_rho_tilde_boundary_detected():
 
 def test_ratio_not_detected():
     s = spectrum_from_values([0.4, 0.3, 0.2, 0.1], (2, 2))
-    assert ratio_criterion(s, 2).status is Status.NOT_DETECTED
+    assert ratio_criterion(s).status is Status.NOT_DETECTED
 
 
 def test_ratio_singular_never_cas():
     s = spectrum_from_values([1 / 3, 1 / 3, 1 / 3, 0.0], (2, 2))
-    v = ratio_criterion(s, 2, mode="cas")
+    v = ratio_criterion(s)
     assert v.status is Status.NOT_DETECTED
     assert "singular" in v.reason
 
 
 def test_ratio_rejects_bad_d():
-    s = spectrum_from_values([0.25] * 4, (2, 2))
+    s = spectrum_from_values([0.25] * 4, (1, 4))
     with pytest.raises(ValueError):
-        ratio_criterion(s, 1)
+        ratio_criterion(s)
 
 
 def test_ratio_scale_free(rng):
     vals = rng.dirichlet(np.ones(6))
     for c in (1.0, 7.0, 1e-3):
         s = spectrum_from_values(c * vals / (c * vals).sum(), (2, 3))
-        v = ratio_criterion(s, 2)
+        v = ratio_criterion(s)
         assert v.computed["ratio"] == pytest.approx(vals.max() / vals.min(), rel=1e-12)
 
 
@@ -82,17 +83,17 @@ def test_purity_ball_examples():
 
 def test_region_checks():
     mm = spectrum_from_values([1 / 6] * 6, (2, 3))
-    a, b = region_checks(mm)
+    a, b = region_a(mm), purity_ball(mm)
     assert a.status is Status.DETECTED and b.status is Status.DETECTED
     rt = spectrum(make_rho_tilde(2, 3))
-    a, b = region_checks(rt)
+    a, b = region_a(rt), purity_ball(rt)
     assert a.status is Status.NOT_DETECTED
     assert b.status is Status.NOT_DETECTED
     # constructed exactly on the region-A boundary
     d = 6
     vals = np.full(d, 1 / (d + 2))
     vals[0] = 3 / (d + 2)
-    a, _ = region_checks(spectrum_from_values(vals, (2, 3)))
+    a = region_a(spectrum_from_values(vals, (2, 3)))
     assert a.status is Status.DETECTED
 
 
@@ -276,13 +277,35 @@ def test_appt_implies_as_purity():
         assert (purities[appt_ok] <= 2 / big_d + 1e-12).all()
 
 
-def test_run_all_report_shape():
-    s = spectrum(make_rho_tilde(2, 3))
+VERDICT_NAMES = ["ratio_cas", "purity_ball", "region_a", "appt_necessary", "cas_purity",
+                 "as_purity", "filippov"]
+
+
+@st.composite
+def bipartite_spectra(draw):
+    """A random 2..4 x 2..4 spectrum; about half of them get exact zeros in
+    a random number of places, so singular spectra are drawn too."""
+    dims = (draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    big_d = dims[0] * dims[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.dirichlet(np.full(big_d, draw(st.sampled_from([0.5, 5.0, 500.0]))))
+    if draw(st.booleans()):
+        vals[rng.permutation(big_d)[:draw(st.integers(1, big_d - 1))]] = 0.0
+    return spectrum_from_values(vals / vals.sum(), dims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=bipartite_spectra())
+@example(s=spectrum(make_rho_tilde(2, 3)))
+def test_run_all_report_shape(s):
     report = run_all(s)
-    names = [v.name for v in report.verdicts]
-    assert names == ["ratio_cas", "ratio_separability", "purity_ball", "region_a",
-                     "region_b", "appt_necessary", "cas_purity", "as_purity", "filippov"]
-    by_name = {v.name: v for v in report.verdicts}
-    assert by_name["ratio_cas"].status is Status.DETECTED
-    assert by_name["purity_ball"].status is Status.NOT_DETECTED
-    assert by_name["region_a"].status is Status.NOT_DETECTED
+    assert [v.name for v in report.verdicts] == VERDICT_NAMES  # so no name twice
+    verdicts = {v.name: v.status is Status.DETECTED for v in report.verdicts}
+    vals, big_d = s.values, s.dims.total
+    d = min(s.dims.locals)
+    if vals[-1] <= 1e-12:
+        assert not verdicts["ratio_cas"]
+    else:
+        assert verdicts["ratio_cas"] == (vals[0] / vals[-1] <= (d + 1) / (d - 1) + 1e-12)
+    assert verdicts["region_a"] == (vals[-1] >= 1 / (big_d + 2) - 1e-12)
+    assert verdicts["purity_ball"] == (np.sum(vals**2) <= 1 / (big_d - 1) + 1e-12)

@@ -62,12 +62,11 @@ def _strict_load(path):
 @settings(max_examples=60, deadline=None)
 @given(rho=matrix_states(), spec=spectra(), of_matrix=st.booleans())
 def test_save_load_save_is_byte_identical(rho, spec, of_matrix):
-    state = {"rho": rho} if of_matrix else {"spec": spec}
+    state = rho if of_matrix else spec
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
-        save_state(first, **state)
-        loaded_rho, loaded_spec = load_state(first)
-        save_state(second, rho=loaded_rho, spec=loaded_spec)
+        save_state(first, state)
+        save_state(second, load_state(first))
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -83,8 +82,8 @@ def test_every_report_is_strict_json_with_version_and_seed(rho, seed, samples, r
     target = density_matrix((rho.matrix + np.eye(big_d) / big_d) / 2, rho.dims)
     with tempfile.TemporaryDirectory() as tmp:
         state, mixed = str(Path(tmp, "rho.json")), str(Path(tmp, "target.json"))
-        save_state(state, rho=rho)
-        save_state(mixed, rho=target)
+        save_state(state, rho)
+        save_state(mixed, target)
         commands = [
             ["classify", state],
             ["transform", state, mixed],

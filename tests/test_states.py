@@ -103,16 +103,6 @@ def test_partial_transpose_involution_and_trace(rng):
     assert abs(np.trace(pt) - 1.0) <= 1e-12
 
 
-def test_partial_transpose_subsystem_index():
-    rho = make_named_state("werner")
-    with pytest.raises(ValueError):
-        partial_transpose(rho, subsystem=2)
-    # transposing either side gives the same spectrum
-    va = np.linalg.eigvalsh(partial_transpose(rho, 0))
-    vb = np.linalg.eigvalsh(partial_transpose(rho, 1))
-    assert np.allclose(va, vb, atol=1e-12)
-
-
 def test_seed_state_matrix():
     rho = make_named_state("seed_state")
     assert np.allclose(rho.matrix, np.diag([1 / 3, 1 / 3, 1 / 3, 0]), atol=1e-15)

@@ -1,0 +1,66 @@
+"""Write the files of 17 fixed CLI commands into OUTDIR, for byte-identity checks.
+
+Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
+
+Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
+importable, 7 ``construct`` commands (state files) and 10 commands that write
+reports: ``classify`` x2, ``transform`` x3, ``witness`` x2, ``bounds`` and
+``falsify`` x2 (one hit, one miss).  To compare two source trees, run it once
+against each and ``diff -r`` the two output directories.  Exits 1 if a
+command does not exit 0.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+from specsep.cli import main as specsep_main
+
+# (output file, argv without --output); later commands read earlier files
+COMMANDS = [
+    ("rt.json", ["construct", "rho_tilde", "--d-a", "2", "--d-b", "3"]),
+    ("om.json", ["construct", "omega_t", "--t", "1.2"]),
+    ("seed.json", ["construct", "seed_state"]),
+    ("werner.json", ["construct", "werner"]),
+    ("phi.json", ["construct", "phi_plus", "--d-a", "2", "--d-b", "3"]),
+    ("mm3.json", ["construct", "maximally_mixed", "--d-a", "3", "--d-b", "3"]),
+    ("mm2.json", ["construct", "maximally_mixed"]),
+    ("c_rt.json", ["classify", "rt.json"]),
+    ("c_phi.json", ["classify", "phi.json", "--seed", "5"]),
+    ("t_seed_werner.json", ["transform", "seed.json", "werner.json"]),
+    ("t_werner_om.json", ["transform", "werner.json", "om.json"]),
+    ("t_om_mm.json", ["transform", "om.json", "mm2.json", "--seed", "3"]),
+    ("w_sep.json", ["witness", "separating", "--d-a", "2", "--d-b", "3",
+                    "--evaluate", "rt.json"]),
+    ("w_ppt.json", ["witness", "ppt"]),
+    ("bounds.json", ["bounds", "--copies", "3", "--h-norm", "1.5", "--l", "2",
+                     "--k-b", "0.5"]),
+    ("f_phi.json", ["falsify", "phi.json", "--samples", "50", "--seed", "11"]),
+    ("f_mm.json", ["falsify", "mm3.json", "--samples", "300"]),
+]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = argv[0]
+    os.makedirs(outdir, exist_ok=True)
+
+    def path(name):
+        return os.path.join(outdir, name) if name.endswith(".json") else name
+
+    for out, command in COMMANDS:
+        args = [path(a) for a in command] + ["--output", path(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = specsep_main(args)
+        if code != 0:
+            print("%s exited %d" % (" ".join(command), code), file=sys.stderr)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
