@@ -43,8 +43,8 @@ class NotUnital(ValueError):
 
 
 class RatioTooSmall(ValueError):
-    """Full-rank input with spectral ratio below the target's: the
-    transformation is impossible with nonzero probability."""
+    """Input spectral ratio below the target's: the transformation is
+    impossible with nonzero probability."""
 
 
 class InputIsCAS(ValueError):
@@ -141,9 +141,12 @@ def make_sec_c_example():
 def construct_transformation(rho, sigma, c_choice=None):
     """Stochastic unital map carrying rho to sigma with nonzero probability.
 
-    Feasible whenever rho is singular, or both states are full rank with
-    spectral ratio R(rho) >= R(sigma).  A maximally mixed target yields the
-    depolarizing channel.  Returns (map, plan).
+    Feasible exactly when R(rho) >= R(sigma) (``ratio_at_least``), where a
+    singular state has R = inf.  One construction covers every feasible
+    pair: alpha = D lambda_max(sigma), beta = 1 / (D lambda_min(sigma)), or
+    beta = inf for a singular sigma, in which case phi_1 is sigma itself.
+    A singular rho takes beta = inf and alpha at least 2.  A maximally
+    mixed target yields the depolarizing channel.  Returns (map, plan).
     """
     if rho.dims.total != sigma.dims.total:
         raise ValueError("input and target dimensions differ")
@@ -154,54 +157,43 @@ def construct_transformation(rho, sigma, c_choice=None):
         depol = make_map(rho.dims, [(eye, maximally_mixed(rho.dims))])
         return depol, TransformPlan(alpha=1.0, beta=1.0, k=0.0, c=1.0, theta=0.0)
 
+    rho_spec, sig_spec = spectrum(rho), spectrum(sigma)
+    if not ratio_at_least(rho_spec, sig_spec):
+        raise RatioTooSmall("R(rho) = %.12g < R(sigma) = %.12g"
+                            % (spectral_ratio(rho_spec), spectral_ratio(sig_spec)))
     rho_vals, rho_vecs = np.linalg.eigh(rho.matrix)
     lam_min_rho = float(rho_vals[0])
     lam_max_rho = float(rho_vals[-1])
     v_min, v_max = rho_vecs[:, 0], rho_vecs[:, -1]
 
-    rho_spec, sig_spec = spectrum(rho), spectrum(sigma)
-    lam_max_sig = float(sig_spec.values[0])
-    lam_min_sig = float(sig_spec.values[-1])
-
+    alpha = big_d * float(sig_spec.values[0])
+    beta = math.inf if is_singular(sig_spec) else 1.0 / (big_d * float(sig_spec.values[-1]))
     if is_singular(rho_spec):
-        # Any alpha above D * lambda_max(sigma) works; take a unit margin.
-        alpha = big_d * lam_max_sig + 1.0
-        beta = math.inf
-        phi1 = sigma
-        phi2 = density_matrix((alpha * eye / big_d - sigma.matrix) / (alpha - 1.0), rho.dims)
-        k = alpha - 1.0
-        x, y = v_max, v_min  # y lies in ker(rho)
-        theta = math.pi / 2
-    else:
-        if is_singular(sig_spec):
-            raise RatioTooSmall(
-                "full-rank input cannot reach a singular target (ratio monotone)"
-            )
-        if not ratio_at_least(rho_spec, sig_spec):
-            raise RatioTooSmall("R(rho) = %.12g < R(sigma) = %.12g"
-                                % (spectral_ratio(rho_spec), spectral_ratio(sig_spec)))
-        alpha = big_d * lam_max_sig
-        beta = 1.0 / (big_d * lam_min_sig)
-        phi1 = density_matrix(
-            (sigma.matrix - eye / (beta * big_d)) / (1.0 - 1.0 / beta), rho.dims
-        )
-        phi2 = density_matrix((alpha * eye / big_d - sigma.matrix) / (alpha - 1.0), rho.dims)
-        k = (alpha - 1.0) / (1.0 - 1.0 / beta)
-        x = v_max
-        # y = cos(theta) v_max + sin(theta) v_min with <y|rho|y> = the target
-        # lam_max / (alpha beta), which R(rho) >= R(sigma) puts in [lam_min, lam_max]
-        cos2 = (lam_max_rho / (alpha * beta) - lam_min_rho) / (lam_max_rho - lam_min_rho)
-        cos2 = min(max(cos2, 0.0), 1.0)
-        cos_t, sin_t = math.sqrt(cos2), math.sqrt(1.0 - cos2)
-        theta = math.atan2(sin_t, cos_t)
-        y = cos_t * v_max + sin_t * v_min
+        # R(rho) = inf frees both minima, and P = lam_max(rho) / alpha for any
+        # beta: beta = inf makes phi_1 = sigma, and alpha - 1 >= 1 keeps the
+        # division in phi_2 from amplifying sigma's rounding near I / D
+        alpha, beta = max(alpha, 2.0), math.inf
+    # sigma = (1 - 1/beta) phi_1 + (1/beta) identity / D; at beta = inf the
+    # division below is exact, so phi_1 is sigma and is not validated again
+    phi1 = sigma if math.isinf(beta) else density_matrix(
+        (sigma.matrix - eye / (beta * big_d)) / (1.0 - 1.0 / beta), rho.dims
+    )
+    phi2 = density_matrix((alpha * eye / big_d - sigma.matrix) / (alpha - 1.0), rho.dims)
+    k = (alpha - 1.0) / (1.0 - 1.0 / beta)
+    # y = cos(theta) v_max + sin(theta) v_min with <y|rho|y> = the target
+    # lam_max / (alpha beta), which R(rho) >= R(sigma) puts in [lam_min, lam_max]
+    cos2 = (lam_max_rho / (alpha * beta) - lam_min_rho) / (lam_max_rho - lam_min_rho)
+    cos2 = min(max(cos2, 0.0), 1.0)
+    cos_t, sin_t = math.sqrt(cos2), math.sqrt(1.0 - cos2)
+    theta = math.atan2(sin_t, cos_t)
+    y = cos_t * v_max + sin_t * v_min
 
     c_max = 1.0 / (1.0 + k)
     c = c_max if c_choice is None else float(c_choice)
     if not (0.0 < c <= c_max + 1e-15):
         raise ValueError("c must lie in (0, %.17g]" % c_max)
 
-    m1 = c * np.outer(x, x.conj())
+    m1 = c * np.outer(v_max, v_max.conj())
     m2 = c * k * np.outer(y, y.conj())
     instrument = make_map(rho.dims, [(m1, phi1), (m2, phi2)])
     return instrument, TransformPlan(alpha=alpha, beta=beta, k=k, c=c, theta=theta)

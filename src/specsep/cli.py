@@ -143,10 +143,7 @@ def _print_comparison(dims):
 
 
 def cmd_construct(args):
-    params = {"d_a": args.d_a, "d_b": args.d_b}
-    if args.t is not None:
-        params["t"] = args.t
-    rho = states.make_named_state(args.name, **params)
+    rho = states.make_named_state(args.name, d_a=args.d_a, d_b=args.d_b, t=args.t)
     out = args.output or ("%s.state.json" % args.name)
     fileio.save_state(out, rho)
     spec = states.spectrum(rho)
@@ -280,9 +277,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidStateError, criteria.CriterionInapplicable) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
     except (channels.RatioTooSmall, channels.InputIsCAS) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION

@@ -21,7 +21,6 @@ BOUNDARY_TOL = 1e-12
 class Status(enum.Enum):
     DETECTED = "detected"
     NOT_DETECTED = "not-detected"
-    INAPPLICABLE = "inapplicable"
 
 
 class CriterionInapplicable(ValueError):

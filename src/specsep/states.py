@@ -227,15 +227,21 @@ def maximally_mixed(dims):
     return DensityMatrix(dims=dims, matrix=np.eye(d, dtype=complex) / d)
 
 
-def make_named_state(name, **params):
+def make_named_state(name, d_a=2, d_b=2, t=None):
     """Construct one of the named reference states.
 
     Names: ``maximally_mixed``, ``seed_state``, ``werner``, ``phi_plus``,
-    ``omega_t``, ``rho_tilde``.  Parameters: ``d_a``, ``d_b`` where
-    applicable and ``t`` for ``omega_t``.
+    ``omega_t``, ``rho_tilde``.  ``seed_state`` and ``werner`` exist only
+    at 2 x 2, and only ``omega_t`` takes (and requires) ``t``; anything
+    else is refused rather than ignored.
     """
+    if t is not None and name != "omega_t":
+        raise ValueError("%s takes no parameter t" % name)
+    if name in ("seed_state", "werner") and (d_a, d_b) != (2, 2):
+        raise ValueError("%s is defined only at dims 2x2, got %rx%r" % (name, d_a, d_b))
+
     if name == "maximally_mixed":
-        return maximally_mixed(bipartite_dims(params.get("d_a", 2), params.get("d_b", 2)))
+        return maximally_mixed(bipartite_dims(d_a, d_b))
 
     if name == "seed_state":
         # Rank-3 two-qubit diagonal state (1/3, 1/3, 1/3, 0).
@@ -250,20 +256,17 @@ def make_named_state(name, **params):
         return density_matrix(m, bipartite_dims(2, 2))
 
     if name == "phi_plus":
-        d_a = params.get("d_a", 2)
-        d_b = params.get("d_b", 2)
+        dims = bipartite_dims(d_a, d_b)
         psi = max_entangled_ket(d_a, d_b)
-        return density_matrix(np.outer(psi, psi.conj()), bipartite_dims(d_a, d_b))
+        return density_matrix(np.outer(psi, psi.conj()), dims)
 
     if name == "omega_t":
-        d_a = params.get("d_a", 2)
-        d_b = params.get("d_b", 2)
-        if params.get("t") is None:
+        if t is None:
             raise ValueError("omega_t requires the parameter t")
-        return make_omega_t(d_a, d_b, float(params["t"]))
+        return make_omega_t(d_a, d_b, float(t))
 
     if name == "rho_tilde":
-        return make_rho_tilde(params["d_a"], params["d_b"])
+        return make_rho_tilde(d_a, d_b)
 
     raise ValueError("unknown state name %r" % name)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsep import density_matrix, make_named_state, maximally_mixed, spectral_ratio, spectrum
 from specsep.channels import (
@@ -18,8 +19,8 @@ from specsep.channels import (
     make_sec_c_example,
     normalized_output,
 )
-from specsep.oracles import ppt_min_eigenvalue, verify_ratio_monotone
-from specsep.states import bipartite_dims, make_omega_t, make_rho_tilde
+from specsep.oracles import haar_unitaries, ppt_min_eigenvalue, verify_ratio_monotone
+from specsep.states import EIG_CLAMP, bipartite_dims, is_singular, make_omega_t, make_rho_tilde
 
 from conftest import rand_full_rank_state, rand_state, rand_valid_map
 
@@ -117,12 +118,18 @@ def test_construct_transformation_maximally_mixed_target(rng):
 
 
 def test_construct_transformation_singular_input():
+    # a singular input (R = inf) takes beta = inf, so phi_1 = werner; werner
+    # has lambda_max = 5/8, so alpha = 5/2, k = 3/2, c = 2/5 and the
+    # success probability is c lambda_max(seed) = lambda_max(seed) / alpha
     seed = make_named_state("seed_state")
     werner = make_named_state("werner")
     instrument, plan = construct_transformation(seed, werner)
+    assert plan.alpha == pytest.approx(5 / 2, abs=1e-12)
+    assert plan.k == pytest.approx(3 / 2, abs=1e-12)
+    assert plan.c == pytest.approx(2 / 5, abs=1e-12)
     out, prob = apply_map(instrument, seed)
     assert prob == pytest.approx(plan.c / 3, abs=1e-12)
-    assert prob > 0
+    assert prob == pytest.approx(2 / 15, abs=1e-12)
     assert np.abs(out / prob - werner.matrix).max() < 1e-9
     assert math.isinf(plan.beta)
 
@@ -143,6 +150,76 @@ def test_construct_transformation_c_choice():
     assert prob == pytest.approx(0.7 * 0.1, abs=1e-9)
     with pytest.raises(ValueError):
         construct_transformation(rho, sigma, c_choice=0.5)
+
+
+def _rotated(vals, dims, seed):
+    u = haar_unitaries(len(vals), seed, 1)[0]
+    return density_matrix((u * np.asarray(vals)) @ u.conj().T, dims)
+
+
+def _transform_residual(rho, sigma):
+    instrument, _ = construct_transformation(rho, sigma)
+    out, prob = apply_map(instrument, rho)
+    assert prob > 0
+    return instrument, float(np.abs(out / prob - sigma.matrix).max())
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1e-11], ids=["singular", "full-rank"])
+def test_construct_transformation_across_singular_boundary(lam):
+    # lambda = 1e-13 is at or below EIG_CLAMP, so rho is singular (R = inf)
+    # and reaches every target; lambda = 1e-11 gives R = 5e10, which reaches
+    # ratios up to 1e6 but neither 1e11 nor 1e14 (a singular target)
+    vals = [0.5, 0.3, 0.2 - lam, lam]
+    feasible = {1.5, 10.0, 1e6} if lam > EIG_CLAMP else {1.5, 10.0, 1e6, 1e11, 1e14}
+    for seed in range(20):
+        rho = _rotated(vals, (2, 2), seed)
+        assert is_singular(spectrum(rho)) == (lam <= EIG_CLAMP)
+        for ratio in (1.5, 10.0, 1e6, 1e11, 1e14):
+            sigma = _rotated(np.array([ratio, 1.0, 1.0, 1.0]) / (ratio + 3.0), (2, 2), seed + 100)
+            if ratio not in feasible:
+                with pytest.raises(RatioTooSmall):
+                    construct_transformation(rho, sigma)
+                continue
+            instrument, residual = _transform_residual(rho, sigma)
+            make_map(instrument.dims, instrument.branches)
+            assert residual <= 1e-9
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-7, 1e-6])
+def test_singular_input_reaches_targets_near_maximally_mixed(delta):
+    # at the least alpha and beta, phi_1 and phi_2 would divide by 1 - 1/beta
+    # and alpha - 1, both about D delta here; a singular input takes
+    # beta = inf and alpha >= 2 instead
+    seed = make_named_state("seed_state")
+    vals = 0.25 + delta * np.array([1.5, -0.5, -0.5, -0.5])
+    for s in range(20):
+        sigma = _rotated(vals, (2, 2), s)
+        instrument, residual = _transform_residual(seed, sigma)
+        make_map(instrument.dims, instrument.branches)
+        assert residual <= 1e-9
+
+
+@st.composite
+def rotated_spectrum_pairs(draw):
+    """Two Haar rotations of one 2..3 x 2..3 spectrum with lambda_min at
+    least a drawn floor of 1e-10 or more."""
+    dims = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    big_d = dims[0] * dims[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floor = draw(st.sampled_from([1e-10, 1e-7, 1e-3]))
+    vals = floor + (1.0 - big_d * floor) * rng.dirichlet(
+        np.full(big_d, draw(st.sampled_from([0.5, 5.0, 500.0]))))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return _rotated(vals, dims, seed), _rotated(vals, dims, seed + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=rotated_spectrum_pairs())
+def test_rotations_of_one_spectrum_transform(pair):
+    rho, sigma = pair
+    instrument, residual = _transform_residual(rho, sigma)
+    assert verify_ratio_monotone(instrument, rho)
+    assert residual <= 1e-9
 
 
 # --- entanglement extraction ----------------------------------------------

@@ -278,6 +278,23 @@ def test_construct_omega_t_without_t_is_invalid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["werner", "--d-a", "3", "--d-b", "3"], "only at dims 2x2"),
+    (["seed_state", "--d-b", "3"], "only at dims 2x2"),
+    (["werner", "--t", "1.2"], "takes no parameter t"),
+    (["phi_plus", "--t", "0.5"], "takes no parameter t"),
+    (["maximally_mixed", "--d-a", "3", "--t", "1"], "takes no parameter t"),
+    (["rho_tilde", "--d-b", "3", "--t", "1"], "takes no parameter t"),
+    (["phi_plus", "--d-a", "-1"], "local dimensions must be >= 2"),
+], ids=["werner-3x3", "seed-2x3", "werner-t", "phi-t", "mixed-t", "rho-tilde-t",
+        "phi-negative-dims"])
+def test_construct_refuses_options_the_state_ignores(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.state.json"
+    assert main(["construct", *argv, "--output", str(out)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_deeply_nested_state_file_is_invalid(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"dims":{"locals":[2,2]},"spectrum":%s}' % ("[" * 10**5 + "]" * 10**5))

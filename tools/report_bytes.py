@@ -1,13 +1,13 @@
-"""Write the files of 17 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Write the files of 19 fixed CLI commands into OUTDIR, for byte-identity checks.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 7 ``construct`` commands (state files) and 10 commands that write
-reports: ``classify`` x2, ``transform`` x3, ``witness`` x2, ``bounds`` and
-``falsify`` x2 (one hit, one miss).  To compare two source trees, run it once
-against each and ``diff -r`` the two output directories.  Exits 1 if a
-command does not exit 0.
+importable, 8 ``construct`` commands (state files) and 11 commands that write
+reports: ``classify`` x2, ``transform`` x4 (one onto a singular target, whose
+beta is infinite), ``witness`` x2, ``bounds`` and ``falsify`` x2 (one hit, one
+miss).  To compare two source trees, run it once against each and ``diff -r``
+the two output directories.  Exits 1 if a command does not exit 0.
 """
 
 import contextlib
@@ -24,11 +24,13 @@ COMMANDS = [
     ("seed.json", ["construct", "seed_state"]),
     ("werner.json", ["construct", "werner"]),
     ("phi.json", ["construct", "phi_plus", "--d-a", "2", "--d-b", "3"]),
+    ("phi22.json", ["construct", "phi_plus"]),
     ("mm3.json", ["construct", "maximally_mixed", "--d-a", "3", "--d-b", "3"]),
     ("mm2.json", ["construct", "maximally_mixed"]),
     ("c_rt.json", ["classify", "rt.json"]),
     ("c_phi.json", ["classify", "phi.json", "--seed", "5"]),
     ("t_seed_werner.json", ["transform", "seed.json", "werner.json"]),
+    ("t_seed_phi.json", ["transform", "seed.json", "phi22.json"]),
     ("t_werner_om.json", ["transform", "werner.json", "om.json"]),
     ("t_om_mm.json", ["transform", "om.json", "mm2.json", "--seed", "3"]),
     ("w_sep.json", ["witness", "separating", "--d-a", "2", "--d-b", "3",
