@@ -20,6 +20,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_PRECONDITION = 3
 
+# Largest D = d_a * d_b that construct and witness build: one D x D complex
+# matrix takes 16 D^2 bytes and its JSON file about 40 D^2 bytes.
+MAX_TOTAL_DIM = 1024
+
 
 def _parent():
     p = argparse.ArgumentParser(add_help=False)
@@ -86,6 +90,13 @@ def _tol_scale(args):
     return scale
 
 
+def _check_total_dim(args):
+    total = args.d_a * args.d_b
+    if total > MAX_TOTAL_DIM:
+        raise InvalidStateError("--d-a x --d-b is %d, above the limit D <= %d"
+                                % (total, MAX_TOTAL_DIM))
+
+
 def _load_spectrum(path, tol_scale):
     state = fileio.load_state(path, tol_scale=tol_scale)
     return state if isinstance(state, states.Spectrum) else states.spectrum(state)
@@ -143,6 +154,7 @@ def _print_comparison(dims):
 
 
 def cmd_construct(args):
+    _check_total_dim(args)
     rho = states.make_named_state(args.name, d_a=args.d_a, d_b=args.d_b, t=args.t)
     out = args.output or ("%s.state.json" % args.name)
     fileio.save_state(out, rho)
@@ -190,6 +202,7 @@ def cmd_transform(args):
 
 
 def cmd_witness(args):
+    _check_total_dim(args)
     dims = states.bipartite_dims(args.d_a, args.d_b)
     if args.kind == "ppt":
         w = witnesses.make_ppt_witness(dims)
@@ -239,6 +252,8 @@ def cmd_bounds(args):
 
 
 def cmd_falsify(args):
+    if args.seed < 0:
+        raise InvalidStateError("--seed must be a non-negative integer, got %d" % args.seed)
     spec = _load_spectrum(args.state, _tol_scale(args))
     result = oracles.as_falsify_search(spec, spec.dims, args.samples, args.seed)
     if result.found:
@@ -273,8 +288,11 @@ _COMMANDS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (channels.RatioTooSmall, channels.InputIsCAS) as exc:

@@ -1,10 +1,17 @@
 """State and report files.
 
-Strict JSON with every finite float printed as a decimal with 17
-significant digits, so save -> load -> save is byte-identical and exact for
-doubles; non-finite floats (an infinite spectral ratio, say) are written as
-``null``.  A state file carries either an explicit complex matrix
-(row-major, (re, im) pairs) or a bare spectrum, never both.
+A state file carries either an explicit complex matrix (row-major,
+(re, im) pairs) or a bare spectrum, never both.
+
+Every file is written by ``dumps``, whose bytes are a contract (digests and
+byte-identity checks depend on them): no whitespace; dict keys sorted and
+written as ASCII-escaped JSON strings; a finite float (Python, np.float64
+or any np.floating) as ``format(x, ".17g")``, so -0.0 stays ``-0`` and
+save -> load -> save is byte-identical and exact for doubles; a non-finite
+float (an infinite spectral ratio, say) as ``null``; bool as
+``true``/``false``, None as ``null``, int and np.integer as their decimal,
+str as ASCII-escaped JSON; list and tuple as arrays.  Anything else,
+np.bool_ and set among them, raises TypeError.
 """
 
 from __future__ import annotations
@@ -20,35 +27,42 @@ from .states import InvalidStateError, Spectrum, as_dims, density_matrix, spectr
 
 
 def dumps(obj):
-    """Serialize nested dict/list/scalar data deterministically."""
+    """Serialize nested dict/list/scalar data deterministically.
+
+    Floats are tested first and lists second: reports are mostly lists of
+    np.float64, which is a float.
+    """
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ",".join(map(dumps, obj))
     if isinstance(obj, dict):
         items = ",".join("%s:%s" % (json.dumps(str(k)), dumps(v)) for k, v in sorted(obj.items()))
         return "{%s}" % items
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ",".join(dumps(v) for v in obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, np.floating):
+        return dumps(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError("cannot serialize %r" % type(obj))
 
 
 def matrix_to_payload(m):
-    """A complex matrix as row-major lists of (re, im) pairs."""
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
+    """A complex matrix as row-major lists of (re, im) pairs of Python floats."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def state_to_payload(state):
     """A DensityMatrix as its matrix, a Spectrum as its eigenvalues."""
     payload = {"dims": {"locals": list(state.dims.locals)}}
     if isinstance(state, Spectrum):
-        payload["spectrum"] = [float(v) for v in state.values]
+        payload["spectrum"] = state.values.tolist()
     else:
         payload["matrix"] = matrix_to_payload(state.matrix)
     return payload

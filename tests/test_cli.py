@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specsep import DensityMatrix, density_matrix, make_named_state, spectrum
-from specsep.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, main
+from specsep.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, MAX_TOTAL_DIM, main
 from specsep.criteria import gibbs_threshold
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
 from specsep.states import make_omega_t, make_rho_tilde
@@ -293,6 +293,57 @@ def test_construct_refuses_options_the_state_ignores(tmp_path, capsys, argv, mes
     assert main(["construct", *argv, "--output", str(out)]) == EXIT_INVALID
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "phi_plus"],
+    ["construct", "maximally_mixed"],
+    ["witness", "ppt"],
+    ["witness", "separating"],
+], ids=["construct-phi", "construct-mixed", "witness-ppt", "witness-separating"])
+@pytest.mark.parametrize("d_a,d_b", [(100000, 100000), (2, MAX_TOTAL_DIM // 2 + 1)],
+                         ids=["1e5x1e5", "just-above"])
+def test_dimensions_above_the_limit_are_refused(tmp_path, capsys, argv, d_a, d_b):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--d-a", str(d_a), "--d-b", str(d_b),
+                 "--output", str(out)]) == EXIT_INVALID
+    assert "above the limit D <= %d" % MAX_TOTAL_DIM in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_reuse_carries_nothing_between_calls(tmp_path, capsys):
+    state = _write(tmp_path, "rt.json", make_rho_tilde(2, 3))
+    first = tmp_path / "first.json"
+    assert main(["classify", state, "--compare-criteria", "--seed", "5",
+                 "--output", str(first)]) == EXIT_OK
+    assert "named-state comparison" in capsys.readouterr().out
+    assert json.loads(first.read_text())["seed"] == 5
+    first.unlink()
+
+    assert main(["classify", state]) == EXIT_OK
+    assert "named-state comparison" not in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rt.json"]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+
+    second = tmp_path / "second.json"
+    assert main(["classify", state, "--output", str(second)]) == EXIT_OK
+    assert "named-state comparison" not in capsys.readouterr().out
+    assert json.loads(second.read_text())["seed"] == 0
+
+
+def test_falsify_names_a_negative_seed(tmp_path, capsys):
+    state = _write(tmp_path, "pure.json", make_named_state("phi_plus"))
+    report = tmp_path / "f.json"
+    assert main(["falsify", state, "--seed", "-1", "--output", str(report)]) == EXIT_INVALID
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_deeply_nested_state_file_is_invalid(tmp_path, capsys):

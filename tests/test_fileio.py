@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from specsep import InvalidStateError, __version__, density_matrix, spectrum_from_values
@@ -217,3 +218,30 @@ def test_malformed_state_files_exit_2_with_an_error_line(text):
         code, err = _run(["classify", str(path)])
     assert code == EXIT_INVALID
     assert err.startswith("error: ")
+
+
+def test_dumps_golden_bytes():
+    payload = {
+        "b": {"z": (1, True, False, None), "a": [np.int64(-7), -0.0, 5e-324]},
+        "a": [np.float32(0.1), math.inf, -math.inf, math.nan, np.float64(0.1)],
+        "\u00e9": "Z\u00fcrich \u221e",
+    }
+    assert dumps(payload) == (
+        '{"a":[0.10000000149011612,null,null,null,0.10000000000000001],'
+        '"b":{"a":[-7,-0,4.9406564584124654e-324],"z":[1,true,false,null]},'
+        '"\\u00e9":"Z\\u00fcrich \\u221e"}')
+    for bad in (np.bool_(True), {1.0}):
+        with pytest.raises(TypeError):
+            dumps(bad)
+
+
+def test_matrix_to_payload_gives_plain_floats():
+    pairs = matrix_to_payload(np.array([[complex(-0.0, 1.0), complex(2.5, -0.0)]]))
+    assert pairs == [[[-0.0, 1.0], [2.5, -0.0]]]
+    assert all(type(x) is float for row in pairs for pair in row for x in pair)
+    assert math.copysign(1.0, pairs[0][0][0]) == -1.0
+    assert math.copysign(1.0, pairs[0][1][1]) == -1.0
+    real = matrix_to_payload(np.array([[1.0, -0.0], [0.5, 2.0]]))
+    assert real == [[[1.0, 0.0], [-0.0, 0.0]], [[0.5, 0.0], [2.0, 0.0]]]
+    assert math.copysign(1.0, real[0][1][0]) == -1.0
+    assert all(type(x) is float for row in real for pair in row for x in pair)

@@ -1,13 +1,16 @@
-"""Write the files of 19 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Write the files of 21 fixed CLI commands into OUTDIR, for byte-identity checks.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 8 ``construct`` commands (state files) and 11 commands that write
-reports: ``classify`` x2, ``transform`` x4 (one onto a singular target, whose
-beta is infinite), ``witness`` x2, ``bounds`` and ``falsify`` x2 (one hit, one
-miss).  To compare two source trees, run it once against each and ``diff -r``
-the two output directories.  Exits 1 if a command does not exit 0.
+importable, 8 ``construct`` commands (state files) and 13 commands that write
+reports: ``classify`` x3, ``transform`` x4 (one onto a singular target, whose
+beta is infinite), ``witness`` x2, ``bounds`` and ``falsify`` x3 (one hit, two
+misses).  ``construct`` writes only matrix files, so the spectrum file that one
+``classify`` and one ``falsify`` read is written first from the literal text
+in SPECTRUM_FILES (unsorted, so loading sorts it).  To compare two source
+trees, run it once against each and ``diff -r`` the two output directories.
+Exits 1 if a command does not exit 0.
 """
 
 import contextlib
@@ -16,6 +19,10 @@ import os
 import sys
 
 from specsep.cli import main as specsep_main
+
+SPECTRUM_FILES = {
+    "spec23.json": '{"dims":{"locals":[2,3]},"spectrum":[0.125,0.25,0.125,0.25,0.125,0.125]}\n',
+}
 
 # (output file, argv without --output); later commands read earlier files
 COMMANDS = [
@@ -29,6 +36,7 @@ COMMANDS = [
     ("mm2.json", ["construct", "maximally_mixed"]),
     ("c_rt.json", ["classify", "rt.json"]),
     ("c_phi.json", ["classify", "phi.json", "--seed", "5"]),
+    ("c_spec.json", ["classify", "spec23.json"]),
     ("t_seed_werner.json", ["transform", "seed.json", "werner.json"]),
     ("t_seed_phi.json", ["transform", "seed.json", "phi22.json"]),
     ("t_werner_om.json", ["transform", "werner.json", "om.json"]),
@@ -40,6 +48,7 @@ COMMANDS = [
                      "--k-b", "0.5"]),
     ("f_phi.json", ["falsify", "phi.json", "--samples", "50", "--seed", "11"]),
     ("f_mm.json", ["falsify", "mm3.json", "--samples", "300"]),
+    ("f_spec.json", ["falsify", "spec23.json", "--samples", "200", "--seed", "7"]),
 ]
 
 
@@ -54,6 +63,9 @@ def main(argv=None):
     def path(name):
         return os.path.join(outdir, name) if name.endswith(".json") else name
 
+    for name, text in SPECTRUM_FILES.items():
+        with open(path(name), "w") as fh:
+            fh.write(text)
     for out, command in COMMANDS:
         args = [path(a) for a in command] + ["--output", path(out)]
         with contextlib.redirect_stdout(io.StringIO()):
