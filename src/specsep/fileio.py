@@ -111,9 +111,13 @@ def load_state(path, tol_scale=1.0):
     if has_matrix == has_spectrum:
         raise InvalidStateError("state file must contain exactly one of matrix/spectrum")
     if has_matrix:
+        # bool is its own type, so true/false fail the type test with null,
+        # strings and containers
         try:
-            m = np.array([[complex(_number(re), _number(im)) for re, im in row]
-                          for row in payload["matrix"]])
+            a = np.array(payload["matrix"], dtype=object)
+            if a.ndim != 3 or a.shape[2] != 2 or not set(map(type, a.flat)) <= {int, float}:
+                raise TypeError
+            m = a.astype(float).view(complex)[..., 0]
         except (TypeError, ValueError, OverflowError):
             raise InvalidStateError("matrix entries must be (re, im) pairs of numbers")
         return density_matrix(m, dims, tol_scale=tol_scale)

@@ -415,7 +415,12 @@ def test_tol_override_must_be_finite_and_positive(tmp_path, capsys, scale):
     '{"dims":{"locals":[2,2]},"spectrum":[true,false,false,false]}',
     '{"dims":{"locals":[1,2]},"matrix":'
     '[[[true,false],[false,false]],[[false,false],[false,false]]]}',
-], ids=["string-spectrum", "bool-spectrum", "bool-matrix"])
+    '{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[0,0]],[[0,0],[0.5,true]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],["0",0]],[[0,0],[0.5,0]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[0,0]],[[0,0],[0.5,[0]]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[1%s,0],[0,0]],[[0,0],[0.5,0]]]}' % ("0" * 400),
+], ids=["string-spectrum", "bool-spectrum", "bool-matrix", "one-bool-matrix",
+        "string-matrix", "nested-matrix", "overflowing-int-matrix"])
 def test_non_number_state_file_is_invalid(tmp_path, capsys, body):
     path = tmp_path / "bad.json"
     path.write_text(body)

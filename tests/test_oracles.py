@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specsep import (
     density_matrix,
@@ -88,6 +88,77 @@ def test_falsify_not_found_minimum_matches_plain_loop(local, seed, n, data):
         rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T)
         loop_min = min(loop_min, float(np.linalg.eigvalsh(partial_transpose(rho)).min()))
     assert result.min_pt_eigenvalue == pytest.approx(loop_min, abs=1e-12)
+
+
+def _unscreened_search(s, dims, samples, seed):
+    """(found, unitary_index, samples_used, min PT eigenvalue) of a search
+    that eigendecomposes every sample in order, with no screen."""
+    low = math.inf
+    for i, u in enumerate(haar_unitaries(dims.total, seed, samples)):
+        rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T)
+        m = float(np.linalg.eigvalsh(partial_transpose(rho)).min())
+        if m < -1e-9:
+            return True, i, i + 1, m
+        low = min(low, m)
+    return False, None, samples, low
+
+
+_LATE_HIT = (spectrum_from_values([0.4, 0.3, 0.3, 0.0], (2, 2)), bipartite_dims(2, 2))
+
+
+@st.composite
+def _search_inputs(draw):
+    """(spectrum, dims) of a CAS miss, the late-hit qubit pair, rho_tilde on
+    the threshold, or the maximally mixed state."""
+    kind = draw(st.sampled_from(["cas", "late-hit", "rho-tilde", "mixed"]))
+    if kind == "late-hit":
+        return _LATE_HIT
+    if kind == "rho-tilde":
+        rho = make_rho_tilde(*draw(st.sampled_from([(2, 3), (2, 4), (3, 4)])))
+        return spectrum(rho), rho.dims
+    dims = bipartite_dims(*draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)])))
+    if kind == "mixed":
+        return spectrum(maximally_mixed(dims)), dims
+    d = min(dims.locals)
+    weights = np.array(draw(st.lists(st.floats(1.0, (d + 1) / (d - 1)),
+                                     min_size=dims.total, max_size=dims.total)))
+    return spectrum_from_values(weights / weights.sum(), dims), dims
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=_search_inputs(), seed=st.integers(0, 7), samples=st.integers(1, 300))
+@example(inputs=_LATE_HIT, seed=7, samples=300)
+@example(inputs=_LATE_HIT, seed=2, samples=300)
+def test_screened_search_matches_unscreened_loop(inputs, seed, samples):
+    # seeds 0-7 put the qubit pair's first hit at indices 0 to 131: inside the
+    # first slices and deep in screened batches (seed 7 at 40, seed 2 at 131)
+    s, dims = inputs
+    result = as_falsify_search(s, dims, samples=samples, seed=seed)
+    found, index, used, low = _unscreened_search(s, dims, samples, seed)
+    assert (result.found, result.unitary_index, result.samples_used) == (found, index, used)
+    assert result.unitary_seed == (seed if found else None)
+    assert result.min_pt_eigenvalue == pytest.approx(low, abs=1e-12)
+
+
+def test_screen_skips_most_eigendecompositions(rng, monkeypatch):
+    # a miss on 3x4 needs every sample's minimum; eigvalsh should see only
+    # the slices that can lower it
+    eigvalsh = np.linalg.eigvalsh
+    matrices = []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        matrices.append(a.shape[0] if a.ndim == 3 else 1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    dims = bipartite_dims(3, 4)
+    for k in range(5):
+        weights = rng.uniform(1.0, 2.0, dims.total)
+        s = spectrum_from_values(weights / weights.sum(), dims)
+        matrices.clear()
+        result = as_falsify_search(s, dims, samples=256, seed=k)
+        assert not result.found
+        assert sum(matrices) < 128
 
 
 def _replayed_min(s, dims, seed, index):

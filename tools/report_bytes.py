@@ -1,16 +1,17 @@
-"""Write the files of 21 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Write the files of 22 fixed CLI commands into OUTDIR, for byte-identity checks.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 8 ``construct`` commands (state files) and 13 commands that write
+importable, 8 ``construct`` commands (state files) and 14 commands that write
 reports: ``classify`` x3, ``transform`` x4 (one onto a singular target, whose
-beta is infinite), ``witness`` x2, ``bounds`` and ``falsify`` x3 (one hit, two
-misses).  ``construct`` writes only matrix files, so the spectrum file that one
-``classify`` and one ``falsify`` read is written first from the literal text
-in SPECTRUM_FILES (unsorted, so loading sorts it).  To compare two source
-trees, run it once against each and ``diff -r`` the two output directories.
-Exits 1 if a command does not exit 0.
+beta is infinite), ``witness`` x2, ``bounds`` and ``falsify`` x4 (two misses, a
+hit on the first sample and a hit at index 131, deep in a batch whose earlier
+slices the orbit search screens out).  ``construct`` writes only matrix files,
+so the spectrum files that one ``classify`` and two ``falsify`` read are
+written first from the literal text in SPECTRUM_FILES (unsorted, so loading
+sorts them).  To compare two source trees, run it once against each and
+``diff -r`` the two output directories.  Exits 1 if a command does not exit 0.
 """
 
 import contextlib
@@ -22,6 +23,8 @@ from specsep.cli import main as specsep_main
 
 SPECTRUM_FILES = {
     "spec23.json": '{"dims":{"locals":[2,3]},"spectrum":[0.125,0.25,0.125,0.25,0.125,0.125]}\n',
+    # lambda_1 = 0.4 > lambda_3 + 2 sqrt(lambda_2 lambda_4) = 0.3: NPT rotations exist
+    "late22.json": '{"dims":{"locals":[2,2]},"spectrum":[0.3,0.4,0,0.3]}\n',
 }
 
 # (output file, argv without --output); later commands read earlier files
@@ -49,6 +52,7 @@ COMMANDS = [
     ("f_phi.json", ["falsify", "phi.json", "--samples", "50", "--seed", "11"]),
     ("f_mm.json", ["falsify", "mm3.json", "--samples", "300"]),
     ("f_spec.json", ["falsify", "spec23.json", "--samples", "200", "--seed", "7"]),
+    ("f_late.json", ["falsify", "late22.json", "--samples", "500", "--seed", "2"]),
 ]
 
 
