@@ -21,6 +21,13 @@ from .states import (
 
 SEESAW_CONVERGENCE = 1e-12
 
+# The 2 x 2 projector (I - h sz - re sx - im sy) / 2 from (h, re, im), as the
+# real and imaginary parts of its flattened entries P00, P01, P10, P11
+_UNIT_TO_PROJECTOR = np.array([[-1, 0, 0, 0, 0, 0, 1, 0],
+                               [0, 0, -1, 0, -1, 0, 0, 0],
+                               [0, 0, 0, 1, 0, -1, 0, 0]]) / 2
+_HALF_I = np.array([1, 0, 0, 0, 0, 0, 1, 0]) / 2
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -112,43 +119,75 @@ def trace_norm(w):
     return float(np.abs(np.linalg.eigvalsh(w.matrix)).sum())
 
 
+def _least_eigenprojector(m, d):
+    """Least eigenvalue and flattened projector |v><v| of a unit eigenvector
+    for it, per row of a (k, d * d) stack of flattened Hermitian matrices;
+    only each matrix's lower triangle is read, as ``eigh`` reads it.
+
+    d = 2 takes the closed form: with half = (a - c) / 2, b = M[1, 0] and
+    r = hypot(half, |b|), the eigenvalue is (a + c) / 2 - r and the projector
+    (I - (M - tr M I / 2) / r) / 2; a scalar matrix (r = 0) gives |0><0|, as
+    ``eigh`` does.  half, Re b and Im b are divided by r one by one, since
+    1 / r and a complex b / r overflow to inf or NaN for a subnormal r.
+    Larger d takes ``eigh``.
+    """
+    if d != 2:
+        vals, vecs = np.linalg.eigh(m.reshape(-1, d, d))
+        v = vecs[:, :, 0]
+        return vals[:, 0], (v[:, :, None] * v.conj()[:, None, :]).reshape(-1, d * d)
+    x = m.view(float)  # real and imaginary parts of M00, M01, M10, M11
+    unit = np.empty((len(x), 3))  # (half, Re b, Im b) / r
+    unit[:, 0] = (x[:, 0] - x[:, 6]) / 2
+    unit[:, 1:] = x[:, 4:6]
+    r = np.hypot(unit[:, 0], np.hypot(unit[:, 1], unit[:, 2]))
+    scalar = r == 0  # unit becomes (-1, 0, 0), which gives |0><0|
+    unit[:, 0] -= scalar
+    unit /= (r + scalar)[:, None]
+    return (x[:, 0] + x[:, 6]) / 2 - r, (unit @ _UNIT_TO_PROJECTOR + _HALF_I).view(complex)
+
+
 def seesaw_minimize(w, starts, iters):
     """Alternating minimization of <a x b|W|a x b> from a (k, d_b) stack of
     B-side starts, all advanced together.
 
     Fixing one side, the optimal other side is the minimal eigenvector of
     the contracted local operator; each start's objective is therefore
-    non-increasing.  A start stops at its first iteration with
-    best - value < SEESAW_CONVERGENCE (keeping the smaller of the two) and is
-    masked out of the later ones.  Returns (best value per start, history),
-    where history is an (iterations run, k) array of objective values that
-    reads NaN once a start has stopped.
+    non-increasing.  Each side is carried as its flattened projector
+    |v><v|, so a half-step is one matrix product against the witness,
+    reshaped once per call, and one least eigenpair per start: in closed form
+    on a side of dimension 2 and by ``eigh`` on a larger one.  A start stops at
+    its first iteration with best - value < SEESAW_CONVERGENCE (keeping the
+    smaller of the two) and is masked out of the later ones.  Returns (best
+    value per start, history), where history is an (iterations run, k) array
+    of objective values that reads NaN once a start has stopped.  Raises
+    ValueError on a start row that is not finite.
     """
     d_a, d_b = w.dims.bipartite()
     b = np.asarray(starts, dtype=complex)
     if b.ndim != 2 or b.shape[1] != d_b:
         raise ValueError("starts must be a (k, %d) stack, got shape %r" % (d_b, b.shape))
+    bad = np.flatnonzero(~np.isfinite(b).all(axis=1))
+    if len(bad):
+        raise ValueError("start row %d is not finite" % bad[0])
     k = len(b)
     # <a x b|W|a x b> = sum W[i,j,m,n] conj(a_i) conj(b_j) a_m b_n; each half-step
-    # contracts the stacked outer products conj(v)_i v_j with one matrix
+    # contracts the stacked projectors P[n, j] = v_n conj(v_j) with one matrix
     t = w.matrix.reshape(d_a, d_b, d_a, d_b)
-    from_b = t.transpose(1, 3, 0, 2).reshape(d_b * d_b, d_a * d_a)
-    from_a = t.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    from_b = t.transpose(3, 1, 0, 2).reshape(d_b * d_b, d_a * d_a)
+    from_a = t.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    pb = (b[:, :, None] * b.conj()[:, None, :]).reshape(k, d_b * d_b)
     history = np.full((iters, k), np.nan)
     best = np.full(k, math.inf)
     active = np.arange(k)
     run = 0
     while run < iters and len(active):
-        m_a = (b.conj()[:, :, None] * b[:, None, :]).reshape(-1, d_b * d_b) @ from_b
-        a = np.linalg.eigh(m_a.reshape(-1, d_a, d_a))[1][:, :, 0]
-        m_b = (a.conj()[:, :, None] * a[:, None, :]).reshape(-1, d_a * d_a) @ from_a
-        vals, vecs = np.linalg.eigh(m_b.reshape(-1, d_b, d_b))
-        value = vals[:, 0]
+        _, pa = _least_eigenprojector(pb @ from_b, d_a)
+        value, pb = _least_eigenprojector(pa @ from_a, d_b)
         history[run, active] = value
         run += 1
         done = best[active] - value < SEESAW_CONVERGENCE
-        best[active] = np.where(done, np.minimum(best[active], value), value)
-        active, b = active[~done], vecs[~done, :, 0]
+        best[active] = np.minimum(best[active], value)
+        active, pb = active[~done], pb[~done]
     return best, history[:run]
 
 

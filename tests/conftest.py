@@ -63,9 +63,8 @@ def rand_valid_map(rng, dims, n_branches=3):
     return make_map(dims, branches)
 
 
-def region_b_sample(rng, d_a, d_b, seed):
-    """Spectrum pushed inside the purity ball, then Haar rotated."""
-    big_d = d_a * d_b
+def region_b_values(rng, big_d):
+    """Dirichlet spectrum pushed inside the purity ball."""
     vals = rng.dirichlet(np.ones(big_d))
     uniform = np.full(big_d, 1 / big_d)
     bound = 1 / (big_d - 1)
@@ -73,14 +72,26 @@ def region_b_sample(rng, d_a, d_b, seed):
         if vals @ vals <= bound:
             break
         vals = 0.5 * (vals + uniform)
+    return vals
+
+
+def region_b_sample(rng, d_a, d_b, seed):
+    """Spectrum pushed inside the purity ball, then Haar rotated."""
+    big_d = d_a * d_b
+    vals = region_b_values(rng, big_d)
     u = haar_unitary(big_d, seed)
     return density_matrix((u * vals) @ u.conj().T, (d_a, d_b))
+
+
+def region_a_weights(rng, big_d):
+    """Eigenvalues of region A's PSD remainder: Dirichlet, trace 2/(D+2)."""
+    return rng.dirichlet(np.ones(big_d)) * 2 / (big_d + 2)
 
 
 def region_a_sample(rng, d_a, d_b, seed):
     """Identity floor plus a random PSD remainder of trace 2/(D+2)."""
     big_d = d_a * d_b
-    w = rng.dirichlet(np.ones(big_d)) * 2 / (big_d + 2)
+    w = region_a_weights(rng, big_d)
     u = haar_unitary(big_d, seed)
     x = (u * w) @ u.conj().T
     return density_matrix(np.eye(big_d) / (big_d + 2) + x, (d_a, d_b))

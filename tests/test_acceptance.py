@@ -30,10 +30,11 @@ from specsep.criteria import (
 )
 from specsep.oracles import (
     as_falsify_search,
+    haar_unitaries,
     thm2_violation_value,
     verify_ratio_monotone,
 )
-from specsep.states import bipartite_dims, make_rho_tilde
+from specsep.states import DensityMatrix, bipartite_dims, make_rho_tilde
 from specsep.witnesses import (
     evaluate,
     make_decomposable_witness,
@@ -43,7 +44,7 @@ from specsep.witnesses import (
     trace_norm,
 )
 
-from conftest import rand_full_rank_state, rand_state, region_a_sample, region_b_sample
+from conftest import rand_full_rank_state, rand_state, region_a_weights, region_b_values
 
 
 def _finish(capsys, num, desc, ok):
@@ -119,10 +120,38 @@ def test_acceptance_03_ratio_threshold_equivalence(capsys):
             "no false entangling unitary found", ok)
 
 
+def _haar_stack(dim, seeds):
+    """``haar_unitaries(dim, seed, 1)[0]`` for each seed: the Gaussians are
+    drawn per seed, then phase-fixed by one stacked QR."""
+    z = np.array([np.random.default_rng(s).standard_normal((dim, dim, 2)) for s in seeds])
+    q, r = np.linalg.qr(z.view(complex)[..., 0])
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+def _rotated_states(dims, values, seeds, floor=None):
+    """The states u diag(v) u^dagger (plus ``floor``) for the rows v of
+    ``values`` and u = haar_unitaries(D, seed, 1)[0], as ``density_matrix``
+    builds them: Hermitian part, then every spectrum through the library's
+    PSD and trace check."""
+    big_d = dims.total
+    u = _haar_stack(big_d, seeds)
+    for i in (0, len(seeds) // 2, len(seeds) - 1):
+        assert np.array_equal(u[i], haar_unitaries(big_d, seeds[i], 1)[0])
+    m = (u * values[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    if floor is not None:
+        m = floor + m
+    m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+    for eigs in np.linalg.eigvalsh(m):
+        spectrum_from_values(eigs, dims)
+    return [DensityMatrix(dims=dims, matrix=x) for x in m]
+
+
 def test_acceptance_04_witness_separation(capsys):
     rng = np.random.default_rng(4)
     ok = True
     for d_a, d_b in [(2, 3), (2, 4)]:
+        dims = bipartite_dims(d_a, d_b)
         big_d = d_a * d_b
         rho = make_rho_tilde(d_a, d_b)
         s = spectrum(rho)
@@ -133,11 +162,15 @@ def test_acceptance_04_witness_separation(capsys):
         ok = ok and value < -1e-6
         if (d_a, d_b) == (2, 3):
             ok = ok and abs(value + 0.0197) <= 1e-4
-        for i in range(10_000):
-            ok = ok and evaluate(w, region_a_sample(rng, d_a, d_b, 400_000 + i)) >= -1e-9
-            ok = ok and evaluate(w, region_b_sample(rng, d_a, d_b, 800_000 + i)) >= -1e-9
-            if not ok:
-                break
+        # sample i draws region A's weights, then region B's spectrum
+        draws = [(region_a_weights(rng, big_d), region_b_values(rng, big_d))
+                 for _ in range(10_000)]
+        weights, values = (np.array(v) for v in zip(*draws))
+        region_a = _rotated_states(dims, weights, range(400_000, 410_000),
+                                   np.eye(big_d) / (big_d + 2))
+        region_b = _rotated_states(dims, values, range(800_000, 810_000))
+        for rho in region_a + region_b:
+            ok = ok and evaluate(w, rho) >= -1e-9
     _finish(capsys, 4,
             "ratio-detected state separated from both guaranteed-separable regions", ok)
 

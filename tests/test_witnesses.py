@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsep import density_matrix, make_named_state, maximally_mixed, spectrum
+from specsep import density_matrix, make_named_state, maximally_mixed, spectrum, witnesses
 from specsep.states import bipartite_dims, make_rho_tilde
 from specsep.witnesses import (
     Witness,
+    _least_eigenprojector,
     evaluate,
     make_decomposable_witness,
     make_ppt_witness,
@@ -222,6 +224,130 @@ def test_batched_seesaw_matches_one_start_loop(d_a, d_b, k, iters, seed):
             assert abs(ref_history[i - 1] - ref_history[i] - 1e-12) <= 1e-13
         assert abs(best[r] - ref_best) <= 1e-12
         assert np.all(np.diff(column[:run]) <= 1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_seesaw_refuses_non_finite_starts(dims, bad):
+    w = make_ppt_witness(bipartite_dims(*dims))
+    starts = np.ones((4, dims[1]), dtype=complex)
+    starts[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="start row 2 is not finite"):
+            seesaw_minimize(w, starts, 10)
+
+
+_EPS = np.finfo(float).eps
+
+
+# entries below 1e-200 read as 0, so that every scaled entry stays a normal
+# double: subnormals carry absolute, not relative, precision (their scaling is
+# tested on whole witnesses below)
+_ENTRY = st.floats(-1, 1).map(lambda x: x if abs(x) >= 1e-200 else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(*[_ENTRY] * 4), min_size=1, max_size=8),
+       exponent=st.integers(-300, 300))
+def test_closed_form_qubit_eigenpair_matches_eigh(rows, exponent):
+    # (a, c, Re b, Im b) per row, with b = M[1, 0]; the upper triangle holds
+    # junk, which neither eigh nor the closed form reads
+    a, c, re, im = (np.ldexp(np.array(col), exponent) for col in zip(*rows))
+    m = np.stack([a, np.full_like(a, 7.0) - 3j, re + 1j * im, c + 0j], axis=1)
+    vals, proj = _least_eigenprojector(m, 2)
+    ref_vals, ref_vecs = np.linalg.eigh(m.reshape(-1, 2, 2))
+    scale = np.abs(m[:, [0, 2, 3]]).max(axis=1)
+    gap = ref_vals[:, 1] - ref_vals[:, 0]
+    # eigh errs by up to about 6 eps max|M| in the eigenvalue (seen with
+    # |b| << |a - c|) and 12 eps max|M| / gap in the eigenvector, so the closed
+    # form is held to an extended-precision evaluation of the same formula
+    # and to eigh within eigh's own error
+    la, lc, lre, lim = (x.astype(np.longdouble) for x in (a, c, re, im))
+    half = (la - lc) / 2
+    r = np.sqrt(half ** 2 + lre ** 2 + lim ** 2)
+    div = np.where(r == 0, 1, r)
+    h = np.where(r == 0, -1, half / div)
+    exact = np.stack([1 - h, (-lre + 1j * lim) / div, (-lre - 1j * lim) / div, 1 + h], axis=1) / 2
+    assert np.all(np.abs(vals - ((la + lc) / 2 - r)) <= 4 * _EPS * scale)
+    assert np.all(np.abs(proj - exact) <= 4 * _EPS)
+    assert np.all(np.abs(vals - ref_vals[:, 0]) <= 8 * _EPS * scale)
+    v = ref_vecs[:, :, 0]
+    ref_proj = (v[:, :, None] * v.conj()[:, None, :]).reshape(-1, 4)
+    gapped = gap > 1e-6 * scale
+    tol = 1e-13 + 32 * _EPS * scale[gapped] / gap[gapped]
+    assert np.all(np.abs(proj[gapped] - ref_proj[gapped]).max(axis=1) <= tol)
+    p = proj.reshape(-1, 2, 2)
+    assert np.allclose(p, p.conj().transpose(0, 2, 1), rtol=0, atol=1e-15)
+    assert np.allclose(np.trace(p, axis1=1, axis2=2), 1, rtol=0, atol=1e-15)
+    assert np.allclose(p @ p, p, rtol=0, atol=1e-14)
+    scalar = (a == c) & (re == 0) & (im == 0)
+    assert np.all(proj[scalar] == [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-310, 1e-300, 1e300])
+def test_closed_form_scalar_matrix_gives_first_basis_projector(scale):
+    # rows: scale I, -scale I with junk above the diagonal, and 0
+    m = np.array([[scale, 0, 0, scale], [-scale, 5, 0, -scale], [0, 0, 0, 0]], dtype=complex)
+    vals, proj = _least_eigenprojector(m, 2)
+    assert np.array_equal(vals, [scale, -scale, 0])
+    assert np.array_equal(proj, np.tile([1, 0, 0, 0], (3, 1)))
+    assert np.array_equal(np.linalg.eigh(m.reshape(-1, 2, 2))[1][:, :, 0], np.tile([1, 0], (3, 1)))
+
+
+def _rotated_diagonal_witness(dims, rng):
+    """(U x V) diag(w) (U x V)^dagger with w[0, j] < w[1, j] for every j and
+    minimum w[0, 0] = -1: from any start the see-saw reaches the minimum at
+    its first iteration."""
+    d_a, d_b = dims
+    w = np.array([[-1.0, 0.25, 0.5, 0.125][:d_b], [0.0, 1.0, 0.75, 0.5][:d_b]])
+    local = np.kron(haar_unitary(d_a, int(rng.integers(1000))),
+                    haar_unitary(d_b, int(rng.integers(1000))))
+    return make_witness((local * w.ravel()) @ local.conj().T, bipartite_dims(*dims))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("scale", [1e-300, 1e300, 1e-310])
+def test_seesaw_scales_with_the_witness(rng, dims, scale):
+    w = _rotated_diagonal_witness(dims, rng)
+    generic = make_separating_witness(2, 3) if dims == (2, 3) else make_ppt_witness(
+        bipartite_dims(2, 2))
+    starts = rng.normal(size=(16, dims[1])) + 1j * rng.normal(size=(16, dims[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unscaled = min_product_expectation(w, restarts=8, iters=20, seed=1)
+        scaled = min_product_expectation(make_witness(w.matrix * scale, w.dims),
+                                         restarts=8, iters=20, seed=1)
+        _, first = seesaw_minimize(generic, starts, 1)
+        _, first_scaled = seesaw_minimize(make_witness(generic.matrix * scale, generic.dims),
+                                          starts, 1)
+    assert unscaled == pytest.approx(-1, abs=1e-12)
+    assert scaled == pytest.approx(unscaled * scale, rel=1e-9)
+    assert np.allclose(first_scaled, first * scale, rtol=0, atol=1e-9 * scale)
+
+
+def test_qubit_sides_call_no_eigh(monkeypatch, rng):
+    calls, runs = [], []
+    eigh, seesaw = np.linalg.eigh, witnesses.seesaw_minimize
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    def recording_seesaw(*args, **kwargs):
+        best, history = seesaw(*args, **kwargs)
+        runs.append(len(history))
+        return best, history
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(witnesses, "seesaw_minimize", recording_seesaw)
+    for dims, per_iteration in [((2, 2), 0), ((2, 3), 1), ((3, 2), 1), ((3, 3), 2)]:
+        w = make_decomposable_witness(rand_state(rng, dims))
+        calls.clear()
+        runs.clear()
+        min_product_expectation(w, restarts=8, iters=30, seed=2)
+        assert runs[0] > 1
+        assert len(calls) == per_iteration * runs[0]
 
 
 def test_seesaw_refuses_non_integer_counts():
