@@ -32,6 +32,9 @@ from .states import (
 
 SUBPOVM_TOL = 1e-10
 UNITALITY_TOL = 1e-9
+# Least divisor of phi_1 and phi_2 when R(rho) leaves room: a divisor x near 0
+# amplifies sigma's rounding by about 1/x, past what validation admits
+DIVISOR_FLOOR = 1e-3
 
 
 class SubPovmViolation(ValueError):
@@ -81,8 +84,9 @@ def make_map(dims, branches):
         e = hermitian_part(effect, dims, SubPovmViolation)
         if float(np.linalg.eigvalsh(e).min()) < -PSD_TOL:
             raise SubPovmViolation("effect has a negative eigenvalue")
-        if output.dims.total != big_d:
-            raise SubPovmViolation("output state dimension mismatch")
+        if output.dims != dims:
+            raise SubPovmViolation("output dims %r differ from map dims %r"
+                                   % (output.dims.locals, dims.locals))
         checked.append((e, output))
     total = sum(e for e, _ in checked)
     if float(np.linalg.eigvalsh(total).max()) > 1.0 + SUBPOVM_TOL:
@@ -107,7 +111,7 @@ def apply_to_operator(m, x):
 
 def apply_map(m, rho):
     """Apply to a state: returns (unnormalized output, success probability)."""
-    if m.dims.total != rho.dims.total:
+    if m.dims != rho.dims:
         raise ValueError("map dims %r do not match state dims %r"
                          % (m.dims.locals, rho.dims.locals))
     out = apply_to_operator(m, rho.matrix)
@@ -145,11 +149,13 @@ def construct_transformation(rho, sigma, c_choice=None):
     singular state has R = inf.  One construction covers every feasible
     pair: alpha = D lambda_max(sigma), beta = 1 / (D lambda_min(sigma)), or
     beta = inf for a singular sigma, in which case phi_1 is sigma itself.
-    A singular rho takes beta = inf and alpha at least 2.  A maximally
-    mixed target yields the depolarizing channel.  Returns (map, plan).
+    A singular rho takes beta = inf and alpha at least 2.  Where R(rho) leaves
+    room, neither divisor alpha - 1 nor 1 - 1/beta is left below DIVISOR_FLOOR.
+    A maximally mixed target yields the depolarizing channel.  Returns (map, plan).
     """
-    if rho.dims.total != sigma.dims.total:
-        raise ValueError("input and target dimensions differ")
+    if rho.dims != sigma.dims:
+        raise ValueError("input dims %r and target dims %r differ"
+                         % (rho.dims.locals, sigma.dims.locals))
     big_d = rho.dims.total
     eye = np.eye(big_d, dtype=complex)
 
@@ -173,6 +179,9 @@ def construct_transformation(rho, sigma, c_choice=None):
         # beta: beta = inf makes phi_1 = sigma, and alpha - 1 >= 1 keeps the
         # division in phi_2 from amplifying sigma's rounding near I / D
         alpha, beta = max(alpha, 2.0), math.inf
+    floored = max(alpha, 1.0 + DIVISOR_FLOOR), max(beta, 1.0 / (1.0 - DIVISOR_FLOOR))
+    if floored[0] * floored[1] <= spectral_ratio(rho_spec):
+        alpha, beta = floored
     # sigma = (1 - 1/beta) phi_1 + (1/beta) identity / D; at beta = inf the
     # division below is exact, so phi_1 is sigma and is not validated again
     phi1 = sigma if math.isinf(beta) else density_matrix(

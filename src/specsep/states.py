@@ -2,8 +2,10 @@
 
 Everything downstream (criteria, witnesses, channels, oracles) consumes the
 two value types defined here: ``DensityMatrix`` for explicit matrices and
-``Spectrum`` for eigenvalue lists.  All constructors validate their
-invariants; all operations are pure functions over immutable values.
+``Spectrum`` for eigenvalue lists, built only by ``density_matrix`` and
+``spectrum_from_values``, which validate them.  A ``DensityMatrix`` keeps the
+``Spectrum`` it was validated with.  All operations are pure functions over
+immutable values.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import numpy as np
 
 # Validation tolerances.  Each state invariant is checked once, when a value
 # enters the library: shape, finiteness and Hermiticity in ``hermitian_part``,
-# PSD and trace in ``spectrum_from_values``.  Eigenvalues in [-PSD_TOL, 0)
-# are numerical noise and clamped to zero; anything more negative is a
-# genuine invariant violation.  EIG_CLAMP only marks a state as singular
-# (smallest eigenvalue at or below it).
+# PSD and trace in ``spectrum_from_values``, whose result a DensityMatrix keeps.
+# Eigenvalues in [-PSD_TOL, 0) are numerical noise and clamped to zero; anything
+# more negative is a genuine invariant violation.  EIG_CLAMP only marks a state
+# as singular (smallest eigenvalue at or below it).
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -75,17 +77,6 @@ def bipartite_dims(d_a, d_b):
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with dimension metadata."""
-
-    dims: Dims
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Descending-sorted eigenvalue list of a state."""
 
@@ -94,6 +85,19 @@ class Spectrum:
 
     def __post_init__(self):
         self.values.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, PSD, unit-trace matrix with dimension metadata and the
+    spectrum it was validated with; built by ``density_matrix`` only."""
+
+    dims: Dims
+    matrix: np.ndarray
+    spectrum: Spectrum
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
 
 
 def hermitian_part(m, dims, error, tol_scale=1.0):
@@ -126,14 +130,8 @@ def density_matrix(matrix, dims, tol_scale=1.0):
     """
     dims = as_dims(dims)
     m = hermitian_part(matrix, dims, InvalidStateError, tol_scale)
-    spectrum_from_values(np.linalg.eigvalsh(m), dims, tol_scale)
-    return DensityMatrix(dims=dims, matrix=m)
-
-
-def _clamped_spectrum(values, dims):
-    v = np.sort(values)[::-1].copy()
-    v[v < 0.0] = 0.0
-    return Spectrum(values=v, dims=dims)
+    s = spectrum_from_values(np.linalg.eigvalsh(m), dims, tol_scale)
+    return DensityMatrix(dims=dims, matrix=m, spectrum=s)
 
 
 def spectrum_from_values(values, dims, tol_scale=1.0):
@@ -157,13 +155,15 @@ def spectrum_from_values(values, dims, tol_scale=1.0):
                                 % (v.min(), PSD_TOL * tol_scale))
     if abs(v.sum() - 1.0) > TRACE_TOL * tol_scale:
         raise InvalidStateError("trace is %.17g, expected 1" % v.sum())
-    return _clamped_spectrum(v, dims)
+    v = np.sort(v)[::-1].copy()
+    v[v < 0.0] = 0.0
+    return Spectrum(values=v, dims=dims)
 
 
 def spectrum(rho):
     """Eigenvalues of a validated state, descending, with the noise
-    negatives clamped to zero.  Nothing is checked again."""
-    return _clamped_spectrum(np.linalg.eigvalsh(rho.matrix), rho.dims)
+    negatives clamped to zero: the spectrum ``density_matrix`` stored."""
+    return rho.spectrum
 
 
 def is_singular(s):
@@ -205,26 +205,18 @@ def partial_transpose(rho):
     return np.ascontiguousarray(t.reshape(d_a * d_b, d_a * d_b))
 
 
-def _basis_ket(index, dim):
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def max_entangled_ket(d_a, d_b):
     """|Phi+> over the smaller dimension, embedded in the leading basis
-    vectors of each side."""
+    vectors of each side: |i>|i> sits at index i (d_b + 1)."""
     d = min(d_a, d_b)
     psi = np.zeros(d_a * d_b, dtype=complex)
-    for i in range(d):
-        psi += np.kron(_basis_ket(i, d_a), _basis_ket(i, d_b))
+    psi[np.arange(d) * (d_b + 1)] = 1.0
     return psi / math.sqrt(d)
 
 
 def maximally_mixed(dims):
     dims = as_dims(dims)
-    d = dims.total
-    return DensityMatrix(dims=dims, matrix=np.eye(d, dtype=complex) / d)
+    return density_matrix(np.eye(dims.total, dtype=complex) / dims.total, dims)
 
 
 def make_named_state(name, d_a=2, d_b=2, t=None):
@@ -250,8 +242,7 @@ def make_named_state(name, d_a=2, d_b=2, t=None):
 
     if name == "werner":
         # Half singlet plus identity/8: full rank and NPT.
-        psi = (np.kron(_basis_ket(0, 2), _basis_ket(1, 2))
-               - np.kron(_basis_ket(1, 2), _basis_ket(0, 2))) / math.sqrt(2)
+        psi = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
         m = 0.5 * np.outer(psi, psi.conj()) + np.eye(4, dtype=complex) / 8
         return density_matrix(m, bipartite_dims(2, 2))
 
@@ -282,9 +273,7 @@ def make_omega_t(d_a, d_b, t):
     if not (0 <= t < d):
         raise ValueError("omega_t requires 0 <= t < d = %d, got t = %r" % (d, t))
     big_d = dims.total
-    psi = max_entangled_ket(d_a, d_b)
-    proj = DensityMatrix(dims=dims, matrix=np.outer(psi, psi.conj()))
-    w = partial_transpose(proj)
+    w = partial_transpose(make_named_state("phi_plus", d_a, d_b))
     m = (np.eye(big_d, dtype=complex) - t * w) / (big_d - t)
     return density_matrix(m, dims)
 
@@ -316,8 +305,7 @@ def rho_tilde_projector(d_a, d_b):
 
 def tensor_product(a, b):
     """Kronecker product with concatenated dimension metadata."""
-    dims = Dims(a.dims.locals + b.dims.locals)
-    return DensityMatrix(dims=dims, matrix=np.kron(a.matrix, b.matrix))
+    return density_matrix(np.kron(a.matrix, b.matrix), Dims(a.dims.locals + b.dims.locals))
 
 
 def attach_mixed_ancilla(rho, d_bprime):
@@ -331,7 +319,7 @@ def attach_mixed_ancilla(rho, d_bprime):
     if d_bprime == 1:
         return rho
     m = np.kron(rho.matrix, np.eye(d_bprime, dtype=complex) / d_bprime)
-    return DensityMatrix(dims=Dims((d_a, d_b * d_bprime)), matrix=m)
+    return density_matrix(m, Dims((d_a, d_b * d_bprime)))
 
 
 def gibbs_spectrum(energies, temperature, k_b=1.0, locals=None):

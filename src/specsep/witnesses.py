@@ -10,11 +10,10 @@ import numpy as np
 
 from .states import (
     Dims,
-    DensityMatrix,
     as_dims,
     bipartite_dims,
     hermitian_part,
-    max_entangled_ket,
+    make_named_state,
     partial_transpose,
     rho_tilde_projector,
 )
@@ -67,9 +66,7 @@ def make_ppt_witness(dims):
     """
     dims = as_dims(dims)
     d_a, d_b = dims.bipartite()
-    psi = max_entangled_ket(d_a, d_b)
-    proj = DensityMatrix(dims=dims, matrix=np.outer(psi, psi.conj()))
-    return make_witness(partial_transpose(proj), dims)
+    return make_witness(partial_transpose(make_named_state("phi_plus", d_a, d_b)), dims)
 
 
 def separating_witness_condition(d_a, d_b):

@@ -142,9 +142,8 @@ def _rotated_states(dims, values, seeds, floor=None):
     if floor is not None:
         m = floor + m
     m = 0.5 * (m + m.conj().transpose(0, 2, 1))
-    for eigs in np.linalg.eigvalsh(m):
-        spectrum_from_values(eigs, dims)
-    return [DensityMatrix(dims=dims, matrix=x) for x in m]
+    return [DensityMatrix(dims=dims, matrix=x, spectrum=spectrum_from_values(eigs, dims))
+            for x, eigs in zip(m, np.linalg.eigvalsh(m))]
 
 
 def test_acceptance_04_witness_separation(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from specsep import density_matrix, make_named_state, maximally_mixed, spectral_ratio, spectrum
 from specsep.channels import (
+    DIVISOR_FLOOR,
     InputIsCAS,
     NotUnital,
     RatioTooSmall,
@@ -92,6 +93,18 @@ def test_unitality_on_maximally_mixed(rng):
 def test_apply_map_dim_mismatch():
     with pytest.raises(ValueError):
         apply_map(make_sec_c_example(), maximally_mixed(bipartite_dims(2, 3)))
+    depol = make_map(bipartite_dims(2, 3), [(np.eye(6), maximally_mixed(bipartite_dims(2, 3)))])
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 2\)"):
+        apply_map(depol, maximally_mixed(bipartite_dims(3, 2)))
+
+
+def test_transposed_local_dims_are_refused():
+    rho = make_named_state("phi_plus", 2, 3)
+    sigma = density_matrix(make_rho_tilde(2, 3).matrix, bipartite_dims(3, 2))
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 2\)"):
+        construct_transformation(rho, sigma)
+    with pytest.raises(SubPovmViolation, match=r"\(3, 2\).*\(2, 3\)"):
+        make_map(rho.dims, [(np.eye(6), maximally_mixed(sigma.dims))])
 
 
 # --- transformation synthesis ---------------------------------------------
@@ -197,6 +210,21 @@ def test_singular_input_reaches_targets_near_maximally_mixed(delta):
         instrument, residual = _transform_residual(seed, sigma)
         make_map(instrument.dims, instrument.branches)
         assert residual <= 1e-9
+
+
+@pytest.mark.parametrize("delta", [1e-12, 3e-12, 1e-9, 1e-7, 1e-6, 1e-5])
+def test_full_rank_input_reaches_targets_near_maximally_mixed(delta):
+    # werner has R = 5, room to raise alpha and beta to 1 + DIVISOR_FLOOR and
+    # 1/(1 - DIVISOR_FLOOR), which puts P at (5/8)/(1 + DIVISOR_FLOOR); sigma
+    # within 1e-12 of I / D takes the depolarizing channel (P = 1)
+    werner = make_named_state("werner")
+    vals = 0.25 + delta * np.array([1.5, -0.5, -0.5, -0.5])
+    for s in range(20):
+        sigma = _rotated(vals, (2, 2), s)
+        instrument, residual = _transform_residual(werner, sigma)
+        assert residual <= 1e-12
+        prob = apply_map(instrument, werner)[1]
+        assert any(prob == pytest.approx(p, abs=1e-12) for p in (1.0, 0.625 / (1 + DIVISOR_FLOOR)))
 
 
 @st.composite

@@ -467,3 +467,31 @@ def test_self_transform_of_near_singular_state(tmp_path):
             verification = _strict_json(report)["verification"]
             assert verification["ratio_monotone"] is True
             assert verification["output_residual"] < 1e-9
+
+
+def test_transform_refuses_transposed_local_dims(tmp_path, capsys):
+    phi = _write(tmp_path, "phi.json", make_named_state("phi_plus", 2, 3))
+    relabelled = _write(tmp_path, "rt32.json", density_matrix(make_rho_tilde(2, 3).matrix, (3, 2)))
+    assert main(["transform", phi, relabelled, "--output", str(tmp_path / "t.json")]) == EXIT_INVALID
+    assert "(2, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_eigensolver_call_budget(tmp_path, monkeypatch):
+    # each state file is eigendecomposed once, by its validation; transform
+    # adds one eigvalsh per branch state, three in make_map (one per effect
+    # and one for their sum) and one in the ratio-monotone oracle, and one
+    # eigh for rho's eigenvectors
+    werner = _write(tmp_path, "werner.json", make_named_state("werner"))
+    omega = _write(tmp_path, "om.json", make_omega_t(2, 2, 1.2))
+    calls = {}
+    for name in ("eigvalsh", "eigh"):
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for argv, eigvalsh, eigh in ((["classify", werner], 1, 0),
+                                 (["transform", werner, omega], 8, 1)):
+        calls.update(eigvalsh=0, eigh=0)
+        assert main(argv + ["--output", str(tmp_path / "r.json")]) == EXIT_OK
+        assert calls == {"eigvalsh": eigvalsh, "eigh": eigh}

@@ -85,7 +85,7 @@ def test_falsify_not_found_minimum_matches_plain_loop(local, seed, n, data):
     assert result.unitary_seed is None and result.unitary_index is None
     loop_min = math.inf
     for u in haar_unitaries(big_d, seed, n):
-        rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T)
+        rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T, spectrum=s)
         loop_min = min(loop_min, float(np.linalg.eigvalsh(partial_transpose(rho)).min()))
     assert result.min_pt_eigenvalue == pytest.approx(loop_min, abs=1e-12)
 
@@ -95,7 +95,7 @@ def _unscreened_search(s, dims, samples, seed):
     that eigendecomposes every sample in order, with no screen."""
     low = math.inf
     for i, u in enumerate(haar_unitaries(dims.total, seed, samples)):
-        rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T)
+        rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T, spectrum=s)
         m = float(np.linalg.eigvalsh(partial_transpose(rho)).min())
         if m < -1e-9:
             return True, i, i + 1, m

@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsep import (
     Dims,
@@ -19,8 +22,10 @@ from specsep import (
     spectrum_from_values,
     tensor_product,
 )
+from specsep.channels import construct_transformation
+from specsep.fileio import load_state, save_state
 from specsep.states import is_singular, make_omega_t, make_rho_tilde, ratio_at_least
-from specsep.oracles import haar_unitary
+from specsep.oracles import haar_unitaries, haar_unitary
 
 from conftest import rand_state
 
@@ -262,3 +267,43 @@ def test_spectrum_does_not_validate_again():
 def test_validation_rejects_wrong_shapes(shape):
     with pytest.raises(InvalidStateError, match="does not match dims"):
         density_matrix(np.zeros(shape), (2, 2))
+
+
+def _constructed(case, d_a, d_b, rng):
+    """States built by one constructor from rng draws at dims d_a x d_b."""
+    dims = bipartite_dims(d_a, d_b)
+    if case == "named":
+        out = [make_named_state(name, d_a, d_b) for name in ("maximally_mixed", "phi_plus")]
+        out.append(make_named_state("omega_t", d_a, d_b, t=rng.uniform(0, min(d_a, d_b))))
+        if d_a < d_b:
+            out.append(make_named_state("rho_tilde", d_a, d_b))
+        if (d_a, d_b) == (2, 2):
+            out += [make_named_state("seed_state"), make_named_state("werner")]
+        return out
+    if case == "tensor_product":
+        return [tensor_product(rand_state(rng, (d_a,)), rand_state(rng, (d_b,)))]
+    if case == "attach_mixed_ancilla":
+        return [attach_mixed_ancilla(rand_state(rng, (d_a, d_b)), int(rng.integers(2, 4)))]
+    if case == "load_state":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.json"
+            save_state(path, rand_state(rng, (d_a, d_b)))
+            return [load_state(path)]
+    # the branch outputs of a transformation onto a rotation of rho
+    rho = rand_state(rng, (d_a, d_b))
+    u = haar_unitaries(dims.total, int(rng.integers(0, 2**31)), 1)[0]
+    sigma = density_matrix(u @ rho.matrix @ u.conj().T, dims)
+    instrument, _ = construct_transformation(rho, sigma)
+    return [output for _, output in instrument.branches]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(["named", "tensor_product", "attach_mixed_ancilla",
+                             "load_state", "transform"]),
+       d_a=st.integers(2, 4), d_b=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_stored_spectrum_is_the_clamped_eigvalsh(case, d_a, d_b, seed):
+    for rho in _constructed(case, d_a, d_b, np.random.default_rng(seed)):
+        v = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1].copy()
+        v[v < 0.0] = 0.0
+        assert spectrum(rho).values.tobytes() == v.tobytes()
+        assert spectrum(rho).dims == rho.dims
