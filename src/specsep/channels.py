@@ -208,7 +208,7 @@ def construct_transformation(rho, sigma, c_choice=None):
     return instrument, TransformPlan(alpha=alpha, beta=beta, k=k, c=c, theta=theta)
 
 
-def entangle_from(rho, c_choice=None):
+def entangle_from(rho):
     """Instrument extracting entanglement from a non-CAS bipartite state.
 
     Targets the identity-depleted family at t = d (R-1)/(R+1) (any interior
@@ -225,7 +225,7 @@ def entangle_from(rho, c_choice=None):
                          % (ratio, cas.computed["threshold"]))
     t = d * (ratio - 1.0) / (ratio + 1.0) if math.isfinite(ratio) else (1.0 + d) / 2.0
     target = make_omega_t(d_a, d_b, t)
-    instrument, _ = construct_transformation(rho, target, c_choice=c_choice)
+    instrument, _ = construct_transformation(rho, target)
     return instrument, target
 
 

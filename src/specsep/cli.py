@@ -208,8 +208,9 @@ def cmd_witness(args):
         w = witnesses.make_ppt_witness(dims)
     else:
         w = witnesses.make_separating_witness(args.d_a, args.d_b)
+    norm = witnesses.trace_norm(w)
     print("%s witness on %dx%d: trace=%.12g trace_norm=%.12g"
-          % (args.kind, args.d_a, args.d_b, w.trace, witnesses.trace_norm(w)))
+          % (args.kind, args.d_a, args.d_b, w.trace, norm))
     value = None
     if args.evaluate:
         rho = fileio.load_state(args.evaluate, tol_scale=_tol_scale(args))
@@ -223,7 +224,7 @@ def cmd_witness(args):
             "kind": args.kind,
             "dims": list(dims.locals),
             "matrix": fileio.matrix_to_payload(w.matrix),
-            "trace_norm": witnesses.trace_norm(w),
+            "trace_norm": norm,
         }
         if value is not None:
             payload["expectation"] = value

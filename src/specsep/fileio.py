@@ -85,11 +85,14 @@ def _reject_constant(name):
     raise ValueError("non-finite number %s" % name)
 
 
-def _number(x):
-    """A JSON number as a float; strings, booleans and containers are refused."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise TypeError("%r is not a number" % (x,))
-    return float(x)
+def _json_numbers(data, ndim):
+    """``data`` as an ndim-dimensional float array.  Raises TypeError unless every
+    entry is a JSON number (bool is its own type, so true/false fail with null,
+    strings and containers) and OverflowError on an int too large for a float."""
+    a = np.array(data, dtype=object)
+    if a.ndim != ndim or not set(map(type, a.flat)) <= {int, float}:
+        raise TypeError("entries are not all numbers")
+    return a.astype(float)
 
 
 def load_state(path, tol_scale=1.0):
@@ -111,18 +114,15 @@ def load_state(path, tol_scale=1.0):
     if has_matrix == has_spectrum:
         raise InvalidStateError("state file must contain exactly one of matrix/spectrum")
     if has_matrix:
-        # bool is its own type, so true/false fail the type test with null,
-        # strings and containers
         try:
-            a = np.array(payload["matrix"], dtype=object)
-            if a.ndim != 3 or a.shape[2] != 2 or not set(map(type, a.flat)) <= {int, float}:
+            a = _json_numbers(payload["matrix"], 3)
+            if a.shape[2] != 2:
                 raise TypeError
-            m = a.astype(float).view(complex)[..., 0]
         except (TypeError, ValueError, OverflowError):
             raise InvalidStateError("matrix entries must be (re, im) pairs of numbers")
-        return density_matrix(m, dims, tol_scale=tol_scale)
+        return density_matrix(a.view(complex)[..., 0], dims, tol_scale=tol_scale)
     try:
-        vals = [_number(v) for v in payload["spectrum"]]
+        vals = _json_numbers(payload["spectrum"], 1)
     except (TypeError, ValueError, OverflowError):
         raise InvalidStateError("spectrum entries must be real numbers")
     return spectrum_from_values(vals, dims, tol_scale=tol_scale)

@@ -58,10 +58,6 @@ class Dims:
             raise ValueError("operation requires bipartite dims, got %r" % (self.locals,))
         return self.locals
 
-    @property
-    def min_local(self):
-        return min(self.locals)
-
 
 def as_dims(dims):
     """``dims`` itself if it is a Dims, else Dims over the sequence of local
@@ -214,6 +210,18 @@ def max_entangled_ket(d_a, d_b):
     return psi / math.sqrt(d)
 
 
+def phi_plus_pt(d_a, d_b):
+    """Partial transpose of |Phi+><Phi+| over ``max_entangled_ket``: |ij><ji| / d
+    for i, j < d = min(d_a, d_b).  Each entry is amp * amp with amp = 1/sqrt(d),
+    as ``np.outer`` forms it from the ket, so the result is bit-identical."""
+    d = min(d_a, d_b)
+    amp = 1.0 / math.sqrt(d)
+    i, j = np.divmod(np.arange(d * d), d)
+    m = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    m[i * d_b + j, j * d_b + i] = amp * amp
+    return m
+
+
 def maximally_mixed(dims):
     dims = as_dims(dims)
     return density_matrix(np.eye(dims.total, dtype=complex) / dims.total, dims)
@@ -269,49 +277,44 @@ def make_omega_t(d_a, d_b, t):
     d the smaller local dimension.  Requires 0 <= t < d.
     """
     dims = bipartite_dims(d_a, d_b)
-    d = dims.min_local
+    d = min(d_a, d_b)
     if not (0 <= t < d):
         raise ValueError("omega_t requires 0 <= t < d = %d, got t = %r" % (d, t))
     big_d = dims.total
-    w = partial_transpose(make_named_state("phi_plus", d_a, d_b))
-    m = (np.eye(big_d, dtype=complex) - t * w) / (big_d - t)
+    m = (np.eye(big_d, dtype=complex) - t * phi_plus_pt(d_a, d_b)) / (big_d - t)
     return density_matrix(m, dims)
+
+
+def rho_tilde_blocks(d_a, d_b):
+    """The two levels of rho_tilde as (p, q, ratio): the first p = floor(D/2)
+    basis states carry the lower eigenvalue, the last q = ceil(D/2) that value
+    times ratio = (d_a + 1)/(d_a - 1).  Requires 2 <= d_a < d_b."""
+    if not (2 <= d_a < d_b):
+        raise ValueError("rho_tilde requires 2 <= d_a < d_b")
+    big_d = d_a * d_b
+    return big_d // 2, big_d - big_d // 2, (d_a + 1) / (d_a - 1)
 
 
 def make_rho_tilde(d_a, d_b):
     """Two-level diagonal state sitting exactly on the ratio threshold
     (d_a + 1)/(d_a - 1), built for unequal local dimensions 2 <= d_a < d_b."""
-    if not (2 <= d_a < d_b):
-        raise ValueError("rho_tilde requires 2 <= d_a < d_b")
-    dims = bipartite_dims(d_a, d_b)
-    big_d = dims.total
-    ratio = (d_a + 1) / (d_a - 1)
-    p = big_d // 2
-    q = big_d - p  # ceil(D/2)
+    p, q, ratio = rho_tilde_blocks(d_a, d_b)
     ell = 1.0 / (p + q * ratio)
     diag = np.concatenate([np.full(p, ell), np.full(q, ratio * ell)])
-    return density_matrix(np.diag(diag).astype(complex), dims)
-
-
-def rho_tilde_projector(d_a, d_b):
-    """Projector onto the low-eigenvalue block of rho_tilde (first
-    floor(D/2) computational basis states)."""
-    big_d = d_a * d_b
-    p = big_d // 2
-    proj = np.zeros((big_d, big_d), dtype=complex)
-    proj[:p, :p] = np.eye(p)
-    return proj
+    return density_matrix(np.diag(diag).astype(complex), bipartite_dims(d_a, d_b))
 
 
 def tensor_product(a, b):
-    """Kronecker product with concatenated dimension metadata."""
+    """Kronecker product with concatenated dimension metadata, validated at
+    the default tolerances (not at an input's ``tol_scale``)."""
     return density_matrix(np.kron(a.matrix, b.matrix), Dims(a.dims.locals + b.dims.locals))
 
 
 def attach_mixed_ancilla(rho, d_bprime):
     """rho tensor (identity / d_B') with bipartition A : BB'.
 
-    Leaves the spectral ratio unchanged; divides purity by d_B'.
+    Leaves the spectral ratio unchanged; divides purity by d_B'.  The result
+    is validated at the default tolerances (not at an input's ``tol_scale``).
     """
     if d_bprime < 1:
         raise ValueError("ancilla dimension must be >= 1")

@@ -13,9 +13,9 @@ from .states import (
     as_dims,
     bipartite_dims,
     hermitian_part,
-    make_named_state,
     partial_transpose,
-    rho_tilde_projector,
+    phi_plus_pt,
+    rho_tilde_blocks,
 )
 
 SEESAW_CONVERGENCE = 1e-12
@@ -64,19 +64,16 @@ def make_ppt_witness(dims):
     Trace 1, spectrum in [-1/d, 1/d], block positive; detects every NPT
     state that a maximally-entangled-fidelity test can see.
     """
-    dims = as_dims(dims)
-    d_a, d_b = dims.bipartite()
-    return make_witness(partial_transpose(make_named_state("phi_plus", d_a, d_b)), dims)
+    dims = bipartite_dims(*as_dims(dims).bipartite())
+    return make_witness(phi_plus_pt(*dims.locals), dims)
 
 
 def separating_witness_condition(d_a, d_b):
     """Value pair (lhs, rhs) of the separation condition
     (R-1) sqrt((D-1) p q) > p + q R; the witness is strictly negative on
-    rho_tilde exactly when lhs > rhs."""
-    big_d = d_a * d_b
-    ratio = (d_a + 1) / (d_a - 1)
-    p = big_d // 2
-    q = big_d - p
+    rho_tilde exactly when lhs > rhs.  Requires 2 <= d_a < d_b."""
+    p, q, ratio = rho_tilde_blocks(d_a, d_b)
+    big_d = p + q
     lhs = (ratio - 1.0) * math.sqrt((big_d - 1) * p * q)
     rhs = p + q * ratio
     return lhs, rhs
@@ -90,17 +87,13 @@ def make_separating_witness(d_a, d_b):
     with rho_tilde's eigenbasis; nonnegative on both regions, strictly
     negative on rho_tilde whenever the separation condition holds.
     """
-    if not (2 <= d_a < d_b):
-        raise ValueError("separating witness requires 2 <= d_a < d_b")
-    dims = bipartite_dims(d_a, d_b)
-    big_d = dims.total
-    p = big_d // 2
-    q = big_d - p
-    proj = rho_tilde_projector(d_a, d_b)
-    z = proj / p - (np.eye(big_d) - proj) / q
+    p, q = rho_tilde_blocks(d_a, d_b)[:2]
+    big_d = p + q
+    # complex, so z / z_norm rounds as a product with 1 / z_norm: witness bytes rest on it
+    z = np.diag(np.concatenate([np.full(p, 1 / p), np.full(q, -1 / q)]).astype(complex))
     z_norm = math.sqrt(big_d / (p * q))  # Hilbert-Schmidt norm of z
     m = np.eye(big_d, dtype=complex) / big_d + math.sqrt((big_d - 1) / big_d) * z / z_norm
-    return make_witness(m, dims)
+    return make_witness(m, (d_a, d_b))
 
 
 def make_decomposable_witness(sigma):

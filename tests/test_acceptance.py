@@ -268,38 +268,21 @@ def test_acceptance_09_transformation_round_trip(capsys):
     _finish(capsys, 9, "1000 random ratio-ordered pairs transform exactly", ok)
 
 
-def _bloch_features(step_deg=1):
-    """Real coordinates (P00, P11, Re P01, Im P01) of every 1-degree grid
-    projector |a><a| with a = (cos(t/2), e^{i p} sin(t/2))."""
+def _bloch_kets(step_deg=1):
+    """Every 1-degree grid ket a = (cos(t/2), e^{i p} sin(t/2)), one per row."""
     theta = np.deg2rad(np.arange(0, 181, step_deg, dtype=float))
     phi = np.deg2rad(np.arange(0, 360, step_deg, dtype=float))
     t, p = np.meshgrid(theta, phi, indexing="ij")
-    c, s = np.cos(t / 2), np.sin(t / 2)
-    return np.stack([(c * c).ravel(), (s * s).ravel(),
-                     (c * s * np.cos(p)).ravel(), (-c * s * np.sin(p)).ravel()], axis=1)
+    return np.stack([np.cos(t / 2).ravel(), (np.exp(1j * p) * np.sin(t / 2)).ravel()], axis=1)
 
 
 def _grid_min_product_expectation(w):
-    """Exhaustive minimum of <a b|W|a b> over the two 1-degree Bloch grids,
-    via the bilinear form of W in the real projector coordinates."""
-    e = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
-    e[0][0, 0] = 1
-    e[1][1, 1] = 1
-    e[2][0, 1] = e[2][1, 0] = 1
-    e[3][0, 1] = 1j
-    e[3][1, 0] = -1j
-    k = np.empty((4, 4))
-    for m in range(4):
-        for n in range(4):
-            k[m, n] = np.trace(w.matrix @ np.kron(e[m], e[n])).real
-    f = _bloch_features()
-    left = f @ k
-    best = math.inf
-    tile = 1024  # 8 MB product blocks; full-width ones (133 MB) spill out of cache
-    for i in range(0, len(f), tile):
-        for j in range(0, len(f), tile):
-            best = min(best, float((left[i:i + tile] @ f[j:j + tile].T).min()))
-    return best
+    """Minimum of <a b|W|a b> over the 1-degree Bloch grid of a, exact over b:
+    the least eigenvalue of the contraction <a|W|a> on B, per grid ket a."""
+    a = _bloch_kets()
+    local = np.einsum("ki,ijmn,km->kjn", a.conj(), w.matrix.reshape(2, 2, 2, 2), a,
+                      optimize=True)
+    return float(np.linalg.eigvalsh(local).min())
 
 
 def test_acceptance_10_block_positivity_oracle(capsys):

@@ -419,8 +419,15 @@ def test_tol_override_must_be_finite_and_positive(tmp_path, capsys, scale):
     '{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],["0",0]],[[0,0],[0.5,0]]]}',
     '{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[0,0]],[[0,0],[0.5,[0]]]]}',
     '{"dims":{"locals":[1,2]},"matrix":[[[1%s,0],[0,0]],[[0,0],[0.5,0]]]}' % ("0" * 400),
+    '{"dims":{"locals":[2,2]},"spectrum":null}',
+    '{"dims":{"locals":[2,2]},"spectrum":[[0.25,0.25],[0.25,0.25]]}',
+    '{"dims":{"locals":[2,2]},"spectrum":[[0.25],0.25,0.25,0.25]}',
+    '{"dims":{"locals":[2,2]},"spectrum":0.25}',
+    '{"dims":{"locals":[1,2]},"spectrum":[1%s,0]}' % ("0" * 400),
 ], ids=["string-spectrum", "bool-spectrum", "bool-matrix", "one-bool-matrix",
-        "string-matrix", "nested-matrix", "overflowing-int-matrix"])
+        "string-matrix", "nested-matrix", "overflowing-int-matrix", "null-spectrum",
+        "nested-spectrum", "ragged-spectrum", "bare-number-spectrum",
+        "overflowing-int-spectrum"])
 def test_non_number_state_file_is_invalid(tmp_path, capsys, body):
     path = tmp_path / "bad.json"
     path.write_text(body)
@@ -490,8 +497,12 @@ def test_eigensolver_call_budget(tmp_path, monkeypatch):
             calls[_name] += 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    # witness computes its trace norm once; a built-in state is validated once
     for argv, eigvalsh, eigh in ((["classify", werner], 1, 0),
-                                 (["transform", werner, omega], 8, 1)):
+                                 (["transform", werner, omega], 8, 1),
+                                 (["witness", "ppt", "--d-a", "2", "--d-b", "3"], 1, 0),
+                                 (["construct", "omega_t", "--t", "1.2", "--d-a", "2",
+                                   "--d-b", "3"], 1, 0)):
         calls.update(eigvalsh=0, eigh=0)
         assert main(argv + ["--output", str(tmp_path / "r.json")]) == EXIT_OK
         assert calls == {"eigvalsh": eigvalsh, "eigh": eigh}

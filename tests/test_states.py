@@ -24,7 +24,14 @@ from specsep import (
 )
 from specsep.channels import construct_transformation
 from specsep.fileio import load_state, save_state
-from specsep.states import is_singular, make_omega_t, make_rho_tilde, ratio_at_least
+from specsep.states import (
+    is_singular,
+    make_omega_t,
+    make_rho_tilde,
+    phi_plus_pt,
+    ratio_at_least,
+    rho_tilde_blocks,
+)
 from specsep.oracles import haar_unitaries, haar_unitary
 
 from conftest import rand_state
@@ -106,6 +113,21 @@ def test_partial_transpose_involution_and_trace(rng):
     again = pt.reshape(2, 3, 2, 3).transpose(0, 3, 2, 1).reshape(6, 6)
     assert np.array_equal(again, rho.matrix)
     assert abs(np.trace(pt) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d_a", range(2, 7))
+@pytest.mark.parametrize("d_b", range(2, 7))
+def test_phi_plus_pt_is_the_transposed_projector_bit_for_bit(d_a, d_b):
+    expected = partial_transpose(make_named_state("phi_plus", d_a, d_b))
+    assert phi_plus_pt(d_a, d_b).tobytes() == expected.tobytes()
+
+
+def test_rho_tilde_blocks():
+    assert rho_tilde_blocks(2, 3) == (3, 3, 3.0)
+    assert rho_tilde_blocks(3, 5) == (7, 8, 2.0)
+    for d_a, d_b in ((3, 3), (3, 2), (1, 4)):
+        with pytest.raises(ValueError):
+            rho_tilde_blocks(d_a, d_b)
 
 
 def test_seed_state_matrix():

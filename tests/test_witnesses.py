@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsep import density_matrix, make_named_state, maximally_mixed, spectrum, witnesses
-from specsep.states import bipartite_dims, make_rho_tilde
+from specsep.states import Dims, bipartite_dims, make_rho_tilde
 from specsep.witnesses import (
     Witness,
     _least_eigenprojector,
@@ -68,6 +68,11 @@ def test_ppt_witness_spectrum_and_trace():
         assert eigs.min() >= -1 / d - 1e-12 and eigs.max() <= 1 / d + 1e-12
 
 
+def test_ppt_witness_refuses_a_local_dimension_of_one():
+    with pytest.raises(ValueError):
+        make_ppt_witness(Dims((1, 4)))
+
+
 def test_ppt_witness_saturates_trace_norm_bound():
     for d in (2, 3):
         w = make_ppt_witness(bipartite_dims(d, d))
@@ -81,6 +86,24 @@ def test_separating_witness_condition_values():
     assert lhs > rhs
     lhs, rhs = separating_witness_condition(2, 4)
     assert lhs > rhs
+    with pytest.raises(ValueError):
+        separating_witness_condition(3, 2)
+
+
+@pytest.mark.parametrize("d_a,d_b", [(a, b) for a in range(2, 6) for b in range(a + 1, 7)])
+def test_separating_witness_matches_the_projector_formula(d_a, d_b):
+    # identity/D plus the normalized step P/p - (I - P)/q, P the projector
+    # onto rho_tilde's first floor(D/2) basis states
+    big_d = d_a * d_b
+    p = big_d // 2
+    q = big_d - p
+    proj = np.zeros((big_d, big_d), dtype=complex)
+    proj[:p, :p] = np.eye(p)
+    z = proj / p - (np.eye(big_d) - proj) / q
+    m = np.eye(big_d, dtype=complex) / big_d + math.sqrt((big_d - 1) / big_d) * z / math.sqrt(
+        big_d / (p * q))
+    expected = make_witness(m, bipartite_dims(d_a, d_b)).matrix
+    assert make_separating_witness(d_a, d_b).matrix.tobytes() == expected.tobytes()
 
 
 def test_separating_witness_nonneg_on_maximally_mixed():
