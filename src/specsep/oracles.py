@@ -22,6 +22,12 @@ NPT_THRESHOLD = -1e-9
 # samples costs one small batch, while a long search runs few LAPACK calls.
 SEARCH_BATCHES = (1, 4, 16, 64, 256)
 
+# A batch holds at most this many matrix entries per (n, D, D) stack (16 MiB of
+# complex), so a search at large D keeps a few such stacks, not a few 256 D^2.
+# No batch is cut at D <= 64.  A rotation gets the same QR, Cholesky factor and
+# eigvalsh in any stack, so the cap changes no result.
+SEARCH_BATCH_ENTRIES = 1 << 20
+
 # Each batch is screened in slices of at most this many rotations.  Once a
 # running minimum m exists, a slice whose PT - (m + 1e-12) I has a Cholesky
 # factor has every PT eigenvalue above m, so it can hold neither a hit nor a
@@ -108,11 +114,12 @@ def as_falsify_search(s, dims, samples, seed):
         raise ValueError("samples must be >= 1, got %d" % samples)
     rng = np.random.default_rng(seed)
     sizes = itertools.chain(SEARCH_BATCHES, itertools.repeat(SEARCH_BATCHES[-1]))
+    cap = max(1, SEARCH_BATCH_ENTRIES // dims.total ** 2)
     eye = np.eye(dims.total)
     overall_min = math.inf
     done = 0
     while done < samples:
-        n = min(next(sizes), samples - done)
+        n = min(next(sizes), cap, samples - done)
         u = _haar_batch(rng, dims.total, n)
         rotated = (u * s.values) @ u.conj().swapaxes(-2, -1)
         pt = _partial_transpose(rotated, d_a, d_b)

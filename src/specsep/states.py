@@ -108,12 +108,15 @@ def hermitian_part(m, dims, error, tol_scale=1.0):
     if m.shape != (d, d):
         raise error("matrix shape %r does not match dims %r (total %d)"
                     % (m.shape, dims.locals, d))
-    if not np.isfinite(m).all():
+    # the largest modulus is finite unless an entry is, or a modulus overflows
+    scale = np.abs(m).max()
+    if not math.isfinite(scale) and not np.isfinite(m).all():
         raise error("matrix has non-finite entries")
-    residual = np.abs(m - m.conj().T).max()
-    if residual > HERMITICITY_TOL * max(np.abs(m).max(), 1.0) * tol_scale:
+    adjoint = m.conj().T
+    residual = np.abs(m - adjoint).max()
+    if residual > HERMITICITY_TOL * max(scale, 1.0) * tol_scale:
         raise error("matrix is not Hermitian (residual %.3e)" % residual)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + adjoint)
 
 
 def density_matrix(matrix, dims, tol_scale=1.0):
@@ -144,15 +147,18 @@ def spectrum_from_values(values, dims, tol_scale=1.0):
         raise InvalidStateError(
             "spectrum has %d values, dims %r require %d" % (len(v), dims.locals, dims.total)
         )
-    if not np.isfinite(v).all():
+    ascending = np.sort(v)  # -inf first, +inf and nan last
+    low = ascending[0]
+    if not (math.isfinite(low) and math.isfinite(ascending[-1])):
         raise InvalidStateError("spectrum has non-finite values")
-    if v.min() < -PSD_TOL * tol_scale:
+    if low < -PSD_TOL * tol_scale:
         raise InvalidStateError("state is not PSD (eigenvalue %.3e below -%.3g)"
-                                % (v.min(), PSD_TOL * tol_scale))
-    if abs(v.sum() - 1.0) > TRACE_TOL * tol_scale:
-        raise InvalidStateError("trace is %.17g, expected 1" % v.sum())
-    v = np.sort(v)[::-1].copy()
-    v[v < 0.0] = 0.0
+                                % (low, PSD_TOL * tol_scale))
+    total = v.sum()  # in the given order, which the message's digits show
+    if abs(total - 1.0) > TRACE_TOL * tol_scale:
+        raise InvalidStateError("trace is %.17g, expected 1" % total)
+    v = ascending[::-1].copy()
+    v[v < 0.0] = 0.0  # np.maximum(v, 0.0) would turn -0.0 into 0.0
     return Spectrum(values=v, dims=dims)
 
 

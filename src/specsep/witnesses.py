@@ -18,6 +18,8 @@ from .states import (
     rho_tilde_blocks,
 )
 
+# A see-saw start stops once its objective falls by less than this fraction of
+# the witness's trace norm.
 SEESAW_CONVERGENCE = 1e-12
 
 # The 2 x 2 projector (I - h sz - re sx - im sy) / 2 from (h, re, im), as the
@@ -146,8 +148,9 @@ def seesaw_minimize(w, starts, iters):
     |v><v|, so a half-step is one matrix product against the witness,
     reshaped once per call, and one least eigenpair per start: in closed form
     on a side of dimension 2 and by ``eigh`` on a larger one.  A start stops at
-    its first iteration with best - value < SEESAW_CONVERGENCE (keeping the
-    smaller of the two) and is masked out of the later ones.  Returns (best
+    its first iteration with best - value < SEESAW_CONVERGENCE * ||W||_1
+    (keeping the smaller of the two) and is masked out of the later ones, so
+    the rule scales with W as its values do.  Returns (best
     value per start, history), where history is an (iterations run, k) array
     of objective values that reads NaN once a start has stopped.  Raises
     ValueError on a start row that is not finite.
@@ -160,6 +163,8 @@ def seesaw_minimize(w, starts, iters):
     if len(bad):
         raise ValueError("start row %d is not finite" % bad[0])
     k = len(b)
+    # tiny keeps the threshold positive, so that a zero witness stops too
+    threshold = SEESAW_CONVERGENCE * max(trace_norm(w), np.finfo(float).tiny)
     # <a x b|W|a x b> = sum W[i,j,m,n] conj(a_i) conj(b_j) a_m b_n; each half-step
     # contracts the stacked projectors P[n, j] = v_n conj(v_j) with one matrix
     t = w.matrix.reshape(d_a, d_b, d_a, d_b)
@@ -175,7 +180,7 @@ def seesaw_minimize(w, starts, iters):
         value, pb = _least_eigenprojector(pa @ from_a, d_b)
         history[run, active] = value
         run += 1
-        done = best[active] - value < SEESAW_CONVERGENCE
+        done = best[active] - value < threshold
         best[active] = np.minimum(best[active], value)
         active, pb = active[~done], pb[~done]
     return best, history[:run]

@@ -109,13 +109,42 @@ def test_reports_on_singular_states_are_strict_json(tmp_path):
     '{"dims":{"locals":[2,2]},"spectrum":[1e400,0,0,0]}',
     '{"dims":{"locals":[1,2]},"matrix":[[[NaN,0],[0,0]],[[0,0],[0.5,0]]]}',
     '{"dims":{"locals":[1,2]},"matrix":[[[1e400,0],[0,0]],[[0,0],[0.5,0]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[0,0]],[[0,0],[0.5,NaN]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[0,-1e400]],[[0,1e400],[0.5,0]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[0,0]],[[0,0],[0.5,-1e400]]]}',
+    '{"dims":{"locals":[2,2]},"spectrum":[0.5,0.5,0,-1e400]}',
 ], ids=["nan-spectrum", "infinity-spectrum", "overflow-spectrum", "nan-matrix",
-        "overflow-matrix"])
+        "overflow-matrix", "nan-imaginary-matrix", "overflow-off-diagonal-matrix",
+        "overflow-last-matrix", "negative-overflow-spectrum"])
 def test_non_finite_state_file_is_invalid(tmp_path, capsys, body):
     path = tmp_path / "bad.json"
     path.write_text(body)
     assert main(["classify", str(path)]) == EXIT_INVALID
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,message", [
+    ('{"dims":{"locals":[2,2]},"spectrum":[1e308,1e308,0,0]}', "trace is inf, expected 1"),
+    ('{"dims":{"locals":[2,2]},"spectrum":[1e308,1e308,-1e308,-1e308]}',
+     "state is not PSD (eigenvalue -1.000e+308 below -1e-10)"),
+    ('{"dims":{"locals":[2,2]},"spectrum":[1e400,-1e400,0,1]}',
+     "spectrum has non-finite values"),
+    ('{"dims":{"locals":[2,2]},"spectrum":[0.5,0.5,0.1,0.1]}',
+     "trace is 1.2000000000000002, expected 1"),
+    ('{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[1e400,0]],[[0,0],[0.5,0]]]}',
+     "matrix has non-finite entries"),
+    ('{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[0.1,0]],[[0.2,0],[0.5,0]]]}',
+     "matrix is not Hermitian (residual 1.000e-01)"),
+    # finite entries whose modulus overflows pass to the eigensolver
+    ('{"dims":{"locals":[1,2]},"matrix":[[[1.5e308,1.5e308],[0,0]],[[0,0],[0.5,0]]]}',
+     "spectrum has non-finite values"),
+], ids=["overflowing-sum", "overflowing-negative", "two-infinities", "off-trace",
+        "infinite-entry", "not-hermitian", "overflowing-modulus"])
+def test_state_file_errors_keep_their_messages(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    assert main(["classify", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_transform_worked_example(tmp_path, capsys):

@@ -245,3 +245,81 @@ def test_matrix_to_payload_gives_plain_floats():
     assert real == [[[1.0, 0.0], [-0.0, 0.0]], [[0.5, 0.0], [2.0, 0.0]]]
     assert math.copysign(1.0, real[0][1][0]) == -1.0
     assert all(type(x) is float for row in real for pair in row for x in pair)
+
+
+def _per_value_dumps(obj):
+    """The per-value serializer: every leaf formatted on its own, the
+    reference the grid path of ``dumps`` must match byte for byte."""
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ",".join(map(_per_value_dumps, obj))
+    if isinstance(obj, dict):
+        items = ",".join("%s:%s" % (json.dumps(str(k)), _per_value_dumps(v))
+                         for k, v in sorted(obj.items()))
+        return "{%s}" % items
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _per_value_dumps(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError("cannot serialize %r" % type(obj))
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan,
+                                math.inf, -math.inf])
+_FLOATS = st.floats() | _EDGE_FLOATS
+_LEAVES = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+                    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32))
+
+
+@st.composite
+def float_grids(draw):
+    """A rectangular nest of Python floats as ``.tolist()`` gives it, now and
+    then spoiled: one leaf of another type, a row cut short or grown, or a
+    tuple for a list."""
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    size = math.prod(shape)
+    flat = draw(st.lists(_FLOATS, min_size=size, max_size=size))
+    grid = np.array(flat, dtype=float).reshape(shape).tolist()
+    if size and draw(st.booleans()):
+        outer, key, row = None, None, grid
+        for n in shape[:-1]:
+            outer, key = row, draw(st.integers(0, n - 1))
+            row = outer[key]
+        spoil = draw(st.sampled_from(["leaf", "short", "long", "tuple"]))
+        if spoil == "leaf":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_LEAVES)
+        elif spoil == "short":
+            row.pop()
+        elif spoil == "long":
+            row.append(draw(_FLOATS))
+        elif outer is not None:
+            outer[key] = tuple(row)
+    return tuple(grid) if draw(st.booleans()) else grid
+
+
+_PAYLOADS = st.recursive(
+    _LEAVES | float_grids(),
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_PAYLOADS)
+def test_dumps_matches_the_per_value_serializer(payload):
+    assert dumps(payload) == _per_value_dumps(payload)
+
+
+def test_percent_format_spells_doubles_as_format():
+    # the grid path formats with '%.17g' %, the per-value path with format()
+    xs = np.frombuffer(np.random.default_rng(0).bytes(8 * 10**6), dtype=float).tolist()
+    percent = list(map("%.17g".__mod__, xs))
+    formatted = [format(x, ".17g") for x in xs]
+    assert percent == formatted, next(x for x, a, b in zip(xs, percent, formatted) if a != b)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from specsep import (
     spectrum_from_values,
     tensor_product,
 )
+from specsep import oracles
 from specsep.oracles import (
     FalsificationResult,
     as_falsify_search,
@@ -138,6 +140,35 @@ def test_screened_search_matches_unscreened_loop(inputs, seed, samples):
     assert (result.found, result.unitary_index, result.samples_used) == (found, index, used)
     assert result.unitary_seed == (seed if found else None)
     assert result.min_pt_eigenvalue == pytest.approx(low, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=_search_inputs(), seed=st.integers(0, 7), samples=st.integers(1, 300),
+       cap=st.integers(1, 20))
+@example(inputs=_LATE_HIT, seed=2, samples=300, cap=3)
+@example(inputs=_LATE_HIT, seed=7, samples=300, cap=8)
+def test_capped_batches_give_the_uncapped_result(inputs, seed, samples, cap):
+    # batches of at most ``cap`` rotations, late hits (index 131, 40) included
+    s, dims = inputs
+    uncapped = as_falsify_search(s, dims, samples=samples, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "SEARCH_BATCH_ENTRIES", cap * dims.total ** 2)
+        assert as_falsify_search(s, dims, samples=samples, seed=seed) == uncapped
+
+
+def test_search_memory_is_bounded_at_large_dimension():
+    # 11x11: 256-rotation batches would hold several 57 MiB stacks (147 MiB
+    # peak for 200 samples); capped ones hold about seven stacks of 16 MiB
+    dims = bipartite_dims(11, 11)
+    s = spectrum(maximally_mixed(dims))
+    tracemalloc.start()
+    try:
+        result = as_falsify_search(s, dims, samples=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.found and result.samples_used == 200
+    assert peak < 8 * 16 * oracles.SEARCH_BATCH_ENTRIES
 
 
 def test_screen_skips_most_eigendecompositions(rng, monkeypatch):

@@ -262,6 +262,20 @@ def test_validation_rejects_non_finite(bad):
         density_matrix(m, (2, 2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 3])
+def test_validation_finds_non_finite_anywhere(bad, where):
+    vals = [0.25] * 4
+    vals[where] = bad
+    with pytest.raises(InvalidStateError, match="spectrum has non-finite values"):
+        spectrum_from_values(vals, (2, 2))
+    for entry in (complex(bad, 0.0), complex(0.0, bad), complex(bad, bad)):
+        m = np.eye(4, dtype=complex) / 4
+        m[where, 3 - where] = entry
+        with pytest.raises(InvalidStateError, match="matrix has non-finite entries"):
+            density_matrix(m, (2, 2))
+
+
 def test_noise_negatives_clamp_in_both_forms():
     # eigenvalues in [-PSD_TOL, 0) are noise for spectra and matrices alike
     vals = [0.4, 0.3, 0.3 + 5e-11, -5e-11]

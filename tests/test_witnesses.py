@@ -202,9 +202,10 @@ def test_seesaw_monotone(rng):
 
 def _seesaw_one_start(w, b, iters):
     """One start at a time with einsum contractions: the reference for the
-    batched see-saw."""
+    batched see-saw, with its stop rule relative to the trace norm."""
     d_a, d_b = w.dims.bipartite()
     tensor = w.matrix.reshape(d_a, d_b, d_a, d_b)
+    threshold = 1e-12 * trace_norm(w)
     history = []
     best = math.inf
     for _ in range(iters):
@@ -213,7 +214,7 @@ def _seesaw_one_start(w, b, iters):
         b = vecs[:, 0]
         value = float(vals[0])
         history.append(value)
-        if best - value < 1e-12:
+        if best - value < threshold:
             return min(best, value), history
         best = value
     return best, history
@@ -241,10 +242,10 @@ def test_batched_seesaw_matches_one_start_loop(d_a, d_b, k, iters, seed):
         run, ref_run = int(np.isfinite(column).sum()), len(ref_history)
         assert np.isnan(column[run:]).all()
         if run != ref_run:
-            # rounding flipped the stop rule at a step within 1e-13 of 1e-12
+            # rounding flipped the stop rule at a step within 1e-13 of the threshold
             i = min(run, ref_run) - 1
             assert abs(run - ref_run) == 1
-            assert abs(ref_history[i - 1] - ref_history[i] - 1e-12) <= 1e-13
+            assert abs(ref_history[i - 1] - ref_history[i] - 1e-12 * trace_norm(w)) <= 1e-13
         assert abs(best[r] - ref_best) <= 1e-12
         assert np.all(np.diff(column[:run]) <= 1e-12)
 
@@ -259,6 +260,26 @@ def test_seesaw_refuses_non_finite_starts(dims, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="start row 2 is not finite"):
             seesaw_minimize(w, starts, 10)
+
+
+def test_seesaw_stop_rule_is_scale_free():
+    # I - |psi><psi| on 3x3: with an absolute stop rule, the 1e-12 scaling
+    # stopped every start after two iterations, 1.5e-4 relative off the minimum
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=9) + 1j * rng.normal(size=9)
+    psi /= np.linalg.norm(psi)
+    base = np.eye(9) - np.outer(psi, psi.conj())
+    starts = np.random.default_rng(0).standard_normal((32, 3, 2)).view(complex)[..., 0]
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    runs, minima = [], []
+    for scale in (1e-12, 1.0, 1e12):
+        best, history = seesaw_minimize(make_witness(scale * base, (3, 3)), starts, 100)
+        runs.append(np.isfinite(history).sum(axis=0))
+        minima.append(best.min() / scale)
+    assert (runs[0] == runs[1]).all() and (runs[2] == runs[1]).all()
+    assert runs[1].max() > 2
+    for m in (minima[0], minima[2]):
+        assert abs(m - minima[1]) <= 1e-12 * abs(minima[1])
 
 
 _EPS = np.finfo(float).eps

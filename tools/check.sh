@@ -1,8 +1,11 @@
 #!/bin/sh
 # Run the checks every change must pass: the tier-1 suite, the benchmark's
-# reference tests and the three demos.  Given the src/ directory of a parent
-# tree, also write the files of tools/report_bytes.py from both trees into a
-# temporary directory and require `diff -r` to find no difference.
+# reference tests, the three demos and a benchmark smoke run: every workload
+# for 2 seconds untraced and traced, which must report "correct": true and no
+# failed op (a traced run fails when a function its per-layer metrics name is
+# gone).  Given the src/ directory of a parent tree, also write the files of
+# tools/report_bytes.py from both trees into a temporary directory and require
+# `diff -r` to find no difference.
 #
 # Usage: tools/check.sh [PARENT_SRC]
 #
@@ -18,6 +21,8 @@ if [ $# -eq 1 ]; then
 fi
 cd "$(dirname "$0")/.."
 src="$(pwd)/src"
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 
 PYTHONPATH="$src" python3 -m pytest -q --continue-on-collection-errors
 PYTHONPATH="$src" python3 -m pytest -q bench/test_reference.py
@@ -26,9 +31,23 @@ for demo in demos/*.py; do
     echo "$demo: exit 0"
 done
 
+for workload in orbit_search seesaw cli_session; do
+    for trace in 0 1; do
+        if ! python3 bench/run.py --workload "$workload" --seed 1 --seconds 2 \
+                --trace "$trace" > "$out/bench.out" 2> "$out/bench.err" \
+            || ! tail -n 1 "$out/bench.out" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)'; then
+            cat "$out/bench.out" "$out/bench.err" >&2
+            echo "benchmark smoke: $workload --trace $trace failed" >&2
+            exit 1
+        fi
+        echo "benchmark smoke: $workload --trace $trace correct, 0 failed"
+    done
+done
+
 if [ -n "$parent" ]; then
-    out=$(mktemp -d)
-    trap 'rm -rf "$out"' EXIT
     PYTHONPATH="$parent" python3 tools/report_bytes.py "$out/parent"
     PYTHONPATH="$src" python3 tools/report_bytes.py "$out/change"
     diff -r "$out/parent" "$out/change"
