@@ -26,6 +26,7 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_CLAMP = 1e-12
+_HALF_MAX = np.finfo(float).max / 2
 
 
 class InvalidStateError(ValueError):
@@ -110,8 +111,16 @@ def hermitian_part(m, dims, error, tol_scale=1.0):
                     % (m.shape, dims.locals, d))
     # the largest modulus is finite unless an entry is, or a modulus overflows
     scale = np.abs(m).max()
-    if not math.isfinite(scale) and not np.isfinite(m).all():
-        raise error("matrix has non-finite entries")
+    if not scale < _HALF_MAX:
+        if not np.isfinite(m).all():
+            raise error("matrix has non-finite entries")
+        # a modulus, or the sum of two, overflows: test and average m / 2 instead
+        half = 0.5 * m
+        adjoint = half.conj().T
+        residual = np.abs(half - adjoint).max()
+        if residual > HERMITICITY_TOL * np.abs(half).max() * tol_scale:
+            raise error("matrix is not Hermitian (residual %.3e)" % (2 * float(residual)))
+        return half + adjoint
     adjoint = m.conj().T
     residual = np.abs(m - adjoint).max()
     if residual > HERMITICITY_TOL * max(scale, 1.0) * tol_scale:
@@ -154,7 +163,13 @@ def spectrum_from_values(values, dims, tol_scale=1.0):
     if low < -PSD_TOL * tol_scale:
         raise InvalidStateError("state is not PSD (eigenvalue %.3e below -%.3g)"
                                 % (low, PSD_TOL * tol_scale))
-    total = v.sum()  # in the given order, which the message's digits show
+    # in the given order, which the message's digits show; the sum can overflow
+    # only when the largest value alone already rules out a unit trace
+    if ascending[-1] - 1.0 > (TRACE_TOL + len(v) * PSD_TOL) * tol_scale:
+        with np.errstate(over="ignore"):
+            total = v.sum()
+    else:
+        total = v.sum()
     if abs(total - 1.0) > TRACE_TOL * tol_scale:
         raise InvalidStateError("trace is %.17g, expected 1" % total)
     v = ascending[::-1].copy()

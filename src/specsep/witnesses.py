@@ -22,12 +22,10 @@ from .states import (
 # the witness's trace norm.
 SEESAW_CONVERGENCE = 1e-12
 
-# The 2 x 2 projector (I - h sz - re sx - im sy) / 2 from (h, re, im), as the
-# real and imaginary parts of its flattened entries P00, P01, P10, P11
-_UNIT_TO_PROJECTOR = np.array([[-1, 0, 0, 0, 0, 0, 1, 0],
-                               [0, 0, -1, 0, -1, 0, 0, 0],
-                               [0, 0, 0, 1, 0, -1, 0, 0]]) / 2
-_HALF_I = np.array([1, 0, 0, 0, 0, 0, 1, 0]) / 2
+# S_mu / 2 for S = I, sz, sx, sy, flattened and read as float.  A qubit see-saw
+# side is carried as a Bloch unit vector u, standing for the projector
+# (I - u . (sz, sx, sy)) / 2, and an operator M on it as the row Tr(M S_mu) / 2.
+_HALF_PAULI = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, -1j, 1j, 0]]).view(float) / 2
 
 
 @dataclass(frozen=True)
@@ -111,31 +109,45 @@ def trace_norm(w):
     return float(np.abs(np.linalg.eigvalsh(w.matrix)).sum())
 
 
-def _least_eigenprojector(m, d):
-    """Least eigenvalue and flattened projector |v><v| of a unit eigenvector
-    for it, per row of a (k, d * d) stack of flattened Hermitian matrices;
-    only each matrix's lower triangle is read, as ``eigh`` reads it.
+def _least_eigenpair(x, d):
+    """Least eigenvalue and the carrier of a unit eigenvector v for it, per row
+    of a stack of operators M on a see-saw side of dimension d.
 
-    d = 2 takes the closed form: with half = (a - c) / 2, b = M[1, 0] and
-    r = hypot(half, |b|), the eigenvalue is (a + c) / 2 - r and the projector
-    (I - (M - tr M I / 2) / r) / 2; a scalar matrix (r = 0) gives |0><0|, as
-    ``eigh`` does.  half, Re b and Im b are divided by r one by one, since
-    1 / r and a complex b / r overflow to inf or NaN for a subnormal r.
-    Larger d takes ``eigh``.
+    On a qubit a row is x = (tr M / 2, (M00 - M11) / 2, Re M10, Im M10), the
+    coefficients of M in I, sz, sx, sy.  With r = hypot(x1, x2, x3), the
+    eigenvalue is x0 - r and the carrier v's Bloch vector (x1, x2, x3) / r,
+    divided by r one component at a time, since 1 / r overflows to inf for a
+    subnormal r; a scalar matrix (r = 0) gives (-1, 0, 0), that is |0><0|, as
+    ``eigh`` does.  On a larger side a row is the flattened matrix read as
+    float, of which ``eigh`` reads the lower triangle, and the carrier the
+    flattened projector |v><v| read as float.
     """
     if d != 2:
-        vals, vecs = np.linalg.eigh(m.reshape(-1, d, d))
+        vals, vecs = np.linalg.eigh(x.view(complex).reshape(-1, d, d))
         v = vecs[:, :, 0]
-        return vals[:, 0], (v[:, :, None] * v.conj()[:, None, :]).reshape(-1, d * d)
-    x = m.view(float)  # real and imaginary parts of M00, M01, M10, M11
-    unit = np.empty((len(x), 3))  # (half, Re b, Im b) / r
-    unit[:, 0] = (x[:, 0] - x[:, 6]) / 2
-    unit[:, 1:] = x[:, 4:6]
+        return vals[:, 0], (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1).view(float)
+    unit = x[:, 1:]
     r = np.hypot(unit[:, 0], np.hypot(unit[:, 1], unit[:, 2]))
-    scalar = r == 0  # unit becomes (-1, 0, 0), which gives |0><0|
-    unit[:, 0] -= scalar
-    unit /= (r + scalar)[:, None]
-    return (x[:, 0] + x[:, 6]) / 2 - r, (unit @ _UNIT_TO_PROJECTOR + _HALF_I).view(complex)
+    value = x[:, 0] - r
+    if not r.all():
+        zero = r == 0
+        unit, r = unit - zero[:, None] * (1, 0, 0), r + zero
+    return value, unit / r[:, None]
+
+
+def _carrier_map(f, d_from, d_to):
+    """(L, c) such that carrier @ L + c is the d_to side's operator, as
+    ``_least_eigenpair`` takes it, for a d_from side's carrier, where f maps a
+    flattened projector to the flattened operator."""
+    # row 2 r is the image of Re p_r, row 2 r + 1 that of Im p_r
+    m = np.concatenate([f.view(float), (1j * f).view(float)], axis=1).reshape(2 * len(f), -1)
+    if d_to == 2:
+        m = m @ _HALF_PAULI.T
+    if d_from == 2:
+        # rows: the images of I / 2 and of the Paulis / 2, which u enters negated
+        m = _HALF_PAULI @ m
+        return -m[1:], m[0]
+    return m, 0.0
 
 
 def seesaw_minimize(w, starts, iters):
@@ -144,16 +156,16 @@ def seesaw_minimize(w, starts, iters):
 
     Fixing one side, the optimal other side is the minimal eigenvector of
     the contracted local operator; each start's objective is therefore
-    non-increasing.  Each side is carried as its flattened projector
-    |v><v|, so a half-step is one matrix product against the witness,
-    reshaped once per call, and one least eigenpair per start: in closed form
-    on a side of dimension 2 and by ``eigh`` on a larger one.  A start stops at
-    its first iteration with best - value < SEESAW_CONVERGENCE * ||W||_1
-    (keeping the smaller of the two) and is masked out of the later ones, so
-    the rule scales with W as its values do.  Returns (best
-    value per start, history), where history is an (iterations run, k) array
-    of objective values that reads NaN once a start has stopped.  Raises
-    ValueError on a start row that is not finite.
+    non-increasing.  A side of dimension 2 is carried as its Bloch vector and
+    a larger one as its flattened projector |v><v|, so a half-step is one real
+    matrix product against a map built from the witness once per call, and one
+    least eigenpair per start: in closed form on a qubit and by ``eigh`` on a
+    larger side.  A start stops at its first iteration with
+    best - value < SEESAW_CONVERGENCE * ||W||_1 (keeping the smaller of the
+    two) and is dropped from the later ones, so the rule scales with W as its
+    values do.  Returns (best value per start, history), where history is an
+    (iterations run, k) array of objective values that reads NaN once a start
+    has stopped.  Raises ValueError on a start row that is not finite.
     """
     d_a, d_b = w.dims.bipartite()
     b = np.asarray(starts, dtype=complex)
@@ -165,24 +177,30 @@ def seesaw_minimize(w, starts, iters):
     k = len(b)
     # tiny keeps the threshold positive, so that a zero witness stops too
     threshold = SEESAW_CONVERGENCE * max(trace_norm(w), np.finfo(float).tiny)
-    # <a x b|W|a x b> = sum W[i,j,m,n] conj(a_i) conj(b_j) a_m b_n; each half-step
-    # contracts the stacked projectors P[n, j] = v_n conj(v_j) with one matrix
+    # <a x b|W|a x b> = sum W[i,j,m,n] conj(a_i) conj(b_j) a_m b_n, so the
+    # projector P[n, j] = b_n conj(b_j) contracts to A's operator as P @ from_b
     t = w.matrix.reshape(d_a, d_b, d_a, d_b)
-    from_b = t.transpose(3, 1, 0, 2).reshape(d_b * d_b, d_a * d_a)
-    from_a = t.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b)
-    pb = (b[:, :, None] * b.conj()[:, None, :]).reshape(k, d_b * d_b)
+    from_b, c_b = _carrier_map(t.transpose(3, 1, 0, 2).reshape(d_b * d_b, d_a * d_a), d_b, d_a)
+    from_a, c_a = _carrier_map(t.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b), d_a, d_b)
+    pb = (b[:, :, None] * b.conj()[:, None, :]).reshape(k, d_b * d_b).view(float)
+    if d_b == 2:  # b's Bloch vector, as the least eigenvector of -|b><b| (|0> for b = 0)
+        pb = _least_eigenpair(-pb @ _HALF_PAULI.T, 2)[1]
     history = np.full((iters, k), np.nan)
-    best = np.full(k, math.inf)
+    best = np.empty(k)
+    running = np.full(k, math.inf)  # the best value of each active start
     active = np.arange(k)
     run = 0
     while run < iters and len(active):
-        _, pa = _least_eigenprojector(pb @ from_b, d_a)
-        value, pb = _least_eigenprojector(pa @ from_a, d_b)
+        _, pa = _least_eigenpair(pb @ from_b + c_b, d_a)
+        value, pb = _least_eigenpair(pa @ from_a + c_a, d_b)
         history[run, active] = value
         run += 1
-        done = best[active] - value < threshold
-        best[active] = np.minimum(best[active], value)
-        active, pb = active[~done], pb[~done]
+        done = running - value < threshold
+        running = np.minimum(running, value)
+        if done.any():
+            best[active[done]] = running[done]
+            active, pb, running = active[~done], pb[~done], running[~done]
+    best[active] = running
     return best, history[:run]
 
 

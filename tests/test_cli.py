@@ -1,5 +1,6 @@
 import decimal
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -135,9 +136,9 @@ def test_non_finite_state_file_is_invalid(tmp_path, capsys, body):
      "matrix has non-finite entries"),
     ('{"dims":{"locals":[1,2]},"matrix":[[[0.5,0],[0.1,0]],[[0.2,0],[0.5,0]]]}',
      "matrix is not Hermitian (residual 1.000e-01)"),
-    # finite entries whose modulus overflows pass to the eigensolver
+    # finite entries whose modulus overflows: the imaginary diagonal is caught
     ('{"dims":{"locals":[1,2]},"matrix":[[[1.5e308,1.5e308],[0,0]],[[0,0],[0.5,0]]]}',
-     "spectrum has non-finite values"),
+     "matrix is not Hermitian (residual inf)"),
 ], ids=["overflowing-sum", "overflowing-negative", "two-infinities", "off-trace",
         "infinite-entry", "not-hermitian", "overflowing-modulus"])
 def test_state_file_errors_keep_their_messages(tmp_path, capsys, body, message):
@@ -145,6 +146,22 @@ def test_state_file_errors_keep_their_messages(tmp_path, capsys, body, message):
     path.write_text(body)
     assert main(["classify", str(path)]) == EXIT_INVALID
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("body", [
+    '{"dims":{"locals":[2,2]},"spectrum":[1e308,1e308,0,0]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[1.5e308,1.5e308],[0,0]],[[0,0],[0.5,0]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[1.5e308,0],[0,0]],[[0,0],[1.5e308,0]]]}',
+    '{"dims":{"locals":[1,2]},"matrix":[[[1e308,0],[1.5e308,1.5e308]],[[1.5e308,-1.5e308],[1e308,0]]]}',
+], ids=["overflowing-sum", "overflowing-modulus", "overflowing-diagonal-sum", "hermitian-overflowing-modulus"])
+def test_overflowing_state_file_prints_only_its_error_line(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_transform_worked_example(tmp_path, capsys):

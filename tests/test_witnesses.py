@@ -9,7 +9,8 @@ from specsep import density_matrix, make_named_state, maximally_mixed, spectrum,
 from specsep.states import Dims, bipartite_dims, make_rho_tilde
 from specsep.witnesses import (
     Witness,
-    _least_eigenprojector,
+    _HALF_PAULI,
+    _least_eigenpair,
     evaluate,
     make_decomposable_witness,
     make_ppt_witness,
@@ -250,6 +251,91 @@ def test_batched_seesaw_matches_one_start_loop(d_a, d_b, k, iters, seed):
         assert np.all(np.diff(column[:run]) <= 1e-12)
 
 
+# The projector-carrier see-saw: every side carried as its flattened projector
+# |v><v|, with the closed-form qubit eigenpair written out on the projector.
+# The Bloch-vector carrier of ``seesaw_minimize`` must reproduce it.
+_UNIT_TO_PROJECTOR = np.array([[-1, 0, 0, 0, 0, 0, 1, 0],
+                               [0, 0, -1, 0, -1, 0, 0, 0],
+                               [0, 0, 0, 1, 0, -1, 0, 0]]) / 2
+_HALF_I = np.array([1, 0, 0, 0, 0, 0, 1, 0]) / 2
+
+
+def _least_eigenprojector(m, d):
+    if d != 2:
+        vals, vecs = np.linalg.eigh(m.reshape(-1, d, d))
+        v = vecs[:, :, 0]
+        return vals[:, 0], (v[:, :, None] * v.conj()[:, None, :]).reshape(-1, d * d)
+    x = m.view(float)  # real and imaginary parts of M00, M01, M10, M11
+    unit = np.empty((len(x), 3))  # (half, Re b, Im b) / r
+    unit[:, 0] = (x[:, 0] - x[:, 6]) / 2
+    unit[:, 1:] = x[:, 4:6]
+    r = np.hypot(unit[:, 0], np.hypot(unit[:, 1], unit[:, 2]))
+    scalar = r == 0  # unit becomes (-1, 0, 0), which gives |0><0|
+    unit[:, 0] -= scalar
+    unit /= (r + scalar)[:, None]
+    return (x[:, 0] + x[:, 6]) / 2 - r, (unit @ _UNIT_TO_PROJECTOR + _HALF_I).view(complex)
+
+
+def _projector_seesaw(w, starts, iters):
+    d_a, d_b = w.dims.bipartite()
+    b = np.asarray(starts, dtype=complex)
+    k = len(b)
+    threshold = 1e-12 * max(trace_norm(w), np.finfo(float).tiny)
+    t = w.matrix.reshape(d_a, d_b, d_a, d_b)
+    from_b = t.transpose(3, 1, 0, 2).reshape(d_b * d_b, d_a * d_a)
+    from_a = t.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    pb = (b[:, :, None] * b.conj()[:, None, :]).reshape(k, d_b * d_b)
+    history = np.full((iters, k), np.nan)
+    best = np.full(k, math.inf)
+    active = np.arange(k)
+    run = 0
+    while run < iters and len(active):
+        _, pa = _least_eigenprojector(pb @ from_b, d_a)
+        value, pb = _least_eigenprojector(pa @ from_a, d_b)
+        history[run, active] = value
+        run += 1
+        done = best[active] - value < threshold
+        best[active] = np.minimum(best[active], value)
+        active, pb = active[~done], pb[~done]
+    return best, history[:run]
+
+
+# Derandomized, as above: the two carriers round differently, and a start
+# whose last step lies within rounding of the threshold may stop one
+# iteration apart.  At 1e-310 the witness is subnormal and holds about 44 bits
+# of its largest entry: within three iterations either carrier strays from its
+# own unscaled run by up to about 1e-11 ||W||_1 (300 random witnesses), and the
+# two best values differed by up to 3.6e-11 ||W||_1 (1500 witnesses), so the
+# stop rule fires within noise; there only run counts within one and best
+# values within 1e-9 ||W||_1 are held.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]),
+       scale=st.sampled_from([1.0, 1e300, 1e-300, 1e-310]), k=st.integers(1, 32),
+       iters=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+def test_bloch_carrier_matches_projector_carrier(dims, scale, k, iters, seed):
+    rng = np.random.default_rng(seed)
+    big_d = dims[0] * dims[1]
+    g = rng.normal(size=(big_d, big_d)) + 1j * rng.normal(size=(big_d, big_d))
+    h = (g + g.conj().T) / 2
+    w = make_witness(h / np.abs(np.linalg.eigvalsh(h)).max() * scale, bipartite_dims(*dims))
+    starts = rng.normal(size=(k, dims[1])) + 1j * rng.normal(size=(k, dims[1]))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, history = seesaw_minimize(w, starts, iters)
+        ref_best, ref_history = _projector_seesaw(w, starts, iters)
+    norm = trace_norm(w)
+    subnormal = scale < np.finfo(float).tiny
+    assert np.all(np.abs(best - ref_best) <= (1e-9 if subnormal else 1e-12) * norm)
+    runs, ref_runs = np.isfinite(history).sum(axis=0), np.isfinite(ref_history).sum(axis=0)
+    assert np.all(np.abs(runs - ref_runs) <= 1)
+    for r in np.flatnonzero(runs != ref_runs) if not subnormal else []:
+        # rounding flipped the stop rule at a step within rounding of the threshold
+        i = min(runs[r], ref_runs[r]) - 1
+        step = ref_history[i - 1, r] - ref_history[i, r]
+        assert abs(step - 1e-12 * norm) <= 1e-13 * norm
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_seesaw_refuses_non_finite_starts(dims, bad):
@@ -291,15 +377,21 @@ _EPS = np.finfo(float).eps
 _ENTRY = st.floats(-1, 1).map(lambda x: x if abs(x) >= 1e-200 else 0.0)
 
 
+def _bloch_projector(unit):
+    """The flattened projector (I - u . (sz, sx, sy)) / 2 per Bloch vector u."""
+    return (_HALF_PAULI[0] - unit @ _HALF_PAULI[1:]).view(complex)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(st.tuples(*[_ENTRY] * 4), min_size=1, max_size=8),
        exponent=st.integers(-300, 300))
 def test_closed_form_qubit_eigenpair_matches_eigh(rows, exponent):
     # (a, c, Re b, Im b) per row, with b = M[1, 0]; the upper triangle holds
-    # junk, which neither eigh nor the closed form reads
+    # junk, which eigh does not read
     a, c, re, im = (np.ldexp(np.array(col), exponent) for col in zip(*rows))
     m = np.stack([a, np.full_like(a, 7.0) - 3j, re + 1j * im, c + 0j], axis=1)
-    vals, proj = _least_eigenprojector(m, 2)
+    vals, unit = _least_eigenpair(np.stack([(a + c) / 2, (a - c) / 2, re, im], axis=1), 2)
+    proj = _bloch_projector(unit)
     ref_vals, ref_vecs = np.linalg.eigh(m.reshape(-1, 2, 2))
     scale = np.abs(m[:, [0, 2, 3]]).max(axis=1)
     gap = ref_vals[:, 1] - ref_vals[:, 0]
@@ -326,16 +418,18 @@ def test_closed_form_qubit_eigenpair_matches_eigh(rows, exponent):
     assert np.allclose(np.trace(p, axis1=1, axis2=2), 1, rtol=0, atol=1e-15)
     assert np.allclose(p @ p, p, rtol=0, atol=1e-14)
     scalar = (a == c) & (re == 0) & (im == 0)
+    assert np.all(unit[scalar] == [-1, 0, 0])
     assert np.all(proj[scalar] == [1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-310, 1e-300, 1e300])
 def test_closed_form_scalar_matrix_gives_first_basis_projector(scale):
-    # rows: scale I, -scale I with junk above the diagonal, and 0
-    m = np.array([[scale, 0, 0, scale], [-scale, 5, 0, -scale], [0, 0, 0, 0]], dtype=complex)
-    vals, proj = _least_eigenprojector(m, 2)
+    # rows: scale I, -scale I and 0, as (tr / 2, (M00 - M11) / 2, Re M10, Im M10)
+    x = np.array([[scale, 0, 0, 0], [-scale, 0, 0, 0], [0, 0, 0, 0]])
+    vals, unit = _least_eigenpair(x, 2)
     assert np.array_equal(vals, [scale, -scale, 0])
-    assert np.array_equal(proj, np.tile([1, 0, 0, 0], (3, 1)))
+    assert np.array_equal(_bloch_projector(unit), np.tile([1, 0, 0, 0], (3, 1)))
+    m = np.array([[scale, 5, 0, scale], [-scale, 5, 0, -scale], [0, 0, 0, 0]], dtype=complex)
     assert np.array_equal(np.linalg.eigh(m.reshape(-1, 2, 2))[1][:, :, 0], np.tile([1, 0], (3, 1)))
 
 

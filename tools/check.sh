@@ -1,11 +1,12 @@
 #!/bin/sh
-# Run the checks every change must pass: the tier-1 suite, the benchmark's
-# reference tests, the three demos and a benchmark smoke run: every workload
+# Run the checks every change must pass: the tier-1 suite, in which a numpy
+# RuntimeWarning (overflow, invalid value) fails the test that raised it, the
+# benchmark's reference tests, the three demos and a benchmark smoke run: every workload
 # for 2 seconds untraced and traced, which must report "correct": true and no
 # failed op (a traced run fails when a function its per-layer metrics name is
 # gone).  Given the src/ directory of a parent tree, also write the files of
 # tools/report_bytes.py from both trees into a temporary directory and require
-# `diff -r` to find no difference.
+# `diff -r` to find no difference.  Ends by printing the line count of src/.
 #
 # Usage: tools/check.sh [PARENT_SRC]
 #
@@ -24,7 +25,7 @@ src="$(pwd)/src"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-PYTHONPATH="$src" python3 -m pytest -q --continue-on-collection-errors
+PYTHONPATH="$src" python3 -m pytest -q --continue-on-collection-errors -W error::RuntimeWarning
 PYTHONPATH="$src" python3 -m pytest -q bench/test_reference.py
 for demo in demos/*.py; do
     PYTHONPATH="$src" python3 "$demo" > /dev/null
@@ -53,3 +54,4 @@ if [ -n "$parent" ]; then
     diff -r "$out/parent" "$out/change"
     echo "report bytes: $(ls "$out/change" | wc -l) files identical"
 fi
+echo "src/ lines: $(cat "$src"/specsep/*.py | wc -l)"
