@@ -14,9 +14,8 @@ from specsep.witnesses import evaluate, make_separating_witness
 
 
 def show(label, rho):
-    report = run_all(spectrum(rho))
     print(label)
-    for v in report.verdicts:
+    for v in run_all(spectrum(rho)):
         print("  %-20s %s" % (v.name, v.status.value))
 
 

@@ -10,7 +10,7 @@ transpose.
 import numpy as np
 
 from specsep import density_matrix, spectral_ratio, spectrum
-from specsep.channels import apply_map, entangle_from
+from specsep.channels import entangle_from, normalized_output
 from specsep.oracles import ppt_min_eigenvalue
 
 
@@ -25,12 +25,10 @@ def main():
     q = instrument.unitality_factor
     print("branch is stochastic unital with Lambda(1) = %.4g * 1" % q)
 
-    out, prob = apply_map(instrument, rho)
-    normalized = density_matrix(out / prob, (2, 2))
+    normalized, prob = normalized_output(instrument, rho)
     print("success probability: %.6g" % prob)
     print("target spectrum:    %s" % np.round(spectrum(target).values, 6).tolist())
-    print("realized spectrum:  %s"
-          % np.round(np.sort(np.linalg.eigvalsh(normalized.matrix))[::-1], 6).tolist())
+    print("realized spectrum:  %s" % np.round(spectrum(normalized).values, 6).tolist())
     print("min PT eigenvalue of the output: %.6g (negative => entangled)"
           % ppt_min_eigenvalue(normalized))
 

@@ -2,14 +2,16 @@
 
 Above a Hamiltonian-dependent temperature every Gibbs state has eigenvalue
 ratio at most (l+1)/(l-1) and is therefore separable across every cut whose
-smaller side has dimension at most l.  Conversely, enough tensor copies of
+smaller side has dimension at most l; for three qubits in local fields the
+script lists those cuts.  Conversely, enough tensor copies of
 any non-maximally-mixed state always escape the absolutely-PPT set.
 """
 
 import math
+from itertools import product
 
 from specsep import gibbs_spectrum, spectral_ratio
-from specsep.criteria import copy_bound, gibbs_threshold
+from specsep.criteria import copy_bound, gibbs_threshold, multipartite_guarantee
 
 
 def main():
@@ -22,6 +24,17 @@ def main():
         s = gibbs_spectrum(energies, t)
         print("  T = %8.4f  ratio = %.4f  (<= 3 certifies)" %
               (t, spectral_ratio(s)))
+
+    print()
+    fields = (0.3, 0.5, 0.2)
+    energies = [sum(h * z for h, z in zip(fields, signs))
+                for signs in product((1, -1), repeat=3)]
+    t = 1.5 * gibbs_threshold(max(abs(e) for e in energies), l=2)
+    s = gibbs_spectrum(energies, t, locals=(2, 2, 2))
+    print("three qubits in local fields %s at T = %.4f (1.5 T*): ratio = %.4f"
+          % (fields, t, spectral_ratio(s)))
+    for left, right in multipartite_guarantee(s, l=2):
+        print("  separable across qubits %s | %s" % (left, right))
 
     print()
     for r in (1.5, 2.0, 3.0, 5.0, 10.0):

@@ -108,26 +108,26 @@ def _verdict_payload(v):
             "reason": v.reason}
 
 
-def _print_verdicts(report, label):
-    print("criteria report for %s (dims %s):" % (label, "x".join(map(str, report.dims.locals))))
-    for v in report.verdicts:
+def _print_verdicts(spec, verdicts, label):
+    print("criteria report for %s (dims %s):" % (label, "x".join(map(str, spec.dims.locals))))
+    for v in verdicts:
         extra = " ".join("%s=%.6g" % (k, x) for k, x in sorted(v.computed.items()))
         print("  %-20s %-13s %s" % (v.name, v.status.value, extra))
 
 
 def cmd_classify(args):
     spec = _load_spectrum(args.state, _tol_scale(args))
-    report = criteria.run_all(spec)
-    _print_verdicts(report, args.state)
+    verdicts = criteria.run_all(spec)
+    _print_verdicts(spec, verdicts, args.state)
     if args.compare_criteria:
-        _print_comparison(spec.dims)
+        _print_comparison(spec)
     if args.output:
         payload = {
             "command": "classify",
             "input_digest": fileio.digest(fileio.state_to_payload(spec)),
             "dims": list(spec.dims.locals),
             "spectrum": [float(v) for v in spec.values],
-            "verdicts": [_verdict_payload(v) for v in report.verdicts],
+            "verdicts": [_verdict_payload(v) for v in verdicts],
         }
         fileio.save_report(args.output, payload, args.seed)
     return EXIT_OK
@@ -144,12 +144,11 @@ def _named_states_for(dims):
     return out
 
 
-def _print_comparison(dims):
-    print("named-state comparison at dims %s:" % ("x".join(map(str, dims.locals))))
-    rows = _named_states_for(dims)
-    for name, rho in rows:
-        report = criteria.run_all(states.spectrum(rho))
-        detected = [v.name for v in report.verdicts if v.status is criteria.Status.DETECTED]
+def _print_comparison(spec):
+    print("named-state comparison at dims %s:" % ("x".join(map(str, spec.dims.locals))))
+    for name, rho in _named_states_for(spec.dims):
+        verdicts = criteria.run_all(states.spectrum(rho))
+        detected = [v.name for v in verdicts if v.status is criteria.Status.DETECTED]
         print("  %-16s detected-by: %s" % (name, ", ".join(detected) or "(none)"))
 
 
@@ -210,7 +209,7 @@ def cmd_witness(args):
         w = witnesses.make_separating_witness(args.d_a, args.d_b)
     norm = witnesses.trace_norm(w)
     print("%s witness on %dx%d: trace=%.12g trace_norm=%.12g"
-          % (args.kind, args.d_a, args.d_b, w.trace, norm))
+          % (args.kind, args.d_a, args.d_b, w.matrix.trace().real, norm))
     value = None
     if args.evaluate:
         rho = fileio.load_state(args.evaluate, tol_scale=_tol_scale(args))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .states import Dims, is_singular, purity, spectral_ratio
+from .states import is_singular, purity, spectral_ratio
 
 BOUNDARY_TOL = 1e-12
 
@@ -33,12 +33,6 @@ class CriterionVerdict:
     status: Status
     computed: dict = field(default_factory=dict)
     reason: str = ""
-
-
-@dataclass(frozen=True)
-class CriterionReport:
-    dims: Dims
-    verdicts: tuple
 
 
 def _verdict(name, detected, computed, reason=""):
@@ -106,16 +100,11 @@ def appt_spectral_necessary(s):
 
 def _filippov_condition(p, big_d):
     """Purity-window condition of the Filippov bound, evaluated with
-    k = ceil(1/p) so the hypothesis 1/k <= p <= 1/(k-1) holds."""
-    k = math.ceil(1.0 / p - BOUNDARY_TOL)
-    if k <= 1:
-        # Pure state window: the radical term vanishes.
-        lhs = 1.0
-        k = 1
-        rhs = 3.0 * math.sqrt(p / (big_d + 8))
-    else:
-        lhs = 1.0 + math.sqrt(max(k * p - 1.0, 0.0) / (k - 1))
-        rhs = 3.0 * k * math.sqrt(p / (big_d + 8))
+    k = ceil(1/p) so the hypothesis 1/k <= p <= 1/(k-1) holds; the radical
+    term vanishes in the pure-state window k = 1."""
+    k = max(math.ceil(1.0 / p - BOUNDARY_TOL), 1)  # p > 1e12 (a tol override) gives 0
+    lhs = 1.0 + math.sqrt(max(k * p - 1.0, 0.0) / (k - 1)) if k > 1 else 1.0
+    rhs = 3.0 * k * math.sqrt(p / (big_d + 8))
     return k, lhs, rhs
 
 
@@ -208,9 +197,9 @@ def copy_bound(ratio):
 
 
 def run_all(s):
-    """Evaluate every registered criterion once and bundle the verdicts."""
+    """Evaluate every registered criterion once; returns the tuple of verdicts."""
     verdicts = [ratio_criterion(s), purity_ball(s), region_a(s)]
     if s.dims.total >= 3:
         verdicts.append(appt_spectral_necessary(s))
     verdicts.extend(purity_bound_report(s))
-    return CriterionReport(dims=s.dims, verdicts=tuple(verdicts))
+    return tuple(verdicts)

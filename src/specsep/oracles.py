@@ -146,37 +146,41 @@ def as_falsify_search(s, dims, samples, seed):
 
 def rearrangement_min(a_eigs, b_eigs):
     """min over unitaries U of Tr[A U B U^dag] for Hermitian A, B given by
-    their eigenvalues: ascending of one against descending of the other."""
-    a = np.sort(np.asarray(a_eigs, dtype=float))
-    b = np.sort(np.asarray(b_eigs, dtype=float))[::-1]
-    if len(a) != len(b):
+    their eigenvalues: ascending of one against descending of the other.
+    Each side is one row or an (n, D) stack; returns a float for two rows and
+    otherwise an (n,) array, each entry the row call's value."""
+    a = np.sort(np.asarray(a_eigs, dtype=float), axis=-1)
+    # contiguous, so that vecdot sums each row as np.dot does
+    b = np.sort(np.asarray(b_eigs, dtype=float), axis=-1)[..., ::-1].copy()
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError("eigenvalue lists must have equal length")
-    return float(np.dot(a, b))
+    out = np.vecdot(a, b)
+    return float(out) if out.ndim == 0 else out
 
 
 def pure_state_pt_spectrum(p, ambient):
     """Spectrum of the partial transpose of a pure-state projector with
     Schmidt weights p: the weights themselves plus +-sqrt(p_i p_j) for
-    i < j, zero-padded to the ambient dimension."""
+    i < j, zero-padded to the ambient dimension.  ``p`` may be one row of
+    d weights or a (..., d) stack; every row is checked."""
     p = np.asarray(p, dtype=float)
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
+    if (p.min(axis=-1) < -1e-12).any() or (abs(p.sum(axis=-1) - 1.0) > 1e-10).any():
         raise ValueError("Schmidt weights must be nonnegative and sum to 1")
     p = np.clip(p, 0.0, None)
-    n = len(p)
-    if ambient < n * n:
+    d = p.shape[-1]
+    if ambient < d * d:
         raise ValueError("ambient dimension must be at least len(p)^2")
-    out = list(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            root = math.sqrt(p[i] * p[j])
-            out.extend((root, -root))
-    out.extend([0.0] * (ambient - len(out)))
-    return np.array(out)
+    i, j = np.triu_indices(d, 1)
+    root = np.sqrt(p[..., i] * p[..., j])
+    lead = p.shape[:-1]
+    pairs = np.stack([root, -root], axis=-1).reshape(lead + (-1,))
+    return np.concatenate([p, pairs, np.zeros(lead + (ambient - d * d,))], axis=-1)
 
 
-def thm2_violation_value(s, d_a, d_bprime):
+def thm2_violation_value(values, d_a, d_bprime):
     """Minimal overlap of the ancilla-extended state with a rotated
-    partial-transposed maximally entangled projector.
+    partial-transposed maximally entangled projector, for one eigenvalue row
+    (``s.values``) or each row of an (n, D) stack, as ``rearrangement_min``.
 
     A negative value certifies that the state tensored with a maximally
     mixed d_B'-dimensional ancilla is not absolutely PPT.  Requires
@@ -187,9 +191,9 @@ def thm2_violation_value(s, d_a, d_bprime):
     needed = d_a * (d_a + 1) // 2
     if d_bprime < needed:
         raise ValueError("d_bprime must be >= d_A(d_A+1)/2 = %d" % needed)
-    extended = np.repeat(s.values, d_bprime) / d_bprime
-    pt_spec = pure_state_pt_spectrum(np.full(d_a, 1.0 / d_a), len(extended))
-    return rearrangement_min(extended, pt_spec)
+    extended = np.repeat(values, d_bprime, axis=-1) / d_bprime
+    return rearrangement_min(
+        extended, pure_state_pt_spectrum(np.full(d_a, 1.0 / d_a), extended.shape[-1]))
 
 
 def verify_ratio_monotone(m, rho):

@@ -86,15 +86,18 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with dimension metadata and the
-    spectrum it was validated with; built by ``density_matrix`` only."""
+    """Hermitian, PSD, unit-trace matrix and the spectrum it was validated
+    with, which carries its dims; built by ``density_matrix`` only."""
 
-    dims: Dims
     matrix: np.ndarray
     spectrum: Spectrum
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
+
+    @property
+    def dims(self):
+        return self.spectrum.dims
 
 
 def hermitian_part(m, dims, error, tol_scale=1.0):
@@ -139,7 +142,7 @@ def density_matrix(matrix, dims, tol_scale=1.0):
     dims = as_dims(dims)
     m = hermitian_part(matrix, dims, InvalidStateError, tol_scale)
     s = spectrum_from_values(np.linalg.eigvalsh(m), dims, tol_scale)
-    return DensityMatrix(dims=dims, matrix=m, spectrum=s)
+    return DensityMatrix(matrix=m, spectrum=s)
 
 
 def spectrum_from_values(values, dims, tol_scale=1.0):

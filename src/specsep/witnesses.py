@@ -34,7 +34,6 @@ class Witness:
 
     dims: Dims
     matrix: np.ndarray
-    trace: float
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
@@ -44,7 +43,7 @@ def make_witness(matrix, dims):
     dims = as_dims(dims)
     dims.bipartite()
     m = hermitian_part(matrix, dims, ValueError)
-    return Witness(dims=dims, matrix=m, trace=float(m.trace().real))
+    return Witness(dims=dims, matrix=m)
 
 
 def evaluate(w, rho):
@@ -165,7 +164,9 @@ def seesaw_minimize(w, starts, iters):
     two) and is dropped from the later ones, so the rule scales with W as its
     values do.  Returns (best value per start, history), where history is an
     (iterations run, k) array of objective values that reads NaN once a start
-    has stopped.  Raises ValueError on a start row that is not finite.
+    has stopped.  It runs on W brought to unit size by a power of two and
+    scales the values back, so every scale rounds alike.  Raises ValueError on
+    a start row that is not finite.
     """
     d_a, d_b = w.dims.bipartite()
     b = np.asarray(starts, dtype=complex)
@@ -175,6 +176,9 @@ def seesaw_minimize(w, starts, iters):
     if len(bad):
         raise ValueError("start row %d is not finite" % bad[0])
     k = len(b)
+    # largest real or imaginary part into [1/2, 1): 2^-e overflows for a subnormal W
+    e = int(np.frexp(np.abs(w.matrix.view(float)).max())[1])
+    w = Witness(dims=w.dims, matrix=np.ldexp(w.matrix.view(float), -e).view(complex))
     # tiny keeps the threshold positive, so that a zero witness stops too
     threshold = SEESAW_CONVERGENCE * max(trace_norm(w), np.finfo(float).tiny)
     # <a x b|W|a x b> = sum W[i,j,m,n] conj(a_i) conj(b_j) a_m b_n, so the
@@ -201,7 +205,7 @@ def seesaw_minimize(w, starts, iters):
             best[active[done]] = running[done]
             active, pb, running = active[~done], pb[~done], running[~done]
     best[active] = running
-    return best, history[:run]
+    return np.ldexp(best, e), np.ldexp(history[:run], e)
 
 
 def min_product_expectation(w, restarts=32, iters=100, seed=0):

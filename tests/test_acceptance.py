@@ -19,9 +19,11 @@ from specsep import (
 from specsep.channels import (
     apply_map,
     apply_to_operator,
+    complete_to_deterministic,
     construct_transformation,
     entangle_from,
     make_sec_c_example,
+    normalized_output,
 )
 from specsep.criteria import (
     _filippov_condition,
@@ -64,9 +66,16 @@ def test_acceptance_01_instrument_example(capsys):
     ok = ok and np.abs(out - (2 / 9) * werner.matrix).max() < 1e-12
     from specsep.oracles import ppt_min_eigenvalue
 
-    normalized = density_matrix(out / prob, (2, 2))
+    normalized, _ = normalized_output(m, seed)
     ok = ok and abs(ppt_min_eigenvalue(normalized) + 1 / 8) <= 1e-9
-    _finish(capsys, 1, "worked instrument example reproduced exactly", ok)
+    # with its failure branch the instrument is a channel that produces no
+    # purity: trace preserving (the effects sum to I) and unital
+    completed = complete_to_deterministic(m)
+    identity = np.eye(4, dtype=complex)
+    ok = ok and np.abs(sum(e for e, _ in completed.branches) - identity).max() < 1e-12
+    ok = ok and np.abs(apply_to_operator(completed, identity) - identity).max() < 1e-12
+    _finish(capsys, 1, "worked instrument example reproduced exactly; "
+                       "completed, it is a unital channel", ok)
 
 
 def test_acceptance_02_extraction_matches_formula(capsys):
@@ -101,10 +110,10 @@ def test_acceptance_03_ratio_threshold_equivalence(capsys):
     safe = []
     spectra = [rng.dirichlet(np.ones(6)) for _ in range(8000)]
     spectra += [rng.dirichlet(np.full(6, 40.0)) for _ in range(2000)]
-    for vals in spectra:
-        s = spectrum_from_values(np.sort(vals)[::-1], dims)
+    spectra = [spectrum_from_values(np.sort(vals)[::-1], dims) for vals in spectra]
+    values = thm2_violation_value(np.array([s.values for s in spectra]), 2, 3)
+    for s, value in zip(spectra, values):
         r = spectral_ratio(s)
-        value = thm2_violation_value(s, 2, 3)
         if r > 3.0 + 1e-9:
             ok = ok and value < -1e-12
         elif r < 3.0 - 1e-9:
@@ -142,7 +151,7 @@ def _rotated_states(dims, values, seeds, floor=None):
     if floor is not None:
         m = floor + m
     m = 0.5 * (m + m.conj().transpose(0, 2, 1))
-    return [DensityMatrix(dims=dims, matrix=x, spectrum=spectrum_from_values(eigs, dims))
+    return [DensityMatrix(matrix=x, spectrum=spectrum_from_values(eigs, dims))
             for x, eigs in zip(m, np.linalg.eigvalsh(m))]
 
 

@@ -299,8 +299,8 @@ def bipartite_spectra(draw):
 @example(s=spectrum(make_rho_tilde(2, 3)))
 def test_run_all_report_shape(s):
     report = run_all(s)
-    assert [v.name for v in report.verdicts] == VERDICT_NAMES  # so no name twice
-    verdicts = {v.name: v.status is Status.DETECTED for v in report.verdicts}
+    assert [v.name for v in report] == VERDICT_NAMES  # so no name twice
+    verdicts = {v.name: v.status is Status.DETECTED for v in report}
     vals, big_d = s.values, s.dims.total
     d = min(s.dims.locals)
     if vals[-1] <= 1e-12:

@@ -87,7 +87,7 @@ def test_falsify_not_found_minimum_matches_plain_loop(local, seed, n, data):
     assert result.unitary_seed is None and result.unitary_index is None
     loop_min = math.inf
     for u in haar_unitaries(big_d, seed, n):
-        rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T, spectrum=s)
+        rho = DensityMatrix(matrix=(u * s.values) @ u.conj().T, spectrum=s)
         loop_min = min(loop_min, float(np.linalg.eigvalsh(partial_transpose(rho)).min()))
     assert result.min_pt_eigenvalue == pytest.approx(loop_min, abs=1e-12)
 
@@ -97,7 +97,7 @@ def _unscreened_search(s, dims, samples, seed):
     that eigendecomposes every sample in order, with no screen."""
     low = math.inf
     for i, u in enumerate(haar_unitaries(dims.total, seed, samples)):
-        rho = DensityMatrix(dims=dims, matrix=(u * s.values) @ u.conj().T, spectrum=s)
+        rho = DensityMatrix(matrix=(u * s.values) @ u.conj().T, spectrum=s)
         m = float(np.linalg.eigvalsh(partial_transpose(rho)).min())
         if m < -1e-9:
             return True, i, i + 1, m
@@ -307,27 +307,67 @@ def test_pure_state_pt_spectrum_examples():
         pure_state_pt_spectrum([0.7, 0.7], 4)
 
 
-def test_pt_spectrum_matches_dense_computation():
-    from specsep.states import max_entangled_ket, partial_transpose
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.floats(0, 1), min_size=1, max_size=4).filter(lambda w: sum(w) > 0))
+def test_pt_spectrum_matches_dense_computation(weights):
+    from specsep.states import partial_transpose
 
-    p = np.array([0.4, 0.35, 0.25])
-    ket = np.zeros(9, dtype=complex)
-    for i, w in enumerate(p):
-        ket[i * 3 + i] = math.sqrt(w)
-    rho = density_matrix(np.outer(ket, ket.conj()), (3, 3))
+    p = np.array(weights) / sum(weights)
+    d = len(p)
+    ket = np.zeros(d * d, dtype=complex)
+    ket[np.arange(d) * (d + 1)] = np.sqrt(p)
+    rho = density_matrix(np.outer(ket, ket.conj()), (d, d))
     dense = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
-    assert np.allclose(dense, np.sort(pure_state_pt_spectrum(p, 9)), atol=1e-12)
+    assert np.allclose(dense, np.sort(pure_state_pt_spectrum(p, d * d)), rtol=0, atol=1e-12)
+
+
+def _loop_pt_spectrum(p, ambient):
+    """One row of weights, by the i < j loop, as the row version was written."""
+    out = list(p)
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            root = math.sqrt(p[i] * p[j])
+            out.extend((root, -root))
+    return np.array(out + [0.0] * (ambient - len(out)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 20), big_d=st.integers(1, 40), d=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_pairing_equals_row_calls(n, big_d, d, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, n, big_d))
+    row = rearrangement_min(a[0], b[0])
+    assert isinstance(row, float) and row == float(np.dot(np.sort(a[0]), np.sort(b[0])[::-1]))
+    for stacked, rows in [
+            (rearrangement_min(a, b), [rearrangement_min(x, y) for x, y in zip(a, b)]),
+            (rearrangement_min(a, b[0]), [rearrangement_min(x, b[0]) for x in a]),
+            (rearrangement_min(a[0], b), [rearrangement_min(a[0], y) for y in b])]:
+        assert stacked.shape == (n,) and np.array_equal(stacked, rows)
+    p = rng.dirichlet(np.ones(d), size=n)
+    ambient = d * d + int(rng.integers(0, 5))
+    assert np.array_equal(pure_state_pt_spectrum(p[0], ambient), _loop_pt_spectrum(p[0], ambient))
+    assert np.array_equal(pure_state_pt_spectrum(p, ambient),
+                          [_loop_pt_spectrum(q, ambient) for q in p])
+    p[-1, 0] += 1e-9  # one row off a unit sum refuses the stack
+    with pytest.raises(ValueError):
+        pure_state_pt_spectrum(p, ambient)
+    values = -np.sort(-rng.dirichlet(np.ones(big_d + 1), size=n))
+    d_a = int(rng.integers(1, 4))
+    stacked = thm2_violation_value(values, d_a, d_a * (d_a + 1) // 2)
+    assert np.array_equal(stacked, [thm2_violation_value(v, d_a, d_a * (d_a + 1) // 2)
+                                    for v in values])
 
 
 def test_thm2_violation_examples():
     s = spectrum_from_values([0.4, 0.3, 0.2, 0.1], (2, 2))
-    assert thm2_violation_value(s, 2, 3) == pytest.approx(-1 / 60, abs=1e-12)
+    assert thm2_violation_value(s.values, 2, 3) == pytest.approx(-1 / 60, abs=1e-12)
     boundary = spectrum_from_values(np.array([3, 1, 1, 1]) / 6.0, (2, 2))
-    assert thm2_violation_value(boundary, 2, 3) == pytest.approx(0.0, abs=1e-12)
+    assert thm2_violation_value(boundary.values, 2, 3) == pytest.approx(0.0, abs=1e-12)
     mixed = spectrum_from_values([0.25] * 4, (2, 2))
-    assert thm2_violation_value(mixed, 2, 3) > 0
+    assert thm2_violation_value(mixed.values, 2, 3) > 0
     with pytest.raises(ValueError):
-        thm2_violation_value(s, 2, 2)  # ancilla below d_A(d_A+1)/2
+        thm2_violation_value(s.values, 2, 2)  # ancilla below d_A(d_A+1)/2
 
 
 def test_thm2_negative_iff_ratio_exceeds_threshold(rng):
@@ -336,7 +376,7 @@ def test_thm2_negative_iff_ratio_exceeds_threshold(rng):
     for alpha in (1.0, 5.0, 30.0):
         for _ in range(300):
             s = rand_spectrum(rng, (2, 2), alpha=alpha)
-            value = thm2_violation_value(s, d_a, d_bprime)
+            value = thm2_violation_value(s.values, d_a, d_bprime)
             if spectral_ratio(s) > threshold + 1e-9:
                 assert value < 1e-12
             elif spectral_ratio(s) < threshold - 1e-9:
@@ -350,7 +390,7 @@ def test_thm2_matches_brute_force_search(rng):
     d_a, d_bprime = 2, 3
     for _ in range(10):
         s = rand_spectrum(rng, (2, 2))
-        value = thm2_violation_value(s, d_a, d_bprime)
+        value = thm2_violation_value(s.values, d_a, d_bprime)
         extended = np.repeat(s.values, d_bprime) / d_bprime
         ket = max_entangled_ket(2, 6)
         proj = np.outer(ket, ket.conj()).reshape(2, 6, 2, 6)

@@ -63,7 +63,7 @@ def test_ppt_witness_spectrum_and_trace():
     assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
     for dims in [(2, 2), (2, 3), (3, 3), (2, 4)]:
         w = make_ppt_witness(bipartite_dims(*dims))
-        assert w.trace == pytest.approx(1.0, abs=1e-12)
+        assert w.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
         d = min(dims)
         eigs = np.linalg.eigvalsh(w.matrix)
         assert eigs.min() >= -1 / d - 1e-12 and eigs.max() <= 1 / d + 1e-12
@@ -302,12 +302,10 @@ def _projector_seesaw(w, starts, iters):
 
 # Derandomized, as above: the two carriers round differently, and a start
 # whose last step lies within rounding of the threshold may stop one
-# iteration apart.  At 1e-310 the witness is subnormal and holds about 44 bits
-# of its largest entry: within three iterations either carrier strays from its
-# own unscaled run by up to about 1e-11 ||W||_1 (300 random witnesses), and the
-# two best values differed by up to 3.6e-11 ||W||_1 (1500 witnesses), so the
-# stop rule fires within noise; there only run counts within one and best
-# values within 1e-9 ||W||_1 are held.
+# iteration apart.  The reference runs on W brought to unit size by a power of
+# two, as ``seesaw_minimize`` does: at 1e-310 the witness is subnormal, and a
+# search on it directly strays from its unscaled run by up to about
+# 1e-11 ||W||_1, so the stop rule would fire within noise.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(dims=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]),
        scale=st.sampled_from([1.0, 1e300, 1e-300, 1e-310]), k=st.integers(1, 32),
@@ -320,16 +318,17 @@ def test_bloch_carrier_matches_projector_carrier(dims, scale, k, iters, seed):
     w = make_witness(h / np.abs(np.linalg.eigvalsh(h)).max() * scale, bipartite_dims(*dims))
     starts = rng.normal(size=(k, dims[1])) + 1j * rng.normal(size=(k, dims[1]))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    e = int(np.frexp(np.abs(w.matrix.view(float)).max())[1])
+    unit = make_witness(np.ldexp(w.matrix.view(float), -e).view(complex), w.dims)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         best, history = seesaw_minimize(w, starts, iters)
-        ref_best, ref_history = _projector_seesaw(w, starts, iters)
+        ref_best, ref_history = (np.ldexp(x, e) for x in _projector_seesaw(unit, starts, iters))
     norm = trace_norm(w)
-    subnormal = scale < np.finfo(float).tiny
-    assert np.all(np.abs(best - ref_best) <= (1e-9 if subnormal else 1e-12) * norm)
+    assert np.all(np.abs(best - ref_best) <= 1e-12 * norm)
     runs, ref_runs = np.isfinite(history).sum(axis=0), np.isfinite(ref_history).sum(axis=0)
     assert np.all(np.abs(runs - ref_runs) <= 1)
-    for r in np.flatnonzero(runs != ref_runs) if not subnormal else []:
+    for r in np.flatnonzero(runs != ref_runs):
         # rounding flipped the stop rule at a step within rounding of the threshold
         i = min(runs[r], ref_runs[r]) - 1
         step = ref_history[i - 1, r] - ref_history[i, r]
@@ -462,6 +461,25 @@ def test_seesaw_scales_with_the_witness(rng, dims, scale):
     assert unscaled == pytest.approx(-1, abs=1e-12)
     assert scaled == pytest.approx(unscaled * scale, rel=1e-9)
     assert np.allclose(first_scaled, first * scale, rtol=0, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_seesaw_at_subnormal_scale_matches_a_power_of_two_copy(rng, dims):
+    # at 1e-310 the witness holds fewer bits, but the search runs on the same
+    # unit-size matrix as its copy scaled up by 2^1100, so it rounds alike
+    big_d = dims[0] * dims[1]
+    g = rng.normal(size=(big_d, big_d)) + 1j * rng.normal(size=(big_d, big_d))
+    small = make_witness((g + g.conj().T) * 1e-310, bipartite_dims(*dims))
+    assert np.abs(small.matrix).max() < np.finfo(float).tiny
+    big = make_witness(np.ldexp(small.matrix.view(float), 1100).view(complex), small.dims)
+    starts = rng.normal(size=(16, dims[1])) + 1j * rng.normal(size=(16, dims[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, history = seesaw_minimize(small, starts, 100)
+        big_best, big_history = seesaw_minimize(big, starts, 100)
+    assert history.shape == big_history.shape and len(history) > 1
+    assert np.array_equal(best, np.ldexp(big_best, -1100))
+    assert np.array_equal(history, np.ldexp(big_history, -1100), equal_nan=True)
 
 
 def test_qubit_sides_call_no_eigh(monkeypatch, rng):
