@@ -18,9 +18,10 @@ from .states import spectral_ratio, spectrum
 
 NPT_THRESHOLD = -1e-9
 
-# Batch sizes of an orbit search, the last one repeating: a hit on the first
-# samples costs one small batch, while a long search runs few LAPACK calls.
-SEARCH_BATCHES = (1, 4, 16, 64, 256)
+# Batch sizes of an orbit search, the last one repeating: a hit on sample 0
+# costs one rotation, one in the next 16 a 16-rotation batch, and a 100-sample
+# search runs three QR calls (batches of 1, 16 and 83).
+SEARCH_BATCHES = (1, 16, 256)
 
 # A batch holds at most this many matrix entries per (n, D, D) stack (16 MiB of
 # complex), so a search at large D keeps a few such stacks, not a few 256 D^2.
@@ -44,11 +45,14 @@ class FalsificationResult:
     is the entangling unitary; both fields are None otherwise.
     """
 
-    found: bool
     unitary_seed: int | None
     unitary_index: int | None
     min_pt_eigenvalue: float
     samples_used: int
+
+    @property
+    def found(self):
+        return self.unitary_index is not None
 
 
 def _partial_transpose(m, d_a, d_b):
@@ -98,14 +102,16 @@ def as_falsify_search(s, dims, samples, seed):
     ``haar_unitaries(D, seed, i + 1)[i]``, so a hit is reproducible from the
     search seed and its index (``unitary_seed``, ``unitary_index``) alone.
 
-    Only rotations that can change the result are eigendecomposed.  Once a
-    running minimum m exists, each slice of SCREEN_SLICE rotations is first
-    Cholesky-factorized with its spectrum shifted down by m + 1e-12; success
+    Rotations are drawn in batches of SEARCH_BATCHES (the last size
+    repeating), and only those that can change the result are
+    eigendecomposed.  Once a running minimum m exists, each slice of
+    SCREEN_SLICE rotations is first Cholesky-factorized with its spectrum
+    shifted down by m + 1e-12, a shift built again only when m falls; success
     puts every eigenvalue in the slice above m (and so above the hit
     threshold), and the slice is skipped.  The argmin and the first hit always
     go through ``eigvalsh``, which gives a matrix the same eigenvalues in any
     stack, so the result is the one an eigendecomposition of every sample
-    gives.
+    gives, whatever the batch and slice sizes.
     """
     d_a, d_b = dims.bipartite()
     if len(s.values) != dims.total:
@@ -117,6 +123,7 @@ def as_falsify_search(s, dims, samples, seed):
     cap = max(1, SEARCH_BATCH_ENTRIES // dims.total ** 2)
     eye = np.eye(dims.total)
     overall_min = math.inf
+    shift = None
     done = 0
     while done < samples:
         n = min(next(sizes), cap, samples - done)
@@ -125,22 +132,24 @@ def as_falsify_search(s, dims, samples, seed):
         pt = _partial_transpose(rotated, d_a, d_b)
         for lo in range(0, n, SCREEN_SLICE):
             block = pt[lo:lo + SCREEN_SLICE]
-            if overall_min < math.inf:
+            if shift is not None:
                 try:
-                    np.linalg.cholesky(block - (overall_min + 1e-12) * eye)
+                    np.linalg.cholesky(block - shift)
                     continue
                 except np.linalg.LinAlgError:
                     pass
-            mins = np.linalg.eigvalsh(block).min(axis=-1)
-            hits = np.flatnonzero(mins < NPT_THRESHOLD)
-            if hits.size:
-                i = done + lo + int(hits[0])
-                return FalsificationResult(found=True, unitary_seed=seed, unitary_index=i,
-                                           min_pt_eigenvalue=float(mins[hits[0]]),
-                                           samples_used=i + 1)
-            overall_min = min(overall_min, float(mins.min()))
+            mins = np.linalg.eigvalsh(block)[:, 0]
+            low = float(mins.min())
+            if low < NPT_THRESHOLD:
+                i = int(np.flatnonzero(mins < NPT_THRESHOLD)[0])
+                return FalsificationResult(unitary_seed=seed, unitary_index=done + lo + i,
+                                           min_pt_eigenvalue=float(mins[i]),
+                                           samples_used=done + lo + i + 1)
+            if low < overall_min:
+                overall_min = low
+                shift = (overall_min + 1e-12) * eye
         done += n
-    return FalsificationResult(found=False, unitary_seed=None, unitary_index=None,
+    return FalsificationResult(unitary_seed=None, unitary_index=None,
                                min_pt_eigenvalue=overall_min, samples_used=samples)
 
 

@@ -144,21 +144,26 @@ def test_screened_search_matches_unscreened_loop(inputs, seed, samples):
 
 @settings(max_examples=40, deadline=None)
 @given(inputs=_search_inputs(), seed=st.integers(0, 7), samples=st.integers(1, 300),
-       cap=st.integers(1, 20))
-@example(inputs=_LATE_HIT, seed=2, samples=300, cap=3)
-@example(inputs=_LATE_HIT, seed=7, samples=300, cap=8)
-def test_capped_batches_give_the_uncapped_result(inputs, seed, samples, cap):
-    # batches of at most ``cap`` rotations, late hits (index 131, 40) included
+       cap=st.integers(1, 20),
+       batches=st.sampled_from([(1,), (2, 3), (1, 4, 16, 64, 256), (1, 16, 256)]),
+       screen=st.sampled_from([1, 3, 8, 64]))
+@example(inputs=_LATE_HIT, seed=2, samples=300, cap=3, batches=(1, 16, 256), screen=8)
+@example(inputs=_LATE_HIT, seed=7, samples=300, cap=8, batches=(1, 4, 16, 64, 256), screen=3)
+def test_capped_batches_give_the_uncapped_result(inputs, seed, samples, cap, batches, screen):
+    # batches of at most ``cap`` rotations, in any schedule and screened in
+    # slices of any size, late hits (index 131, 40) included
     s, dims = inputs
     uncapped = as_falsify_search(s, dims, samples=samples, seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "SEARCH_BATCH_ENTRIES", cap * dims.total ** 2)
+        patch.setattr(oracles, "SEARCH_BATCHES", batches)
+        patch.setattr(oracles, "SCREEN_SLICE", screen)
         assert as_falsify_search(s, dims, samples=samples, seed=seed) == uncapped
 
 
 def test_search_memory_is_bounded_at_large_dimension():
-    # 11x11: 256-rotation batches would hold several 57 MiB stacks (147 MiB
-    # peak for 200 samples); capped ones hold about seven stacks of 16 MiB
+    # 11x11: uncapped batches would hold several stacks of up to 41 MiB (176
+    # MiB peak for 200 samples); capped ones hold about seven stacks of 16 MiB
     dims = bipartite_dims(11, 11)
     s = spectrum(maximally_mixed(dims))
     tracemalloc.start()
@@ -233,7 +238,7 @@ def test_falsify_hit_replays_from_seed_and_index():
         if i > 0:
             assert not as_falsify_search(s, dims, samples=i, seed=seed).found
         indices.append(i)
-    # hits inside the first batch, past it, and past the first four batches
+    # hits on the first sample and past index 85, deep in a 256-rotation batch
     assert min(indices) == 0 and max(indices) > 85
 
 

@@ -1,17 +1,19 @@
-"""Write the files of 22 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Write the files of 23 fixed CLI commands into OUTDIR, for byte-identity checks.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 8 ``construct`` commands (state files) and 14 commands that write
+importable, 8 ``construct`` commands (state files) and 15 commands that write
 reports: ``classify`` x3, ``transform`` x4 (one onto a singular target, whose
-beta is infinite), ``witness`` x2, ``bounds`` and ``falsify`` x4 (two misses, a
-hit on the first sample and a hit at index 131, deep in a batch whose earlier
-slices the orbit search screens out).  ``construct`` writes only matrix files,
-so the spectrum files that one ``classify`` and two ``falsify`` read are
-written first from the literal text in SPECTRUM_FILES (unsorted, so loading
-sorts them).  To compare two source trees, run it once against each and
-``diff -r`` the two output directories.  Exits 1 if a command does not exit 0.
+beta is infinite), ``witness`` x2, ``bounds`` and ``falsify`` x5 (two misses, a
+hit on the first sample, a hit at index 16, the last rotation of the second
+batch and of its second screen slice, and a hit at index 131, deep in a batch
+whose earlier slices the orbit search screens out).  ``construct`` writes only
+matrix files, so the spectrum files that one ``classify`` and three
+``falsify`` read are written first from the literal text in SPECTRUM_FILES
+(unsorted, so loading sorts them).  To compare two source trees, run it once
+against each and ``diff -r`` the two output directories.  Exits 1 if a command
+does not exit 0.
 """
 
 import contextlib
@@ -53,6 +55,7 @@ COMMANDS = [
     ("f_mm.json", ["falsify", "mm3.json", "--samples", "300"]),
     ("f_spec.json", ["falsify", "spec23.json", "--samples", "200", "--seed", "7"]),
     ("f_late.json", ["falsify", "late22.json", "--samples", "500", "--seed", "2"]),
+    ("f_late16.json", ["falsify", "late22.json", "--samples", "500", "--seed", "17"]),
 ]
 
 
