@@ -126,7 +126,7 @@ def cmd_classify(args):
             "command": "classify",
             "input_digest": fileio.digest(fileio.state_to_payload(spec)),
             "dims": list(spec.dims.locals),
-            "spectrum": [float(v) for v in spec.values],
+            "spectrum": spec.values,
             "verdicts": [_verdict_payload(v) for v in verdicts],
         }
         fileio.save_report(args.output, payload, args.seed)
@@ -289,10 +289,28 @@ _COMMANDS = {
 
 
 _PARSER = build_parser()
+# command name -> its parser, from the subparsers action of build_parser
+_SUBPARSERS = next(a.choices for a in _PARSER._actions
+                   if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse(argv):
+    """``_PARSER.parse_args(argv)`` in one pass: a leading command's own parser
+    reads the rest, and the top-level parser refuses what it leaves over.  Argv
+    with no leading command, or with a token ambiguous among the top-level
+    options (``--=x``), takes the top-level parse."""
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None or any(a.startswith("--=") for a in argv):
+        return _PARSER.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        _PARSER.error("unrecognized arguments: %s" % " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return _COMMANDS[args.command](args)
     except (channels.RatioTooSmall, channels.InputIsCAS) as exc:

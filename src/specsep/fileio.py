@@ -13,17 +13,16 @@ float (an infinite spectral ratio, say) as ``null``; bool as
 str as ASCII-escaped JSON; list and tuple as arrays.  Anything else,
 np.bool_ and set among them, raises TypeError.
 
-A rectangular nest of finite Python floats (what ``.tolist()`` gives for a
-matrix or a spectrum) is written in one ``%`` operation from a template of
-``%.17g`` slots for its shape.  ``'%.17g' % x`` and ``format(x, ".17g")``
-spell a double alike, so this grid path writes the same bytes as the
-per-value path that everything else takes.
+An np.ndarray is written exactly as its ``.tolist()`` would be.  A floating
+array is written in one ``%`` operation from a template of ``%.17g`` slots
+for its shape; ``'%.17g' % x`` and ``format(x, ".17g")`` spell a double
+alike, so this path writes the same bytes as the per-value path that lists,
+tuples and every other array take.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 
@@ -39,13 +38,20 @@ _encode_str = json.encoder.encode_basestring_ascii
 def dumps(obj):
     """Serialize nested dict/list/scalar data deterministically.
 
-    Floats are tested first and lists second: reports are mostly lists of
-    np.float64, which is a float.
+    Floats are tested first, lists second and arrays third: reports are
+    mostly np.float64 (a float), lists and float arrays.
     """
     if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, (list, tuple)):
-        return _float_grid(obj) or "[%s]" % ",".join(map(dumps, obj))
+        return "[%s]" % ",".join(map(dumps, obj))
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            text = _grid_template(obj.shape) % tuple(obj.ravel().tolist())
+            # a finite double is spelled with digits, '-', '.', 'e' and '+'; inf and nan hold an n
+            if "n" not in text:
+                return text
+        return dumps(obj.tolist())
     if isinstance(obj, dict):
         items = ",".join("%s:%s" % (_encode_str(str(k)), dumps(v)) for k, v in sorted(obj.items()))
         return "{%s}" % items
@@ -62,26 +68,6 @@ def dumps(obj):
     raise TypeError("cannot serialize %r" % type(obj))
 
 
-def _float_grid(obj):
-    """The text of ``obj`` if it is a non-empty rectangular nest of lists (or
-    tuples) whose leaves are all finite Python floats, else None."""
-    shape = [len(obj)]
-    leaves = obj
-    types = set(map(type, leaves))
-    while types and types <= {list, tuple}:
-        lengths = set(map(len, leaves))
-        if len(lengths) != 1:
-            return None
-        shape.append(lengths.pop())
-        leaves = list(itertools.chain.from_iterable(leaves))
-        types = set(map(type, leaves))
-    if types != {float}:
-        return None
-    text = _grid_template(shape) % tuple(leaves)
-    # a finite double is spelled with digits, '-', '.', 'e' and '+'; inf and nan hold an n
-    return None if "n" in text else text
-
-
 def _grid_template(shape):
     """JSON array text of the given shape with a %.17g slot per leaf."""
     text = "%.17g"
@@ -91,16 +77,16 @@ def _grid_template(shape):
 
 
 def matrix_to_payload(m):
-    """A complex matrix as row-major lists of (re, im) pairs of Python floats."""
+    """A complex matrix as a row-major float array of (re, im) pairs, shape (..., 2)."""
     m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+    return np.stack([m.real, m.imag], -1)
 
 
 def state_to_payload(state):
     """A DensityMatrix as its matrix, a Spectrum as its eigenvalues."""
     payload = {"dims": {"locals": list(state.dims.locals)}}
     if isinstance(state, Spectrum):
-        payload["spectrum"] = state.values.tolist()
+        payload["spectrum"] = state.values
     else:
         payload["matrix"] = matrix_to_payload(state.matrix)
     return payload

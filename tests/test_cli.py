@@ -1,11 +1,19 @@
+import contextlib
 import decimal
+import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specsep import DensityMatrix, density_matrix, make_named_state, spectrum
+import specsep
+from specsep import DensityMatrix, __version__, cli, density_matrix, make_named_state, spectrum
 from specsep.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, MAX_TOTAL_DIM, main
 from specsep.criteria import gibbs_threshold
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
@@ -552,3 +560,89 @@ def test_eigensolver_call_budget(tmp_path, monkeypatch):
         calls.update(eigvalsh=0, eigh=0)
         assert main(argv + ["--output", str(tmp_path / "r.json")]) == EXIT_OK
         assert calls == {"eigvalsh": eigvalsh, "eigh": eigh}
+
+
+def _values_for(action):
+    """Strings a command's option or positional may be given: its choices,
+    numbers of its type, a file name, and values of the wrong type."""
+    if action.choices:
+        good = st.sampled_from(sorted(action.choices))
+    elif action.type is int:
+        good = st.integers(-3, 2000).map(str)
+    elif action.type is float:
+        good = st.floats().map(repr)
+    else:
+        good = st.sampled_from(["s.json", "out.json", "-1", "a b"])
+    return good | st.sampled_from(["abc", "1.5", "nan", "-1e3", ""])
+
+
+# unknown flags, the separator, help and version, a token ambiguous among the
+# top-level options, an abbreviation ambiguous in every command, a stray positional
+_NOISE = st.sampled_from(["--bogus", "-x", "--", "-h", "--help", "--version", "--ver",
+                          "--=x", "--h", "extra.json", "-1", ""])
+
+
+@st.composite
+def command_argvs(draw):
+    """An argv built from one command's own options and values, each flag now
+    and then abbreviated or joined to its value by '=', mixed with noise in
+    any order (so positionals may follow options), and now and then headed
+    by something other than the command."""
+    name = draw(st.sampled_from(sorted(cli._SUBPARSERS)))
+    groups = []
+    for action in cli._SUBPARSERS[name]._actions:
+        if action.dest == "help" or draw(st.booleans()):
+            continue
+        if not action.option_strings:
+            groups.append([draw(_values_for(action))])
+            continue
+        flag = draw(st.sampled_from(action.option_strings))
+        if flag.startswith("--") and draw(st.booleans()):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if action.nargs == 0:
+            groups.append([flag])
+        elif draw(st.booleans()):
+            groups.append(["%s=%s" % (flag, draw(_values_for(action)))])
+        else:
+            groups.append([flag, draw(_values_for(action))])
+    groups += [[token] for token in draw(st.lists(_NOISE, max_size=2))]
+    head = draw(st.sampled_from([[name]] * 6 + [[], ["bogus"], ["--version"], ["-h"]]))
+    return head + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+def _outcome(parse, argv):
+    """What ``parse(argv)`` does: the namespace as (name, repr) pairs, so that
+    NaN equals NaN, or the SystemExit code; and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = sorted((k, repr(v)) for k, v in vars(parse(argv)).items())
+    except SystemExit as exc:
+        result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_argvs())
+def test_one_parse_per_command_matches_the_top_level_parse(argv):
+    assert _outcome(cli._parse, argv) == _outcome(cli._PARSER.parse_args, argv)
+
+
+def _run_module(tmp_path, *argv):
+    """``python -m specsep.cli ARGV`` on the specsep under test, so that main
+    reads its argv from sys.argv."""
+    env = {**os.environ, "PYTHONPATH": str(Path(specsep.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "specsep.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path, capsys):
+    assert main(["bounds", "--copies", "3"]) == EXIT_OK
+    done = _run_module(tmp_path, "bounds", "--copies", "3")
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, capsys.readouterr().out, "")
+    done = _run_module(tmp_path, "--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, __version__ + "\n", "")
+    done = _run_module(tmp_path, "bounds", "--copies", "3", "--bogus")
+    assert done.returncode == EXIT_INVALID and done.stdout == ""
+    assert done.stderr.startswith("usage: specsep [-h] [--version]")
+    assert done.stderr.endswith("\nspecsep: error: unrecognized arguments: --bogus\n")

@@ -235,25 +235,29 @@ def test_dumps_golden_bytes():
             dumps(bad)
 
 
-def test_matrix_to_payload_gives_plain_floats():
+def test_matrix_to_payload_gives_a_float_array_of_pairs():
     pairs = matrix_to_payload(np.array([[complex(-0.0, 1.0), complex(2.5, -0.0)]]))
-    assert pairs == [[[-0.0, 1.0], [2.5, -0.0]]]
-    assert all(type(x) is float for row in pairs for pair in row for x in pair)
-    assert math.copysign(1.0, pairs[0][0][0]) == -1.0
-    assert math.copysign(1.0, pairs[0][1][1]) == -1.0
+    assert pairs.dtype == np.float64 and pairs.shape == (1, 2, 2)
+    assert pairs.tolist() == [[[-0.0, 1.0], [2.5, -0.0]]]
+    assert math.copysign(1.0, pairs[0, 0, 0]) == -1.0
+    assert math.copysign(1.0, pairs[0, 1, 1]) == -1.0
     real = matrix_to_payload(np.array([[1.0, -0.0], [0.5, 2.0]]))
-    assert real == [[[1.0, 0.0], [-0.0, 0.0]], [[0.5, 0.0], [2.0, 0.0]]]
-    assert math.copysign(1.0, real[0][1][0]) == -1.0
-    assert all(type(x) is float for row in real for pair in row for x in pair)
+    assert real.dtype == np.float64 and real.shape == (2, 2, 2)
+    assert real.tolist() == [[[1.0, 0.0], [-0.0, 0.0]], [[0.5, 0.0], [2.0, 0.0]]]
+    assert math.copysign(1.0, real[0, 1, 0]) == -1.0
+    assert math.copysign(1.0, real[0, 1, 1]) == 1.0
+    assert dumps(real) == "[[[1,0],[-0,0]],[[0.5,0],[2,0]]]"
 
 
 def _per_value_dumps(obj):
-    """The per-value serializer: every leaf formatted on its own, the
-    reference the grid path of ``dumps`` must match byte for byte."""
+    """The per-value serializer: every leaf formatted on its own and an array
+    taken as its ``.tolist()``, the reference ``dumps`` must match byte for byte."""
     if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, (list, tuple)):
         return "[%s]" % ",".join(map(_per_value_dumps, obj))
+    if isinstance(obj, np.ndarray):
+        return _per_value_dumps(obj.tolist())
     if isinstance(obj, dict):
         items = ",".join("%s:%s" % (json.dumps(str(k)), _per_value_dumps(v))
                          for k, v in sorted(obj.items()))
@@ -304,8 +308,37 @@ def float_grids(draw):
     return tuple(grid) if draw(st.booleans()) else grid
 
 
+_SHAPES = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+
+
+@st.composite
+def float_arrays(draw):
+    """A float64 array of 0 to 3 dimensions, zero-size shapes included,
+    drawn from every float and the edge values; now and then a transposed,
+    so not C-contiguous, view."""
+    shape = draw(_SHAPES)
+    flat = draw(st.lists(_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    a = np.array(flat, dtype=float).reshape(shape)
+    return a.T if draw(st.booleans()) else a
+
+
+@st.composite
+def arrays(draw):
+    """A float64, float32, bool or int64 array of 0 to 3 dimensions."""
+    a = draw(float_arrays())
+    kind = draw(st.sampled_from(["float64", "float32", "bool", "int64"]))
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            a = a.astype(np.float32)
+    elif kind == "bool":
+        a = np.nan_to_num(a) > 0
+    elif kind == "int64":
+        a = np.clip(np.nan_to_num(a), -2.0**62, 2.0**62).astype(np.int64)
+    return np.asarray(a)  # an operation on a 0-d array gives a scalar
+
+
 _PAYLOADS = st.recursive(
-    _LEAVES | float_grids(),
+    _LEAVES | float_grids() | arrays(),
     lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
                       | st.dictionaries(st.text(max_size=4), children, max_size=4)),
     max_leaves=20)
@@ -317,8 +350,19 @@ def test_dumps_matches_the_per_value_serializer(payload):
     assert dumps(payload) == _per_value_dumps(payload)
 
 
+@settings(max_examples=300, deadline=None)
+@given(a=arrays())
+def test_dumps_writes_an_array_as_its_tolist(a):
+    assert dumps(a) == _per_value_dumps(a.tolist())
+
+
+def test_dumps_refuses_a_complex_array():
+    with pytest.raises(TypeError):
+        dumps(np.array([1 + 2j, 0.5]))
+
+
 def test_percent_format_spells_doubles_as_format():
-    # the grid path formats with '%.17g' %, the per-value path with format()
+    # the array path formats with '%.17g' %, the per-value path with format()
     xs = np.frombuffer(np.random.default_rng(0).bytes(8 * 10**6), dtype=float).tolist()
     percent = list(map("%.17g".__mod__, xs))
     formatted = [format(x, ".17g") for x in xs]

@@ -1,19 +1,19 @@
-"""Write the files of 23 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Write the files of 24 fixed CLI commands into OUTDIR, for byte-identity checks.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 8 ``construct`` commands (state files) and 15 commands that write
+importable, 8 ``construct`` commands (state files) and 16 commands that write
 reports: ``classify`` x3, ``transform`` x4 (one onto a singular target, whose
-beta is infinite), ``witness`` x2, ``bounds`` and ``falsify`` x5 (two misses, a
-hit on the first sample, a hit at index 16, the last rotation of the second
-batch and of its second screen slice, and a hit at index 131, deep in a batch
-whose earlier slices the orbit search screens out).  ``construct`` writes only
-matrix files, so the spectrum files that one ``classify`` and three
-``falsify`` read are written first from the literal text in SPECTRUM_FILES
-(unsorted, so loading sorts them).  To compare two source trees, run it once
-against each and ``diff -r`` the two output directories.  Exits 1 if a command
-does not exit 0.
+beta is infinite), ``witness`` x3 (one on 4 x 9, a 36 x 36 matrix), ``bounds``
+and ``falsify`` x5 (two misses, a hit on the first sample, a hit at index 16,
+the last rotation of the second batch and of its second screen slice, and a
+hit at index 131, deep in a batch whose earlier slices the orbit search
+screens out).  ``construct`` writes only matrix files, so the spectrum files
+that one ``classify`` and three ``falsify`` read are written first from the
+literal text in SPECTRUM_FILES (unsorted, so loading sorts them).  To compare
+two source trees, run it once against each and ``diff -r`` the two output
+directories.  Exits 1 if a command does not exit 0.
 """
 
 import contextlib
@@ -49,6 +49,7 @@ COMMANDS = [
     ("w_sep.json", ["witness", "separating", "--d-a", "2", "--d-b", "3",
                     "--evaluate", "rt.json"]),
     ("w_ppt.json", ["witness", "ppt"]),
+    ("w_sep49.json", ["witness", "separating", "--d-a", "4", "--d-b", "9"]),
     ("bounds.json", ["bounds", "--copies", "3", "--h-norm", "1.5", "--l", "2",
                      "--k-b", "0.5"]),
     ("f_phi.json", ["falsify", "phi.json", "--samples", "50", "--seed", "11"]),
