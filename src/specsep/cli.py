@@ -35,6 +35,11 @@ def _parent():
 
 
 def build_parser():
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top-level parser and the map from each command name to its parser."""
     parser = argparse.ArgumentParser(prog="specsep",
                                      description="Spectral separability toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -78,7 +83,7 @@ def build_parser():
     p.add_argument("state")
     p.add_argument("--samples", type=int, default=1000)
 
-    return parser
+    return parser, sub.choices
 
 
 def _tol_scale(args):
@@ -288,10 +293,7 @@ _COMMANDS = {
 }
 
 
-_PARSER = build_parser()
-# command name -> its parser, from the subparsers action of build_parser
-_SUBPARSERS = next(a.choices for a in _PARSER._actions
-                   if isinstance(a, argparse._SubParsersAction))
+_PARSER, _SUBPARSERS = _build_parsers()
 
 
 def _parse(argv):

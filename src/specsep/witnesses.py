@@ -22,6 +22,11 @@ from .states import (
 # the witness's trace norm.
 SEESAW_CONVERGENCE = 1e-12
 
+# How often the see-saw prunes starts that cannot end lowest, and by how much of
+# ||W||_1 a start's extrapolated limit must miss the lowest value to be pruned.
+SEESAW_PRUNE_EVERY = 10
+SEESAW_PRUNE_MARGIN = 1e-3
+
 # S_mu / 2 for S = I, sz, sx, sy, flattened and read as float.  A qubit see-saw
 # side is carried as a Bloch unit vector u, standing for the projector
 # (I - u . (sz, sx, sy)) / 2, and an operator M on it as the row Tr(M S_mu) / 2.
@@ -162,7 +167,21 @@ def seesaw_minimize(w, starts, iters):
     larger side.  A start stops at its first iteration with
     best - value < SEESAW_CONVERGENCE * ||W||_1 (keeping the smaller of the
     two) and is dropped from the later ones, so the rule scales with W as its
-    values do.  Returns (best value per start, history), where history is an
+    values do.
+
+    A start is also pruned when it cannot end lowest.  After every
+    SEESAW_PRUNE_EVERY-th iteration, with lowest the smallest best of all
+    starts (stopped ones included), v0, v1, v2 a start's last three values,
+    prev = v0 - v1 and step = v1 - v2, a start whose descent is slowing
+    (prev > step) stops when its geometric limit best - step^2 / (prev - step)
+    lies more than SEESAW_PRUNE_MARGIN * ||W||_1 above lowest, and reports its
+    best at the stop.  Every best is still an attained product expectation;
+    the smallest can lie above the rule-free run's only where a pruned start
+    would later have escaped to a lower basin.  A pruned column ends with a
+    step (its smallest earlier value minus its last) of at least the
+    convergence threshold, a converged one with a step below it.
+
+    Returns (best value per start, history), where history is an
     (iterations run, k) array of objective values that reads NaN once a start
     has stopped.  It runs on W brought to unit size by a power of two and
     scales the values back, so every scale rounds alike.  Raises ValueError on
@@ -180,7 +199,8 @@ def seesaw_minimize(w, starts, iters):
     e = int(np.frexp(np.abs(w.matrix.view(float)).max())[1])
     w = Witness(dims=w.dims, matrix=np.ldexp(w.matrix.view(float), -e).view(complex))
     # tiny keeps the threshold positive, so that a zero witness stops too
-    threshold = SEESAW_CONVERGENCE * max(trace_norm(w), np.finfo(float).tiny)
+    norm = max(trace_norm(w), np.finfo(float).tiny)
+    threshold, margin = SEESAW_CONVERGENCE * norm, SEESAW_PRUNE_MARGIN * norm
     # <a x b|W|a x b> = sum W[i,j,m,n] conj(a_i) conj(b_j) a_m b_n, so the
     # projector P[n, j] = b_n conj(b_j) contracts to A's operator as P @ from_b
     t = w.matrix.reshape(d_a, d_b, d_a, d_b)
@@ -190,7 +210,7 @@ def seesaw_minimize(w, starts, iters):
     if d_b == 2:  # b's Bloch vector, as the least eigenvector of -|b><b| (|0> for b = 0)
         pb = _least_eigenpair(-pb @ _HALF_PAULI.T, 2)[1]
     history = np.full((iters, k), np.nan)
-    best = np.empty(k)
+    best = np.full(k, math.inf)  # the best value of each stopped start
     running = np.full(k, math.inf)  # the best value of each active start
     active = np.arange(k)
     run = 0
@@ -201,6 +221,13 @@ def seesaw_minimize(w, starts, iters):
         run += 1
         done = running - value < threshold
         running = np.minimum(running, value)
+        if run % SEESAW_PRUNE_EVERY == 0:
+            excess = running - min(best.min(), running.min()) - margin
+            if excess.max() > 0:  # else no limit can lie above lowest + margin
+                v0, v1, v2 = history[run - 3:run, active]
+                prev, step = v0 - v1, v1 - v2
+                # the limit running - step^2 / (prev - step), compared without a division
+                done |= (prev > step) & (excess * (prev - step) > step * step)
         if done.any():
             best[active[done]] = running[done]
             active, pb, running = active[~done], pb[~done], running[~done]
@@ -215,7 +242,11 @@ def min_product_expectation(w, restarts=32, iters=100, seed=0):
     zero disproves block positivity.  The starts are the rows of one
     ``default_rng(seed).standard_normal((restarts, d_b, 2))`` draw, read as
     complex (re, im) pairs and normalized; all restarts run as one batched
-    see-saw, so the result is deterministic for a fixed seed.
+    see-saw, so the result is deterministic for a fixed seed.  Every 10th
+    iteration (SEESAW_PRUNE_EVERY) the see-saw prunes the slowing starts whose
+    extrapolated limit lies more than SEESAW_PRUNE_MARGIN = 1e-3 ||W||_1 above
+    the lowest value (``seesaw_minimize``), so the result can lie above the
+    rule-free minimum, where a pruned start would have escaped to a lower basin.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")

@@ -221,6 +221,34 @@ def _seesaw_one_start(w, b, iters):
     return best, history
 
 
+def _replay_prune(history, norm):
+    """The see-saw's prune rule replayed on rule-free histories, an
+    (iterations, k) array that reads NaN once a start has stopped.
+
+    After every 10th iteration, a start still running whose last three values
+    v0, v1, v2 slow down (prev = v0 - v1 > step = v1 - v2) stops there when its
+    geometric limit best - step^2 / (prev - step) lies more than
+    1e-3 ||W||_1 above the lowest best of all starts so far.  Returns (best
+    per start, pruned history, near), where near marks the starts for which
+    that inequality lay within rounding (1e-13 ||W||_1 per value) at some check.
+    """
+    history, runs = history.copy(), np.isfinite(history).sum(axis=0)
+    near = np.zeros(len(runs), dtype=bool)
+    for run in range(10, len(history), 10):
+        bests = np.nanmin(history[:run], axis=0)
+        live = np.flatnonzero(runs > run)
+        v0, v1, v2 = history[run - 3:run, live]
+        prev, step = v0 - v1, v1 - v2
+        excess = bests[live] - bests.min() - 1e-3 * norm
+        gap = excess * (prev - step) - step * step
+        slack = 1e-13 * norm * (4 * abs(excess) + 2 * abs(prev - step) + 4 * abs(step))
+        near[live[abs(gap) <= slack]] = True
+        pruned = live[(prev > step) & (gap > 0)]
+        history[run:, pruned] = np.nan
+        runs[pruned] = run
+    return np.nanmin(history, axis=0), history[:runs.max()], near
+
+
 # Derandomized: the two contraction orders round differently, and on a slow
 # trajectory that difference can grow to a few 1e-13 before the stop rule
 # fires (worst 7.9e-13 over 2e5 starts), so the examples are kept fixed.
@@ -237,17 +265,26 @@ def test_batched_seesaw_matches_one_start_loop(d_a, d_b, k, iters, seed):
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     best, history = seesaw_minimize(w, starts, iters)
     assert best.shape == (k,) and history.shape[1] == k
+    one_start = [_seesaw_one_start(w, starts[r], iters)[1] for r in range(k)]
+    full = np.full((max(map(len, one_start)), k), np.nan)
+    for r, values in enumerate(one_start):
+        full[:len(values), r] = values
+    ref_best, ref_history, near = _replay_prune(full, trace_norm(w))
     for r in range(k):
-        ref_best, ref_history = _seesaw_one_start(w, starts[r], iters)
         column = history[:, r]
-        run, ref_run = int(np.isfinite(column).sum()), len(ref_history)
+        run, ref_run = int(np.isfinite(column).sum()), int(np.isfinite(ref_history[:, r]).sum())
         assert np.isnan(column[run:]).all()
-        if run != ref_run:
-            # rounding flipped the stop rule at a step within 1e-13 of the threshold
-            i = min(run, ref_run) - 1
-            assert abs(run - ref_run) == 1
-            assert abs(ref_history[i - 1] - ref_history[i] - 1e-12 * trace_norm(w)) <= 1e-13
-        assert abs(best[r] - ref_best) <= 1e-12
+        if run != ref_run and near[r]:
+            # rounding flipped the prune rule: compare with the rule-free run
+            assert abs(best[r] - np.nanmin(full[:run, r])) <= 1e-12
+        else:
+            if run != ref_run:
+                # rounding flipped the stop rule at a step within 1e-13 of the threshold
+                i = min(run, ref_run) - 1
+                assert abs(run - ref_run) == 1
+                step = ref_history[i - 1, r] - ref_history[i, r]
+                assert abs(step - 1e-12 * trace_norm(w)) <= 1e-13
+            assert abs(best[r] - ref_best[r]) <= 1e-12
         assert np.all(np.diff(column[:run]) <= 1e-12)
 
 
@@ -323,16 +360,68 @@ def test_bloch_carrier_matches_projector_carrier(dims, scale, k, iters, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         best, history = seesaw_minimize(w, starts, iters)
-        ref_best, ref_history = (np.ldexp(x, e) for x in _projector_seesaw(unit, starts, iters))
+        full = _projector_seesaw(unit, starts, iters)[1]
+        ref_best, ref_history, near = _replay_prune(full, trace_norm(unit))
+    ref_best, ref_history, full = (np.ldexp(x, e) for x in (ref_best, ref_history, full))
     norm = trace_norm(w)
-    assert np.all(np.abs(best - ref_best) <= 1e-12 * norm)
     runs, ref_runs = np.isfinite(history).sum(axis=0), np.isfinite(ref_history).sum(axis=0)
-    assert np.all(np.abs(runs - ref_runs) <= 1)
-    for r in np.flatnonzero(runs != ref_runs):
+    flipped = (runs != ref_runs) & near
+    # rounding flipped the prune rule: compare with the rule-free run
+    for r in np.flatnonzero(flipped):
+        assert abs(best[r] - np.nanmin(full[:runs[r], r])) <= 1e-12 * norm
+    assert np.all(np.abs(best - ref_best)[~flipped] <= 1e-12 * norm)
+    assert np.all(np.abs(runs - ref_runs)[~flipped] <= 1)
+    for r in np.flatnonzero((runs != ref_runs) & ~flipped):
         # rounding flipped the stop rule at a step within rounding of the threshold
         i = min(runs[r], ref_runs[r]) - 1
         step = ref_history[i - 1, r] - ref_history[i, r]
         assert abs(step - 1e-12 * norm) <= 1e-13 * norm
+
+
+def _min_product_starts(restarts, d_b, seed):
+    """The starts ``min_product_expectation`` documents for these arguments."""
+    starts = np.random.default_rng(seed).standard_normal((restarts, d_b, 2)).view(complex)[..., 0]
+    return starts / np.linalg.norm(starts, axis=1, keepdims=True)
+
+
+def _ginibre_witness(rng, dims, decomposable):
+    big_d = dims[0] * dims[1]
+    g = rng.normal(size=(big_d, big_d)) + 1j * rng.normal(size=(big_d, big_d))
+    if not decomposable:
+        return make_witness((g + g.conj().T) / 2, bipartite_dims(*dims))
+    rho = g @ g.conj().T
+    return make_decomposable_witness(density_matrix(rho / np.trace(rho).real, dims))
+
+
+def test_pruned_minimum_matches_the_rule_free_minimum():
+    # the prune rule may raise the minimum only where a pruned start would
+    # have escaped to a lower basin; in a longer run of this comparison, 0 of
+    # 4200 such witnesses on 2x3..4x4 rose by more than 1e-9 ||W||_1
+    risen = 0
+    for dims in [(3, 3), (3, 4), (4, 3), (4, 4)]:
+        for i in range(6):
+            for decomposable in (False, True):
+                w = _ginibre_witness(np.random.default_rng([17, *dims, i]), dims, decomposable)
+                rule_free = min(_seesaw_one_start(w, b, 100)[0]
+                                for b in _min_product_starts(32, dims[1], 0))
+                risen += min_product_expectation(w) - rule_free > 1e-9 * trace_norm(w)
+    assert risen == 0
+
+
+def test_prune_keeps_a_lagging_winner():
+    # On this 3x3 witness, of 8 starts, the one that ends at the minimum is
+    # 6.7e-3 ||W||_1 above the lowest start at iteration 10, which sits in a
+    # local minimum 1.3e-3 ||W||_1 higher: a plain cut at 1e-3 ||W||_1 above
+    # the lowest there would lose the minimum.  Its steps still grow at
+    # iterations 10 and 20, and a start that is not slowing is never pruned.
+    w = _ginibre_witness(np.random.default_rng(11), (3, 3), decomposable=True)
+    norm = trace_norm(w)
+    runs = [_seesaw_one_start(w, b, 100) for b in _min_product_starts(8, 3, 1)]
+    rule_free = min(best for best, _ in runs)
+    at_ten = np.array([min(history[:10]) for _, history in runs])
+    winners = [r for r, (best, _) in enumerate(runs) if best - rule_free <= 1e-9 * norm]
+    assert np.all(at_ten[winners] > at_ten.min() + 5e-3 * norm)
+    assert abs(min_product_expectation(w, restarts=8, seed=1) - rule_free) <= 1e-12 * norm
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
