@@ -200,14 +200,16 @@ def ratio_at_least(s, t):
     """R(s) >= R(t) within the eigenvalue backward error.
 
     Each eigenvalue ``eigvalsh`` returns is off by at most about D eps
-    lambda_max (Weyl), so a finite ratio R = lambda_max / lambda_min is only
-    known to about D eps R^2; the comparison allows D eps (R(s)^2 + R(t)^2).
-    A singular s reaches every t, a singular t only a singular s.
+    lambda_max (Weyl), so a finite ratio R = lambda_max / lambda_min, relatively
+    off by up to D eps (1 + R) through lambda_max and lambda_min together, is
+    only known to about D eps R (1 + R); the comparison allows
+    D eps (R(s) (1 + R(s)) + R(t) (1 + R(t))).  A singular s reaches every t, a
+    singular t only a singular s.
     """
     r_s, r_t = spectral_ratio(s), spectral_ratio(t)
     if math.isinf(r_s) or math.isinf(r_t):
         return r_s >= r_t
-    return r_s >= r_t - s.dims.total * np.finfo(float).eps * (r_s * r_s + r_t * r_t)
+    return r_s >= r_t - s.dims.total * np.finfo(float).eps * (r_s * (1 + r_s) + r_t * (1 + r_t))
 
 
 def purity(s):

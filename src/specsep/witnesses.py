@@ -27,6 +27,11 @@ SEESAW_CONVERGENCE = 1e-12
 SEESAW_PRUNE_EVERY = 10
 SEESAW_PRUNE_MARGIN = 1e-3
 
+# At the same checks, a start whose product vector overlaps that of a lower
+# start by more than 1 - SEESAW_MERGE has met it and stops.  Set from starts
+# placed near saddles, where met starts can still part for different basins.
+SEESAW_MERGE = 1e-3
+
 # S_mu / 2 for S = I, sz, sx, sy, flattened and read as float.  A qubit see-saw
 # side is carried as a Bloch unit vector u, standing for the projector
 # (I - u . (sz, sx, sy)) / 2, and an operator M on it as the row Tr(M S_mu) / 2.
@@ -139,10 +144,18 @@ def _least_eigenpair(x, d):
     return value, unit / r[:, None]
 
 
+def _overlaps(carrier, d):
+    """|<v_i|v_j>|^2 for each pair of rows of a see-saw side's carrier stack."""
+    if d == 2:  # Tr(P_i P_j) of the Bloch vectors' projectors
+        return (1 + carrier @ carrier.T) / 2
+    return carrier @ carrier.T  # Tr(P_i P_j) of the flattened projectors
+
+
 def _carrier_map(f, d_from, d_to):
-    """(L, c) such that carrier @ L + c is the d_to side's operator, as
-    ``_least_eigenpair`` takes it, for a d_from side's carrier, where f maps a
-    flattened projector to the flattened operator."""
+    """The function that takes a d_from side's carrier stack to the d_to
+    side's operators, as ``_least_eigenpair`` takes them, where f maps a
+    flattened projector to the flattened operator: one real matrix product,
+    and on a qubit source an offset too."""
     # row 2 r is the image of Re p_r, row 2 r + 1 that of Im p_r
     m = np.concatenate([f.view(float), (1j * f).view(float)], axis=1).reshape(2 * len(f), -1)
     if d_to == 2:
@@ -150,8 +163,9 @@ def _carrier_map(f, d_from, d_to):
     if d_from == 2:
         # rows: the images of I / 2 and of the Paulis / 2, which u enters negated
         m = _HALF_PAULI @ m
-        return -m[1:], m[0]
-    return m, 0.0
+        offset, m = m[0], m[1:]
+        return lambda u: offset - u @ m
+    return lambda p: p @ m
 
 
 def seesaw_minimize(w, starts, iters):
@@ -174,12 +188,17 @@ def seesaw_minimize(w, starts, iters):
     starts (stopped ones included), v0, v1, v2 a start's last three values,
     prev = v0 - v1 and step = v1 - v2, a start whose descent is slowing
     (prev > step) stops when its geometric limit best - step^2 / (prev - step)
-    lies more than SEESAW_PRUNE_MARGIN * ||W||_1 above lowest, and reports its
+    lies more than SEESAW_PRUNE_MARGIN * ||W||_1 above lowest.  At the same
+    checks a start is merged into a start that ranks below it on (best so far,
+    start index) and whose product vector it has met:
+    |<a_i b_i|a_j b_j>|^2 > 1 - SEESAW_MERGE, taken as the product of the two
+    sides' overlaps from the carriers.  A pruned or merged start reports its
     best at the stop.  Every best is still an attained product expectation;
-    the smallest can lie above the rule-free run's only where a pruned start
-    would later have escaped to a lower basin.  A pruned column ends with a
-    step (its smallest earlier value minus its last) of at least the
-    convergence threshold, a converged one with a step below it.
+    the smallest can lie above the rule-free run's only where a merged or
+    pruned start would later have escaped to a lower basin.  A pruned or
+    merged column ends with a step (its smallest earlier value minus its last)
+    of at least the convergence threshold, a converged one with a step below
+    it.
 
     Returns (best value per start, history), where history is an
     (iterations run, k) array of objective values that reads NaN once a start
@@ -202,10 +221,10 @@ def seesaw_minimize(w, starts, iters):
     norm = max(trace_norm(w), np.finfo(float).tiny)
     threshold, margin = SEESAW_CONVERGENCE * norm, SEESAW_PRUNE_MARGIN * norm
     # <a x b|W|a x b> = sum W[i,j,m,n] conj(a_i) conj(b_j) a_m b_n, so the
-    # projector P[n, j] = b_n conj(b_j) contracts to A's operator as P @ from_b
+    # projector P[n, j] = b_n conj(b_j) contracts to A's operator as from_b(P)
     t = w.matrix.reshape(d_a, d_b, d_a, d_b)
-    from_b, c_b = _carrier_map(t.transpose(3, 1, 0, 2).reshape(d_b * d_b, d_a * d_a), d_b, d_a)
-    from_a, c_a = _carrier_map(t.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b), d_a, d_b)
+    from_b = _carrier_map(t.transpose(3, 1, 0, 2).reshape(d_b * d_b, d_a * d_a), d_b, d_a)
+    from_a = _carrier_map(t.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b), d_a, d_b)
     pb = (b[:, :, None] * b.conj()[:, None, :]).reshape(k, d_b * d_b).view(float)
     if d_b == 2:  # b's Bloch vector, as the least eigenvector of -|b><b| (|0> for b = 0)
         pb = _least_eigenpair(-pb @ _HALF_PAULI.T, 2)[1]
@@ -215,8 +234,8 @@ def seesaw_minimize(w, starts, iters):
     active = np.arange(k)
     run = 0
     while run < iters and len(active):
-        _, pa = _least_eigenpair(pb @ from_b + c_b, d_a)
-        value, pb = _least_eigenpair(pa @ from_a + c_a, d_b)
+        _, pa = _least_eigenpair(from_b(pb), d_a)
+        value, pb = _least_eigenpair(from_a(pa), d_b)
         history[run, active] = value
         run += 1
         done = running - value < threshold
@@ -228,6 +247,12 @@ def seesaw_minimize(w, starts, iters):
                 prev, step = v0 - v1, v1 - v2
                 # the limit running - step^2 / (prev - step), compared without a division
                 done |= (prev > step) & (excess * (prev - step) > step * step)
+            # lower[j, i]: start i ranks below start j on (running best, start
+            # index); active is sorted, so position orders as the index does
+            lower = running[:, None] > running
+            lower |= np.tril(running[:, None] == running, -1)
+            met = _overlaps(pa, d_a) * _overlaps(pb, d_b) > 1 - SEESAW_MERGE
+            done |= (met & lower).any(axis=1)
         if done.any():
             best[active[done]] = running[done]
             active, pb, running = active[~done], pb[~done], running[~done]
@@ -245,8 +270,11 @@ def min_product_expectation(w, restarts=32, iters=100, seed=0):
     see-saw, so the result is deterministic for a fixed seed.  Every 10th
     iteration (SEESAW_PRUNE_EVERY) the see-saw prunes the slowing starts whose
     extrapolated limit lies more than SEESAW_PRUNE_MARGIN = 1e-3 ||W||_1 above
-    the lowest value (``seesaw_minimize``), so the result can lie above the
-    rule-free minimum, where a pruned start would have escaped to a lower basin.
+    the lowest value, and merges each start whose product vector overlaps a
+    lower start's by more than 1 - SEESAW_MERGE = 1 - 1e-3
+    (``seesaw_minimize``).  The result is still attained by a product vector,
+    but can lie above the rule-free minimum where a merged or pruned start
+    would have escaped to a lower basin.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specsep import density_matrix, make_named_state, maximally_mixed, spectral_ratio, spectrum
 from specsep.channels import (
@@ -227,22 +227,34 @@ def test_full_rank_input_reaches_targets_near_maximally_mixed(delta):
         assert any(prob == pytest.approx(p, abs=1e-12) for p in (1.0, 0.625 / (1 + DIVISOR_FLOOR)))
 
 
+def _rotated_pair(dims, vals_seed, floor, concentration, seed):
+    """The rotations seed and seed + 1 of the spectrum floor + (1 - D floor) x,
+    x a Dirichlet draw from default_rng(vals_seed)."""
+    big_d = dims[0] * dims[1]
+    vals = floor + (1.0 - big_d * floor) * np.random.default_rng(vals_seed).dirichlet(
+        np.full(big_d, concentration))
+    return _rotated(vals, dims, seed), _rotated(vals, dims, seed + 1)
+
+
 @st.composite
 def rotated_spectrum_pairs(draw):
     """Two Haar rotations of one 2..3 x 2..3 spectrum with lambda_min at
     least a drawn floor of 1e-10 or more."""
-    dims = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
-    big_d = dims[0] * dims[1]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    floor = draw(st.sampled_from([1e-10, 1e-7, 1e-3]))
-    vals = floor + (1.0 - big_d * floor) * rng.dirichlet(
-        np.full(big_d, draw(st.sampled_from([0.5, 5.0, 500.0]))))
-    seed = draw(st.integers(0, 2**31 - 1))
-    return _rotated(vals, dims, seed), _rotated(vals, dims, seed + 1)
+    return _rotated_pair((draw(st.integers(2, 3)), draw(st.integers(2, 3))),
+                         draw(st.integers(0, 2**32 - 1)),
+                         draw(st.sampled_from([1e-10, 1e-7, 1e-3])),
+                         draw(st.sampled_from([0.5, 5.0, 500.0])),
+                         draw(st.integers(0, 2**31 - 1)))
 
 
+# Each example pair was refused while the ratio comparison allowed only
+# D eps (R(s)^2 + R(t)^2): its computed ratios differ by 1.23-1.37 times that
+# allowance, about 0.7 times D eps (R(s) (1 + R(s)) + R(t) (1 + R(t))).
 @settings(max_examples=60, deadline=None)
 @given(pair=rotated_spectrum_pairs())
+@example(pair=_rotated_pair((2, 2), 3052260910, 1e-10, 500.0, 543534840))
+@example(pair=_rotated_pair((2, 2), 259459370, 1e-3, 500.0, 1050554200))
+@example(pair=_rotated_pair((2, 2), 2726477560, 1e-7, 500.0, 1410217188))
 def test_rotations_of_one_spectrum_transform(pair):
     rho, sigma = pair
     instrument, residual = _transform_residual(rho, sigma)
