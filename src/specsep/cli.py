@@ -8,7 +8,6 @@ Exit codes: 0 = ran (verdicts carry the science), 2 = invalid input,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -29,8 +28,6 @@ def _parent():
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     p.add_argument("--output", help="write the machine-readable result here")
-    p.add_argument("--tol-override", type=float, default=None,
-                   help="scale validation tolerances (discouraged)")
     return p
 
 
@@ -76,7 +73,7 @@ def _build_parsers():
                    help="copy bound for a state of spectral ratio R")
     p.add_argument("--h-norm", type=float, default=None, help="Hamiltonian sup norm")
     p.add_argument("--l", type=int, default=None, help="side-dimension cutoff")
-    p.add_argument("--k-b", type=float, default=1.0)
+    p.add_argument("--k-b", type=float, default=None, help="Boltzmann constant (default 1)")
 
     p = sub.add_parser("falsify", parents=[parent],
                        help="Haar-search for an entangling unitary")
@@ -86,15 +83,6 @@ def _build_parsers():
     return parser, sub.choices
 
 
-def _tol_scale(args):
-    scale = args.tol_override
-    if scale is None:
-        return 1.0
-    if not 0 < scale < math.inf:
-        raise InvalidStateError("--tol-override must be a finite positive number, got %r" % scale)
-    return scale
-
-
 def _check_total_dim(args):
     total = args.d_a * args.d_b
     if total > MAX_TOTAL_DIM:
@@ -102,8 +90,8 @@ def _check_total_dim(args):
                                 % (total, MAX_TOTAL_DIM))
 
 
-def _load_spectrum(path, tol_scale):
-    state = fileio.load_state(path, tol_scale=tol_scale)
+def _load_spectrum(path):
+    state = fileio.load_state(path)
     return state if isinstance(state, states.Spectrum) else states.spectrum(state)
 
 
@@ -121,7 +109,7 @@ def _print_verdicts(spec, verdicts, label):
 
 
 def cmd_classify(args):
-    spec = _load_spectrum(args.state, _tol_scale(args))
+    spec = _load_spectrum(args.state)
     verdicts = criteria.run_all(spec)
     _print_verdicts(spec, verdicts, args.state)
     if args.compare_criteria:
@@ -168,9 +156,8 @@ def cmd_construct(args):
 
 
 def cmd_transform(args):
-    tol = _tol_scale(args)
-    rho = fileio.load_state(args.rho, tol_scale=tol)
-    sigma = fileio.load_state(args.sigma, tol_scale=tol)
+    rho = fileio.load_state(args.rho)
+    sigma = fileio.load_state(args.sigma)
     if not (isinstance(rho, states.DensityMatrix) and isinstance(sigma, states.DensityMatrix)):
         raise InvalidStateError("transform needs explicit matrix state files")
     instrument, plan = channels.construct_transformation(rho, sigma, c_choice=args.c)
@@ -217,7 +204,7 @@ def cmd_witness(args):
           % (args.kind, args.d_a, args.d_b, w.matrix.trace().real, norm))
     value = None
     if args.evaluate:
-        rho = fileio.load_state(args.evaluate, tol_scale=_tol_scale(args))
+        rho = fileio.load_state(args.evaluate)
         if not isinstance(rho, states.DensityMatrix):
             raise InvalidStateError("witness evaluation needs a matrix state file")
         value = witnesses.evaluate(w, rho)
@@ -237,6 +224,8 @@ def cmd_witness(args):
 
 
 def cmd_bounds(args):
+    if args.h_norm is None and (args.l is not None or args.k_b is not None):
+        raise InvalidStateError("bounds: --l and --k-b apply only with --h-norm")
     results = {}
     if args.copies is not None:
         n = criteria.copy_bound(args.copies)
@@ -245,9 +234,10 @@ def cmd_bounds(args):
     if args.h_norm is not None:
         if args.l is None:
             raise InvalidStateError("--h-norm requires --l")
-        t_star = criteria.gibbs_threshold(args.h_norm, args.l, k_b=args.k_b)
+        k_b = 1.0 if args.k_b is None else args.k_b
+        t_star = criteria.gibbs_threshold(args.h_norm, args.l, k_b=k_b)
         results["gibbs_threshold"] = {"h_norm": args.h_norm, "l": args.l,
-                                      "k_b": args.k_b, "temperature": t_star}
+                                      "k_b": k_b, "temperature": t_star}
         print("entanglement-free above T* = %.12g" % t_star)
     if not results:
         raise InvalidStateError("bounds: nothing requested (use --copies or --h-norm)")
@@ -259,7 +249,7 @@ def cmd_bounds(args):
 def cmd_falsify(args):
     if args.seed < 0:
         raise InvalidStateError("--seed must be a non-negative integer, got %d" % args.seed)
-    spec = _load_spectrum(args.state, _tol_scale(args))
+    spec = _load_spectrum(args.state)
     result = oracles.as_falsify_search(spec, spec.dims, args.samples, args.seed)
     if result.found:
         print("found: NPT after %d samples (unitary seed %d, index %d, min PT eigenvalue %.12g)"

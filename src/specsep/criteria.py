@@ -102,7 +102,7 @@ def _filippov_condition(p, big_d):
     """Purity-window condition of the Filippov bound, evaluated with
     k = ceil(1/p) so the hypothesis 1/k <= p <= 1/(k-1) holds; the radical
     term vanishes in the pure-state window k = 1."""
-    k = max(math.ceil(1.0 / p - BOUNDARY_TOL), 1)  # p > 1e12 (a tol override) gives 0
+    k = math.ceil(1.0 / p - BOUNDARY_TOL)
     lhs = 1.0 + math.sqrt(max(k * p - 1.0, 0.0) / (k - 1)) if k > 1 else 1.0
     rhs = 3.0 * k * math.sqrt(p / (big_d + 8))
     return k, lhs, rhs

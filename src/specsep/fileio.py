@@ -119,7 +119,7 @@ def _json_numbers(data, ndim):
     return a.astype(float)
 
 
-def load_state(path, tol_scale=1.0):
+def load_state(path):
     """Parse a state file into a DensityMatrix (matrix file) or a Spectrum
     (spectrum file).  Raises InvalidStateError on malformed content or
     invariant violations.
@@ -144,12 +144,12 @@ def load_state(path, tol_scale=1.0):
                 raise TypeError
         except (TypeError, ValueError, OverflowError):
             raise InvalidStateError("matrix entries must be (re, im) pairs of numbers")
-        return density_matrix(a.view(complex)[..., 0], dims, tol_scale=tol_scale)
+        return density_matrix(a.view(complex)[..., 0], dims)
     try:
         vals = _json_numbers(payload["spectrum"], 1)
     except (TypeError, ValueError, OverflowError):
         raise InvalidStateError("spectrum entries must be real numbers")
-    return spectrum_from_values(vals, dims, tol_scale=tol_scale)
+    return spectrum_from_values(vals, dims)
 
 
 def digest(payload):

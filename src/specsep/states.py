@@ -2,10 +2,12 @@
 
 Everything downstream (criteria, witnesses, channels, oracles) consumes the
 two value types defined here: ``DensityMatrix`` for explicit matrices and
-``Spectrum`` for eigenvalue lists, built only by ``density_matrix`` and
-``spectrum_from_values``, which validate them.  A ``DensityMatrix`` keeps the
-``Spectrum`` it was validated with.  All operations are pure functions over
-immutable values.
+``Spectrum`` for eigenvalue lists, built by ``density_matrix`` and
+``spectrum_from_values``, which validate them at fixed tolerances, and by
+``tensor_product``, which does not validate again: the factors' trace and noise
+errors add up and can leave the product of admitted states outside the
+tolerances.  A ``DensityMatrix`` keeps the ``Spectrum`` it was validated with.
+All operations are pure functions over immutable values.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class Spectrum:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix and the spectrum it was validated
-    with, which carries its dims; built by ``density_matrix`` only."""
+    with, which carries its dims; built by ``density_matrix`` and
+    ``tensor_product`` only."""
 
     matrix: np.ndarray
     spectrum: Spectrum
@@ -100,12 +103,12 @@ class DensityMatrix:
         return self.spectrum.dims
 
 
-def hermitian_part(m, dims, error, tol_scale=1.0):
+def hermitian_part(m, dims, error):
     """(m + m^dagger) / 2 for a finite (D, D) matrix over ``dims`` (a Dims).
 
     Raises ``error`` on a wrong shape, a non-finite entry, or a Hermiticity
-    residual above HERMITICITY_TOL * tol_scale relative to the largest entry
-    of ``m`` (or to 1, whichever is larger).
+    residual above HERMITICITY_TOL relative to the largest entry of ``m`` (or
+    to 1, whichever is larger).
     """
     m = np.asarray(m, dtype=complex)
     d = dims.total
@@ -121,37 +124,34 @@ def hermitian_part(m, dims, error, tol_scale=1.0):
         half = 0.5 * m
         adjoint = half.conj().T
         residual = np.abs(half - adjoint).max()
-        if residual > HERMITICITY_TOL * np.abs(half).max() * tol_scale:
+        if residual > HERMITICITY_TOL * np.abs(half).max():
             raise error("matrix is not Hermitian (residual %.3e)" % (2 * float(residual)))
         return half + adjoint
     adjoint = m.conj().T
     residual = np.abs(m - adjoint).max()
-    if residual > HERMITICITY_TOL * max(scale, 1.0) * tol_scale:
+    if residual > HERMITICITY_TOL * max(scale, 1.0):
         raise error("matrix is not Hermitian (residual %.3e)" % residual)
     return 0.5 * (m + adjoint)
 
 
-def density_matrix(matrix, dims, tol_scale=1.0):
+def density_matrix(matrix, dims):
     """Validate ``matrix`` against the density-matrix invariants and wrap it.
 
     Raises InvalidStateError on a matrix that ``hermitian_part`` refuses or
-    whose eigenvalues ``spectrum_from_values`` refuses.  ``tol_scale``
-    loosens all tolerances uniformly (used by the CLI --tol-override escape
-    hatch only).
+    whose eigenvalues ``spectrum_from_values`` refuses.
     """
     dims = as_dims(dims)
-    m = hermitian_part(matrix, dims, InvalidStateError, tol_scale)
-    s = spectrum_from_values(np.linalg.eigvalsh(m), dims, tol_scale)
+    m = hermitian_part(matrix, dims, InvalidStateError)
+    s = spectrum_from_values(np.linalg.eigvalsh(m), dims)
     return DensityMatrix(matrix=m, spectrum=s)
 
 
-def spectrum_from_values(values, dims, tol_scale=1.0):
+def spectrum_from_values(values, dims):
     """Validate an eigenvalue list and wrap it, descending.
 
     The values must be finite, at least -PSD_TOL (the noise above that is
-    clamped to zero) and sum to 1 within TRACE_TOL before clamping; both
-    tolerances are multiplied by ``tol_scale``.  This is the only PSD and
-    trace check of a state, for matrices and spectra alike.
+    clamped to zero) and sum to 1 within TRACE_TOL before clamping.  This is
+    the only PSD and trace check of a state, for matrices and spectra alike.
     """
     v = np.asarray(values, dtype=float)
     dims = as_dims(dims)
@@ -163,21 +163,26 @@ def spectrum_from_values(values, dims, tol_scale=1.0):
     low = ascending[0]
     if not (math.isfinite(low) and math.isfinite(ascending[-1])):
         raise InvalidStateError("spectrum has non-finite values")
-    if low < -PSD_TOL * tol_scale:
+    if low < -PSD_TOL:
         raise InvalidStateError("state is not PSD (eigenvalue %.3e below -%.3g)"
-                                % (low, PSD_TOL * tol_scale))
+                                % (low, PSD_TOL))
     # in the given order, which the message's digits show; the sum can overflow
     # only when the largest value alone already rules out a unit trace
-    if ascending[-1] - 1.0 > (TRACE_TOL + len(v) * PSD_TOL) * tol_scale:
+    if ascending[-1] - 1.0 > TRACE_TOL + len(v) * PSD_TOL:
         with np.errstate(over="ignore"):
             total = v.sum()
     else:
         total = v.sum()
-    if abs(total - 1.0) > TRACE_TOL * tol_scale:
+    if abs(total - 1.0) > TRACE_TOL:
         raise InvalidStateError("trace is %.17g, expected 1" % total)
+    return Spectrum(values=_clamped_descending(ascending), dims=dims)
+
+
+def _clamped_descending(ascending):
+    """Ascending eigenvalues reversed, with the noise negatives set to zero."""
     v = ascending[::-1].copy()
     v[v < 0.0] = 0.0  # np.maximum(v, 0.0) would turn -0.0 into 0.0
-    return Spectrum(values=v, dims=dims)
+    return v
 
 
 def spectrum(rho):
@@ -331,16 +336,18 @@ def make_rho_tilde(d_a, d_b):
 
 
 def tensor_product(a, b):
-    """Kronecker product with concatenated dimension metadata, validated at
-    the default tolerances (not at an input's ``tol_scale``)."""
-    return density_matrix(np.kron(a.matrix, b.matrix), Dims(a.dims.locals + b.dims.locals))
+    """Kronecker product with concatenated dimension metadata, not validated
+    again (see the module docstring); it stores the clamped, descending
+    ``eigvalsh`` of the product, as ``density_matrix`` would."""
+    m = np.kron(a.matrix, b.matrix)
+    s = Spectrum(_clamped_descending(np.linalg.eigvalsh(m)), Dims(a.dims.locals + b.dims.locals))
+    return DensityMatrix(matrix=m, spectrum=s)
 
 
 def attach_mixed_ancilla(rho, d_bprime):
     """rho tensor (identity / d_B') with bipartition A : BB'.
 
-    Leaves the spectral ratio unchanged; divides purity by d_B'.  The result
-    is validated at the default tolerances (not at an input's ``tol_scale``).
+    Leaves the spectral ratio unchanged; divides purity by d_B'.
     """
     if d_bprime < 1:
         raise ValueError("ancilla dimension must be >= 1")

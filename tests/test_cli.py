@@ -317,12 +317,18 @@ def test_spectrum_file_round_trip_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_tol_override_admits_slightly_off_trace(tmp_path):
+def test_off_trace_is_invalid_and_no_option_loosens_it(tmp_path, capsys):
     payload = '{"dims":{"locals":[2,2]},"spectrum":[0.25001,0.25,0.25,0.25]}\n'
     path = tmp_path / "off.json"
     path.write_text(payload)
     assert main(["classify", str(path)]) == EXIT_INVALID
-    assert main(["classify", str(path), "--tol-override", "1e7"]) == EXIT_OK
+    assert "trace is 1.00001" in capsys.readouterr().err
+    # the tolerances are fixed: a scaling option is an unknown argument
+    for scale in ("1", "1e7"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(path), "--tol-override", scale])
+        assert exc.value.code == EXIT_INVALID
+        assert "unrecognized arguments: --tol-override" in capsys.readouterr().err
 
 
 def test_construct_omega_t_without_t_is_invalid(tmp_path, capsys):
@@ -450,17 +456,16 @@ def test_bounds_rejects_overflowing_gibbs_threshold(tmp_path, capsys, flags):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
-def test_tol_override_must_be_finite_and_positive(tmp_path, capsys, scale):
-    # a Hermiticity residual of 0.4: no finite scale near 1 admits it
-    m = np.eye(4) / 4
-    m[0, 1] = 0.4
-    path = tmp_path / "skew.json"
-    path.write_text(dumps({"dims": {"locals": [2, 2]}, "matrix": matrix_to_payload(m)}))
-    report = tmp_path / "c.json"
-    assert main(["classify", str(path), "--tol-override", scale,
-                 "--output", str(report)]) == EXIT_INVALID
-    assert "--tol-override must be a finite positive number" in capsys.readouterr().err
+@pytest.mark.parametrize("flags", [
+    ["--copies", "3", "--l", "5"],
+    ["--copies", "3", "--k-b", "7"],
+], ids=["l", "k-b"])
+def test_bounds_refuses_gibbs_options_without_h_norm(tmp_path, capsys, flags):
+    report = tmp_path / "b.json"
+    assert main(["bounds", *flags, "--output", str(report)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "--l and --k-b apply only with --h-norm" in captured.err
+    assert captured.out == ""
     assert not report.exists()
 
 
@@ -497,9 +502,8 @@ def test_integer_spectrum_loads(tmp_path):
     assert main(["classify", str(path)]) == EXIT_OK
 
 
-@pytest.mark.parametrize("min_eig,flags", [(-5e-11, []), (-5e-9, ["--tol-override", "100"])],
-                         ids=["default", "tol-override"])
-def test_noise_negative_state_file_runs_every_command(tmp_path, min_eig, flags):
+@pytest.mark.parametrize("min_eig", [-5e-11, -1e-10], ids=["default", "at-tolerance"])
+def test_noise_negative_state_file_runs_every_command(tmp_path, min_eig):
     # the eigenvalue the file was admitted with is clamped, not checked again
     m = np.diag([0.4, 0.3, 0.3 - min_eig, min_eig]).astype(complex)
     path = tmp_path / "noisy.json"
@@ -507,7 +511,7 @@ def test_noise_negative_state_file_runs_every_command(tmp_path, min_eig, flags):
     state = str(path)
     for argv in (["classify", state], ["falsify", state, "--samples", "5"],
                  ["transform", state, state], ["witness", "ppt", "--evaluate", state]):
-        assert main(argv + flags) == EXIT_OK
+        assert main(argv) == EXIT_OK
 
 
 def test_self_transform_of_near_singular_state(tmp_path):

@@ -148,6 +148,20 @@ def test_filippov_strict_at_as_bound():
     assert fil.status is Status.DETECTED
 
 
+@pytest.mark.parametrize("vals", [
+    [1 + 0.9e-10, 0.0, 0.0, 0.0],
+    [1 + 3.9e-10, -1e-10, -1e-10, -1e-10],
+], ids=["trace-error", "clamped-noise"])
+def test_filippov_at_the_largest_admitted_purity(vals):
+    # a validated spectrum has purity at most about 1 + 1e-9, so k = 1
+    s = spectrum_from_values(vals, (2, 2))
+    fil = {v.name: v for v in purity_bound_report(s)}["filippov"]
+    assert fil.computed["purity"] > 1.0
+    assert fil.computed["k"] == 1
+    assert fil.computed["lhs"] == 1.0
+    assert fil.status is Status.NOT_DETECTED
+
+
 def test_purity_bounds_swap_unequal_dims():
     s = spectrum(make_rho_tilde(2, 3))
     r1 = {v.name: v.computed.get("bound", v.computed.get("rhs"))

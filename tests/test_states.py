@@ -174,6 +174,24 @@ def test_tensor_product_spectrum_pairwise():
     assert np.allclose(s.values, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("diag,dims", [
+    ([0.5, 0.5 + 0.9e-10], (1, 2)),
+    ([1 + 1e-10, -1e-10], (2,)),
+], ids=["trace-error", "noise-eigenvalue"])
+def test_tensor_product_of_admitted_states(diag, dims):
+    # each factor lies inside the tolerances, their product outside: the
+    # trace errors add, and a noise eigenvalue is scaled by 1 + 1e-10
+    a = density_matrix(np.diag(diag).astype(complex), dims)
+    prod = tensor_product(a, a)
+    assert prod.dims.locals == dims + dims
+    assert np.array_equal(prod.matrix, np.kron(a.matrix, a.matrix))
+    v = np.linalg.eigvalsh(prod.matrix)[::-1].copy()
+    v[v < 0.0] = 0.0
+    assert spectrum(prod).values.tobytes() == v.tobytes()
+    expected = np.sort(np.maximum(np.outer(diag, diag).ravel(), 0.0))[::-1]
+    assert np.allclose(spectrum(prod).values, expected, rtol=0, atol=1e-15)
+
+
 def test_tensor_with_ancilla_rank():
     rho = tensor_product(make_named_state("seed_state"), maximally_mixed(Dims((2,))))
     rank = int((np.linalg.eigvalsh(rho.matrix) > 1e-12).sum())
@@ -291,9 +309,8 @@ def test_noise_negatives_clamp_in_both_forms():
 
 
 def test_spectrum_does_not_validate_again():
-    # a state admitted under a loosened tolerance keeps its spectrum
-    rho = density_matrix(np.diag([0.4, 0.3, 0.3 + 5e-9, -5e-9]).astype(complex), (2, 2),
-                         tol_scale=100)
+    # a state admitted with a noise eigenvalue keeps its clamped spectrum
+    rho = density_matrix(np.diag([0.4, 0.3, 0.3 + 5e-11, -5e-11]).astype(complex), (2, 2))
     s = spectrum(rho)
     assert s.values[-1] == 0.0
     assert s.values[0] == pytest.approx(0.4, abs=1e-15)
