@@ -2,7 +2,9 @@
 
 Subcommands: classify, construct, transform, witness, bounds, falsify.
 Exit codes: 0 = ran (verdicts carry the science), 2 = invalid input,
-3 = a construction precondition was violated.
+3 = a construction precondition was violated.  Each command returns its
+report, which ``main`` writes to ``--output``; construct writes its state
+file itself and returns None.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_PRECONDITION = 3
 
-# Largest D = d_a * d_b that construct and witness build: one D x D complex
-# matrix takes 16 D^2 bytes and its JSON file about 40 D^2 bytes.
+# Largest D = d_a * d_b that construct, witness and falsify take: one D x D
+# complex matrix takes 16 D^2 bytes and its JSON file about 40 D^2 bytes, and
+# falsify builds a D x D rotation for every sample.
 MAX_TOTAL_DIM = 1024
 
 
 def _parent():
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     p.add_argument("--output", help="write the machine-readable result here")
     return p
 
@@ -79,15 +81,15 @@ def _build_parsers():
                        help="Haar-search for an entangling unitary")
     p.add_argument("state")
     p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0, help="seed of the Haar search")
 
     return parser, sub.choices
 
 
-def _check_total_dim(args):
-    total = args.d_a * args.d_b
+def _check_total_dim(total, label="--d-a x --d-b"):
     if total > MAX_TOTAL_DIM:
-        raise InvalidStateError("--d-a x --d-b is %d, above the limit D <= %d"
-                                % (total, MAX_TOTAL_DIM))
+        raise InvalidStateError("%s is %d, above the limit D <= %d"
+                                % (label, total, MAX_TOTAL_DIM))
 
 
 def _load_spectrum(path):
@@ -114,16 +116,13 @@ def cmd_classify(args):
     _print_verdicts(spec, verdicts, args.state)
     if args.compare_criteria:
         _print_comparison(spec)
-    if args.output:
-        payload = {
-            "command": "classify",
-            "input_digest": fileio.digest(fileio.state_to_payload(spec)),
-            "dims": list(spec.dims.locals),
-            "spectrum": spec.values,
-            "verdicts": [_verdict_payload(v) for v in verdicts],
-        }
-        fileio.save_report(args.output, payload, args.seed)
-    return EXIT_OK
+    return {
+        "command": "classify",
+        "input_digest": fileio.digest(fileio.state_to_payload(spec)),
+        "dims": list(spec.dims.locals),
+        "spectrum": spec.values,
+        "verdicts": [_verdict_payload(v) for v in verdicts],
+    }
 
 
 def _named_states_for(dims):
@@ -146,13 +145,12 @@ def _print_comparison(spec):
 
 
 def cmd_construct(args):
-    _check_total_dim(args)
+    _check_total_dim(args.d_a * args.d_b)
     rho = states.make_named_state(args.name, d_a=args.d_a, d_b=args.d_b, t=args.t)
     out = args.output or ("%s.state.json" % args.name)
     fileio.save_state(out, rho)
     spec = states.spectrum(rho)
     print("wrote %s; spectrum: %s" % (out, " ".join(format(v, ".12g") for v in spec.values)))
-    return EXIT_OK
 
 
 def cmd_transform(args):
@@ -172,28 +170,25 @@ def cmd_transform(args):
     print("success probability: %.12g" % prob)
     print("unitality residual: %.3e   output residual: %.3e   ratio monotone: %s"
           % (unitality_residual, output_residual, monotone))
-    if args.output:
-        payload = {
-            "command": "transform",
-            "plan": {"alpha": plan.alpha, "beta": plan.beta, "k": plan.k,
-                     "c": plan.c, "theta": plan.theta},
-            "branches": [
-                {"effect": fileio.matrix_to_payload(effect),
-                 "output": fileio.state_to_payload(output)}
-                for effect, output in instrument.branches
-            ],
-            "unitality_factor": q,
-            "success_probability": prob,
-            "verification": {"unitality_residual": unitality_residual,
-                             "output_residual": output_residual,
-                             "ratio_monotone": monotone},
-        }
-        fileio.save_report(args.output, payload, args.seed)
-    return EXIT_OK
+    return {
+        "command": "transform",
+        "plan": {"alpha": plan.alpha, "beta": plan.beta, "k": plan.k,
+                 "c": plan.c, "theta": plan.theta},
+        "branches": [
+            {"effect": fileio.matrix_to_payload(effect),
+             "output": fileio.state_to_payload(output)}
+            for effect, output in instrument.branches
+        ],
+        "unitality_factor": q,
+        "success_probability": prob,
+        "verification": {"unitality_residual": unitality_residual,
+                         "output_residual": output_residual,
+                         "ratio_monotone": monotone},
+    }
 
 
 def cmd_witness(args):
-    _check_total_dim(args)
+    _check_total_dim(args.d_a * args.d_b)
     dims = states.bipartite_dims(args.d_a, args.d_b)
     if args.kind == "ppt":
         w = witnesses.make_ppt_witness(dims)
@@ -202,25 +197,20 @@ def cmd_witness(args):
     norm = witnesses.trace_norm(w)
     print("%s witness on %dx%d: trace=%.12g trace_norm=%.12g"
           % (args.kind, args.d_a, args.d_b, w.matrix.trace().real, norm))
-    value = None
+    report = {
+        "command": "witness",
+        "kind": args.kind,
+        "dims": list(dims.locals),
+        "matrix": fileio.matrix_to_payload(w.matrix),
+        "trace_norm": norm,
+    }
     if args.evaluate:
         rho = fileio.load_state(args.evaluate)
         if not isinstance(rho, states.DensityMatrix):
             raise InvalidStateError("witness evaluation needs a matrix state file")
-        value = witnesses.evaluate(w, rho)
+        value = report["expectation"] = witnesses.evaluate(w, rho)
         print("Tr(W rho) = %.12g  (%s)" % (value, "detects" if value < 0 else "no detection"))
-    if args.output:
-        payload = {
-            "command": "witness",
-            "kind": args.kind,
-            "dims": list(dims.locals),
-            "matrix": fileio.matrix_to_payload(w.matrix),
-            "trace_norm": norm,
-        }
-        if value is not None:
-            payload["expectation"] = value
-        fileio.save_report(args.output, payload, args.seed)
-    return EXIT_OK
+    return report
 
 
 def cmd_bounds(args):
@@ -241,16 +231,16 @@ def cmd_bounds(args):
         print("entanglement-free above T* = %.12g" % t_star)
     if not results:
         raise InvalidStateError("bounds: nothing requested (use --copies or --h-norm)")
-    if args.output:
-        fileio.save_report(args.output, results, args.seed)
-    return EXIT_OK
+    return results
 
 
 def cmd_falsify(args):
     if args.seed < 0:
         raise InvalidStateError("--seed must be a non-negative integer, got %d" % args.seed)
     spec = _load_spectrum(args.state)
-    result = oracles.as_falsify_search(spec, spec.dims, args.samples, args.seed)
+    _check_total_dim(spec.dims.total, "the state's D")
+    dims = states.bipartite_dims(*spec.dims.bipartite())
+    result = oracles.as_falsify_search(spec, dims, args.samples, args.seed)
     if result.found:
         print("found: NPT after %d samples (unitary seed %d, index %d, min PT eigenvalue %.12g)"
               % (result.samples_used, result.unitary_seed, result.unitary_index,
@@ -258,19 +248,17 @@ def cmd_falsify(args):
     else:
         print("not found after %d samples (min PT eigenvalue seen %.12g); inconclusive"
               % (result.samples_used, result.min_pt_eigenvalue))
-    if args.output:
-        payload = {
-            "command": "falsify",
-            "input_digest": fileio.digest(fileio.state_to_payload(spec)),
-            "found": result.found,
-            "unitary_seed": result.unitary_seed,
-            "unitary_index": result.unitary_index,
-            "min_pt_eigenvalue": result.min_pt_eigenvalue,
-            "samples_used": result.samples_used,
-            "samples_requested": args.samples,
-        }
-        fileio.save_report(args.output, payload, args.seed)
-    return EXIT_OK
+    return {
+        "command": "falsify",
+        "input_digest": fileio.digest(fileio.state_to_payload(spec)),
+        "seed": args.seed,
+        "found": result.found,
+        "unitary_seed": result.unitary_seed,
+        "unitary_index": result.unitary_index,
+        "min_pt_eigenvalue": result.min_pt_eigenvalue,
+        "samples_used": result.samples_used,
+        "samples_requested": args.samples,
+    }
 
 
 _COMMANDS = {
@@ -304,7 +292,10 @@ def _parse(argv):
 def main(argv=None):
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command](args)
+        if report is not None and args.output:
+            fileio.save_report(args.output, report)
+        return EXIT_OK
     except (channels.RatioTooSmall, channels.InputIsCAS) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION

@@ -157,6 +157,6 @@ def digest(payload):
     return hashlib.sha256(dumps(payload).encode()).hexdigest()
 
 
-def save_report(path, report, seed):
-    """Write a CLI report stamped with the tool version and the run's seed."""
-    _write(path, {**report, "tool_version": __version__, "seed": seed})
+def save_report(path, report):
+    """Write a CLI report stamped with the tool version."""
+    _write(path, {**report, "tool_version": __version__})

@@ -371,21 +371,53 @@ def test_dimensions_above_the_limit_are_refused(tmp_path, capsys, argv, d_a, d_b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims,message", [
+    ((2, MAX_TOTAL_DIM // 2 + 1), "above the limit D <= %d" % MAX_TOTAL_DIM),
+    ((1, 4), "local dimensions must be >= 2"),
+], ids=["just-above", "local-dim-1"])
+def test_falsify_refuses_dims_it_cannot_search(tmp_path, capsys, dims, message):
+    big_d = dims[0] * dims[1]
+    state = tmp_path / "s.json"
+    state.write_text(dumps({"dims": {"locals": list(dims)}, "spectrum": [1.0 / big_d] * big_d}))
+    out = tmp_path / "out.json"
+    assert main(["falsify", str(state), "--samples", "1", "--output", str(out)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "s.json"],
+    ["construct", "werner"],
+    ["transform", "s.json", "s.json"],
+    ["witness", "ppt"],
+    ["bounds", "--copies", "3"],
+], ids=["classify", "construct", "transform", "witness", "bounds"])
+def test_only_falsify_takes_a_seed(tmp_path, capsys, argv):
+    _write(tmp_path, "s.json", make_named_state("werner"))
+    out = tmp_path / "out.json"
+    argv = [str(tmp_path / a) if a == "s.json" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "5", "--output", str(out)])
+    assert exc.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parser_reuse_carries_nothing_between_calls(tmp_path, capsys):
-    state = _write(tmp_path, "rt.json", make_rho_tilde(2, 3))
+    state = _write(tmp_path, "pure.json", make_named_state("phi_plus"))
     first = tmp_path / "first.json"
-    assert main(["classify", state, "--compare-criteria", "--seed", "5",
+    assert main(["falsify", state, "--samples", "20", "--seed", "5",
                  "--output", str(first)]) == EXIT_OK
-    assert "named-state comparison" in capsys.readouterr().out
+    assert "unitary seed 5" in capsys.readouterr().out
     assert json.loads(first.read_text())["seed"] == 5
     first.unlink()
 
-    assert main(["classify", state]) == EXIT_OK
-    assert "named-state comparison" not in capsys.readouterr().out
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["rt.json"]
+    assert main(["falsify", state, "--samples", "20"]) == EXIT_OK
+    assert "unitary seed 0" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pure.json"]
 
     with pytest.raises(SystemExit) as exc:
-        main(["classify"])
+        main(["falsify"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -393,9 +425,10 @@ def test_parser_reuse_carries_nothing_between_calls(tmp_path, capsys):
     capsys.readouterr()
 
     second = tmp_path / "second.json"
-    assert main(["classify", state, "--output", str(second)]) == EXIT_OK
-    assert "named-state comparison" not in capsys.readouterr().out
-    assert json.loads(second.read_text())["seed"] == 0
+    assert main(["falsify", state, "--samples", "20", "--output", str(second)]) == EXIT_OK
+    assert "unitary seed 0" in capsys.readouterr().out
+    payload = json.loads(second.read_text())
+    assert payload["seed"] == payload["unitary_seed"] == 0
 
 
 def test_falsify_names_a_negative_seed(tmp_path, capsys):

@@ -40,12 +40,12 @@ COMMANDS = [
     ("mm3.json", ["construct", "maximally_mixed", "--d-a", "3", "--d-b", "3"]),
     ("mm2.json", ["construct", "maximally_mixed"]),
     ("c_rt.json", ["classify", "rt.json"]),
-    ("c_phi.json", ["classify", "phi.json", "--seed", "5"]),
+    ("c_phi.json", ["classify", "phi.json"]),
     ("c_spec.json", ["classify", "spec23.json"]),
     ("t_seed_werner.json", ["transform", "seed.json", "werner.json"]),
     ("t_seed_phi.json", ["transform", "seed.json", "phi22.json"]),
     ("t_werner_om.json", ["transform", "werner.json", "om.json"]),
-    ("t_om_mm.json", ["transform", "om.json", "mm2.json", "--seed", "3"]),
+    ("t_om_mm.json", ["transform", "om.json", "mm2.json"]),
     ("w_sep.json", ["witness", "separating", "--d-a", "2", "--d-b", "3",
                     "--evaluate", "rt.json"]),
     ("w_ppt.json", ["witness", "ppt"]),
