@@ -64,17 +64,6 @@ class MeasurePrepareMap:
     unitality_factor: float
 
 
-@dataclass(frozen=True)
-class TransformPlan:
-    """Parameters realizing a ratio-feasible state transformation."""
-
-    alpha: float
-    beta: float
-    k: float
-    c: float
-    theta: float
-
-
 def make_map(dims, branches):
     """Validate the branch list and wrap it with its unitality factor."""
     dims = as_dims(dims)
@@ -142,7 +131,7 @@ def make_sec_c_example():
     return make_map(dims, [(e_sigma, sigma_hat), (e_w, werner)])
 
 
-def construct_transformation(rho, sigma, c_choice=None):
+def construct_transformation(rho, sigma):
     """Stochastic unital map carrying rho to sigma with nonzero probability.
 
     Feasible exactly when R(rho) >= R(sigma) (``ratio_at_least``), where a
@@ -151,7 +140,7 @@ def construct_transformation(rho, sigma, c_choice=None):
     beta = inf for a singular sigma, in which case phi_1 is sigma itself.
     A singular rho takes beta = inf and alpha at least 2.  Where R(rho) leaves
     room, neither divisor alpha - 1 nor 1 - 1/beta is left below DIVISOR_FLOOR.
-    A maximally mixed target yields the depolarizing channel.  Returns (map, plan).
+    A maximally mixed target yields the depolarizing channel.
     """
     if rho.dims != sigma.dims:
         raise ValueError("input dims %r and target dims %r differ"
@@ -160,8 +149,7 @@ def construct_transformation(rho, sigma, c_choice=None):
     eye = np.eye(big_d, dtype=complex)
 
     if np.abs(sigma.matrix - eye / big_d).max() <= 1e-12:
-        depol = make_map(rho.dims, [(eye, maximally_mixed(rho.dims))])
-        return depol, TransformPlan(alpha=1.0, beta=1.0, k=0.0, c=1.0, theta=0.0)
+        return make_map(rho.dims, [(eye, maximally_mixed(rho.dims))])
 
     rho_spec, sig_spec = spectrum(rho), spectrum(sigma)
     if not ratio_at_least(rho_spec, sig_spec):
@@ -194,18 +182,12 @@ def construct_transformation(rho, sigma, c_choice=None):
     cos2 = (lam_max_rho / (alpha * beta) - lam_min_rho) / (lam_max_rho - lam_min_rho)
     cos2 = min(max(cos2, 0.0), 1.0)
     cos_t, sin_t = math.sqrt(cos2), math.sqrt(1.0 - cos2)
-    theta = math.atan2(sin_t, cos_t)
     y = cos_t * v_max + sin_t * v_min
 
-    c_max = 1.0 / (1.0 + k)
-    c = c_max if c_choice is None else float(c_choice)
-    if not (0.0 < c <= c_max + 1e-15):
-        raise ValueError("c must lie in (0, %.17g]" % c_max)
-
+    c = 1.0 / (1.0 + k)
     m1 = c * np.outer(v_max, v_max.conj())
     m2 = c * k * np.outer(y, y.conj())
-    instrument = make_map(rho.dims, [(m1, phi1), (m2, phi2)])
-    return instrument, TransformPlan(alpha=alpha, beta=beta, k=k, c=c, theta=theta)
+    return make_map(rho.dims, [(m1, phi1), (m2, phi2)])
 
 
 def entangle_from(rho):
@@ -225,8 +207,7 @@ def entangle_from(rho):
                          % (ratio, cas.computed["threshold"]))
     t = d * (ratio - 1.0) / (ratio + 1.0) if math.isfinite(ratio) else (1.0 + d) / 2.0
     target = make_omega_t(d_a, d_b, t)
-    instrument, _ = construct_transformation(rho, target)
-    return instrument, target
+    return construct_transformation(rho, target), target
 
 
 def complete_to_deterministic(m):

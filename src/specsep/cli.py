@@ -21,9 +21,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_PRECONDITION = 3
 
-# Largest D = d_a * d_b that construct, witness and falsify take: one D x D
-# complex matrix takes 16 D^2 bytes and its JSON file about 40 D^2 bytes, and
-# falsify builds a D x D rotation for every sample.
+# Largest D = d_a * d_b that construct, witness, falsify and classify
+# --compare-criteria take: one D x D complex matrix takes 16 D^2 bytes and its
+# JSON file about 40 D^2 bytes, and falsify builds a D x D rotation per sample.
 MAX_TOTAL_DIM = 1024
 
 
@@ -62,7 +62,6 @@ def _build_parsers():
                        help="synthesize a stochastic unital map rho -> sigma")
     p.add_argument("rho")
     p.add_argument("sigma")
-    p.add_argument("--c", type=float, default=None, help="branch weight in (0, 1/(1+k)]")
 
     p = sub.add_parser("witness", parents=[parent], help="build or evaluate a witness")
     p.add_argument("kind", choices=["ppt", "separating"])
@@ -112,6 +111,8 @@ def _print_verdicts(spec, verdicts, label):
 
 def cmd_classify(args):
     spec = _load_spectrum(args.state)
+    if args.compare_criteria:
+        _check_total_dim(spec.dims.total, "the state's D")
     verdicts = criteria.run_all(spec)
     _print_verdicts(spec, verdicts, args.state)
     if args.compare_criteria:
@@ -158,22 +159,18 @@ def cmd_transform(args):
     sigma = fileio.load_state(args.sigma)
     if not (isinstance(rho, states.DensityMatrix) and isinstance(sigma, states.DensityMatrix)):
         raise InvalidStateError("transform needs explicit matrix state files")
-    instrument, plan = channels.construct_transformation(rho, sigma, c_choice=args.c)
+    instrument = channels.construct_transformation(rho, sigma)
     out, prob = channels.apply_map(instrument, rho)
     q = instrument.unitality_factor
     image = channels.apply_to_operator(instrument, np.eye(rho.dims.total, dtype=complex))
     unitality_residual = float(np.abs(image - q * np.eye(rho.dims.total)).max())
     output_residual = float(np.abs(out / prob - sigma.matrix).max())
     monotone = oracles.verify_ratio_monotone(instrument, rho)
-    print("plan: alpha=%.12g beta=%.12g k=%.12g c=%.12g theta=%.12g"
-          % (plan.alpha, plan.beta, plan.k, plan.c, plan.theta))
     print("success probability: %.12g" % prob)
     print("unitality residual: %.3e   output residual: %.3e   ratio monotone: %s"
           % (unitality_residual, output_residual, monotone))
     return {
         "command": "transform",
-        "plan": {"alpha": plan.alpha, "beta": plan.beta, "k": plan.k,
-                 "c": plan.c, "theta": plan.theta},
         "branches": [
             {"effect": fileio.matrix_to_payload(effect),
              "output": fileio.state_to_payload(output)}
@@ -209,7 +206,12 @@ def cmd_witness(args):
         if not isinstance(rho, states.DensityMatrix):
             raise InvalidStateError("witness evaluation needs a matrix state file")
         value = report["expectation"] = witnesses.evaluate(w, rho)
-        print("Tr(W rho) = %.12g  (%s)" % (value, "detects" if value < 0 else "no detection"))
+        # only the ppt witness is block positive, so only its negative value means entangled
+        if args.kind == "ppt":
+            verdict = "entangled (NPT)" if value < oracles.NPT_THRESHOLD else "no detection"
+        else:
+            verdict = "outside the regions W separates" if value < 0 else "no detection"
+        print("Tr(W rho) = %.12g  (%s)" % (value, verdict))
     return report
 
 

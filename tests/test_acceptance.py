@@ -266,7 +266,7 @@ def test_acceptance_09_transformation_round_trip(capsys):
         b = rand_full_rank_state(rng, (2, 2))
         if spectral_ratio(spectrum(a)) < spectral_ratio(spectrum(b)):
             a, b = b, a
-        instrument, _ = construct_transformation(a, b)
+        instrument = construct_transformation(a, b)
         out, prob = apply_map(instrument, a)
         ok = ok and prob > 0
         ok = ok and np.abs(out / prob - b.matrix).max() < 1e-9

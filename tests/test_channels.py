@@ -112,11 +112,11 @@ def test_transposed_local_dims_are_refused():
 def test_construct_transformation_worked_example():
     rho = _diag_state([0.4, 0.3, 0.2, 0.1])
     sigma = make_omega_t(2, 2, 1.2)
-    instrument, plan = construct_transformation(rho, sigma)
-    assert plan.alpha == pytest.approx(16 / 7, abs=1e-12)
-    assert plan.beta == pytest.approx(7 / 4, abs=1e-12)
-    assert plan.k == pytest.approx(3.0, abs=1e-9)
-    assert plan.c == pytest.approx(0.25, abs=1e-9)
+    # alpha = 16/7 and beta = 7/4 give k = 3, so the effects have traces
+    # c = 1/4 and c k = 3/4, and p = lambda_max(rho) / alpha = 0.4 * 7/16
+    instrument = construct_transformation(rho, sigma)
+    traces = [float(e.trace().real) for e, _ in instrument.branches]
+    assert traces == pytest.approx([0.25, 0.75], abs=1e-9)
     out, prob = apply_map(instrument, rho)
     assert prob == pytest.approx(0.175, abs=1e-9)
     assert np.abs(out / prob - sigma.matrix).max() < 1e-9
@@ -124,7 +124,7 @@ def test_construct_transformation_worked_example():
 
 def test_construct_transformation_maximally_mixed_target(rng):
     rho = rand_state(rng, (2, 2))
-    instrument, _ = construct_transformation(rho, maximally_mixed(DIMS22))
+    instrument = construct_transformation(rho, maximally_mixed(DIMS22))
     out, prob = apply_map(instrument, rho)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert np.abs(out - np.eye(4) / 4).max() < 1e-12
@@ -136,15 +136,13 @@ def test_construct_transformation_singular_input():
     # success probability is c lambda_max(seed) = lambda_max(seed) / alpha
     seed = make_named_state("seed_state")
     werner = make_named_state("werner")
-    instrument, plan = construct_transformation(seed, werner)
-    assert plan.alpha == pytest.approx(5 / 2, abs=1e-12)
-    assert plan.k == pytest.approx(3 / 2, abs=1e-12)
-    assert plan.c == pytest.approx(2 / 5, abs=1e-12)
+    instrument = construct_transformation(seed, werner)
+    traces = [float(e.trace().real) for e, _ in instrument.branches]
+    assert traces == pytest.approx([2 / 5, 3 / 5], abs=1e-12)
     out, prob = apply_map(instrument, seed)
-    assert prob == pytest.approx(plan.c / 3, abs=1e-12)
     assert prob == pytest.approx(2 / 15, abs=1e-12)
     assert np.abs(out / prob - werner.matrix).max() < 1e-9
-    assert math.isinf(plan.beta)
+    assert np.array_equal(instrument.branches[0][1].matrix, werner.matrix)
 
 
 def test_construct_transformation_ratio_too_small():
@@ -154,24 +152,13 @@ def test_construct_transformation_ratio_too_small():
         construct_transformation(rho, sigma)
 
 
-def test_construct_transformation_c_choice():
-    rho = _diag_state([0.4, 0.3, 0.2, 0.1])
-    sigma = make_omega_t(2, 2, 1.2)
-    instrument, plan = construct_transformation(rho, sigma, c_choice=0.1)
-    assert plan.c == 0.1
-    _, prob = apply_map(instrument, rho)
-    assert prob == pytest.approx(0.7 * 0.1, abs=1e-9)
-    with pytest.raises(ValueError):
-        construct_transformation(rho, sigma, c_choice=0.5)
-
-
 def _rotated(vals, dims, seed):
     u = haar_unitaries(len(vals), seed, 1)[0]
     return density_matrix((u * np.asarray(vals)) @ u.conj().T, dims)
 
 
 def _transform_residual(rho, sigma):
-    instrument, _ = construct_transformation(rho, sigma)
+    instrument = construct_transformation(rho, sigma)
     out, prob = apply_map(instrument, rho)
     assert prob > 0
     return instrument, float(np.abs(out / prob - sigma.matrix).max())
@@ -333,7 +320,7 @@ def test_round_trip_random_pairs(rng):
             ra = spectral_ratio(spectrum(a))
             rb = spectral_ratio(spectrum(b))
             rho, sigma = (a, b) if ra >= rb else (b, a)
-            instrument, _ = construct_transformation(rho, sigma)
+            instrument = construct_transformation(rho, sigma)
             out, prob = apply_map(instrument, rho)
             assert prob > 0
             assert np.abs(out / prob - sigma.matrix).max() < 1e-9

@@ -79,6 +79,20 @@ def test_classify_compare_criteria(tmp_path, capsys):
     assert "maximally_mixed" in printed and "rho_tilde" in printed
 
 
+def test_classify_compare_criteria_refuses_dims_above_the_limit(tmp_path, capsys):
+    # the comparison builds D x D named states; plain classify is O(D) and runs
+    big_d = 2 * (MAX_TOTAL_DIM // 2 + 1)
+    state = tmp_path / "s.json"
+    state.write_text(dumps({"dims": {"locals": [2, big_d // 2]}, "spectrum": [1.0 / big_d] * big_d}))
+    out = tmp_path / "out.json"
+    assert main(["classify", str(state), "--compare-criteria", "--output", str(out)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the state's D is %d, above the limit" % big_d in captured.err
+    assert not out.exists()
+    assert main(["classify", str(state), "--output", str(out)]) == EXIT_OK
+
+
 def test_classify_malformed_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -99,7 +113,7 @@ def _strict_json(path):
 
 
 def test_reports_on_singular_states_are_strict_json(tmp_path):
-    # an infinite spectral ratio or beta is written as null
+    # an infinite spectral ratio is written as null
     phi = _write(tmp_path, "phi.json", make_named_state("phi_plus"))
     report = str(tmp_path / "classify.json")
     assert main(["classify", phi, "--output", report]) == EXIT_OK
@@ -109,7 +123,7 @@ def test_reports_on_singular_states_are_strict_json(tmp_path):
     werner = _write(tmp_path, "werner.json", make_named_state("werner"))
     report = str(tmp_path / "transform.json")
     assert main(["transform", seed, werner, "--output", report]) == EXIT_OK
-    assert _strict_json(report)["plan"]["beta"] is None
+    assert "plan" not in _strict_json(report)
 
 
 @pytest.mark.parametrize("body", [
@@ -186,6 +200,17 @@ def test_transform_worked_example(tmp_path, capsys):
     assert payload["verification"]["ratio_monotone"] is True
 
 
+def test_transform_takes_no_c(tmp_path, capsys):
+    rho = _write(tmp_path, "rho.json", make_named_state("seed_state"))
+    sigma = _write(tmp_path, "sigma.json", make_named_state("werner"))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", rho, sigma, "--c", "0.1", "--output", str(out)])
+    assert exc.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --c 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_precondition_failure(tmp_path):
     # CAS input cannot reach a higher-ratio target
     rho = _write(tmp_path, "rho.json", make_rho_tilde(2, 3))
@@ -208,9 +233,26 @@ def test_witness_evaluate(tmp_path, capsys):
     rc = main(["witness", "separating", "--d-a", "2", "--d-b", "3",
                "--evaluate", state, "--output", report])
     assert rc == EXIT_OK
-    assert "detects" in capsys.readouterr().out
+    # rho_tilde is CAS, hence separable: the separating witness is not block
+    # positive, so its negative value does not say "entangled"
+    printed = capsys.readouterr().out
+    assert "(outside the regions W separates)" in printed
+    assert "entangled" not in printed
     payload = json.loads(open(report).read())
     assert payload["expectation"] == pytest.approx(-0.019672, abs=1e-5)
+
+
+@pytest.mark.parametrize("state,d_b,value,verdict", [
+    (make_named_state("werner"), 2, -1 / 8, "entangled (NPT)"),
+    (make_rho_tilde(2, 3), 3, 1 / 6, "no detection"),
+], ids=["werner", "rho-tilde"])
+def test_witness_ppt_verdict(tmp_path, capsys, state, d_b, value, verdict):
+    path = _write(tmp_path, "s.json", state)
+    report = tmp_path / "w.json"
+    assert main(["witness", "ppt", "--d-a", "2", "--d-b", str(d_b),
+                 "--evaluate", path, "--output", str(report)]) == EXIT_OK
+    assert "(%s)" % verdict in capsys.readouterr().out
+    assert json.loads(report.read_text())["expectation"] == pytest.approx(value, abs=1e-12)
 
 
 def test_witness_ppt_trace_norm(capsys):

@@ -346,7 +346,7 @@ def _constructed(case, d_a, d_b, rng):
     rho = rand_state(rng, (d_a, d_b))
     u = haar_unitaries(dims.total, int(rng.integers(0, 2**31)), 1)[0]
     sigma = density_matrix(u @ rho.matrix @ u.conj().T, dims)
-    instrument, _ = construct_transformation(rho, sigma)
+    instrument = construct_transformation(rho, sigma)
     return [output for _, output in instrument.branches]
 
 

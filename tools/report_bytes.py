@@ -4,12 +4,12 @@ Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
 importable, 8 ``construct`` commands (state files) and 16 commands that write
-reports: ``classify`` x3, ``transform`` x4 (one onto a singular target, whose
-beta is infinite), ``witness`` x3 (one on 4 x 9, a 36 x 36 matrix), ``bounds``
-and ``falsify`` x5 (two misses, a hit on the first sample, a hit at index 16,
-the last rotation of the second batch and of its second screen slice, and a
-hit at index 131, deep in a batch whose earlier slices the orbit search
-screens out).  ``construct`` writes only matrix files, so the spectrum files
+reports: ``classify`` x3, ``transform`` x4 (one onto a singular target),
+``witness`` x3 (one on 4 x 9, a 36 x 36 matrix), ``bounds`` and ``falsify``
+x5 (two misses, a hit on the first sample, a hit at index 16, the last
+rotation of the second batch and of its second screen slice, and a hit at
+index 131, deep in a batch whose earlier slices the orbit search screens
+out).  ``construct`` writes only matrix files, so the spectrum files
 that one ``classify`` and three ``falsify`` read are written first from the
 literal text in SPECTRUM_FILES (unsorted, so loading sorts them).  To compare
 two source trees, run it once against each and ``diff -r`` the two output
