@@ -1,10 +1,12 @@
-"""Walk through entanglement extraction with a single measurement branch.
+"""Walk through entanglement extraction with a stochastic unital instrument.
 
 A state whose eigenvalue ratio exceeds (d+1)/(d-1) can be steered, with
 nonzero probability and without ever generating purity, into an entangled
-state.  This script builds the measure-and-prepare branch for a diagonal
-two-qubit input, applies it, and certifies the output with the partial
-transpose.
+state.  This script builds the measure-and-prepare instrument for a diagonal
+two-qubit input: its two branches measure the input's largest- and
+smallest-eigenvalue eigenvectors and prepare states diagonal in the target's
+eigenbasis.  It applies the instrument and certifies the output with the
+partial transpose.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ def main():
 
     instrument, target = entangle_from(rho)
     q = instrument.unitality_factor
-    print("branch is stochastic unital with Lambda(1) = %.4g * 1" % q)
+    print("instrument is stochastic unital with Lambda(1) = %.4g * 1" % q)
 
     normalized, prob = normalized_output(instrument, rho)
     print("success probability: %.6g" % prob)

@@ -3,8 +3,8 @@
 A map here is a list of branches (effect E_i, prepared state phi_i) with
 sum_i E_i below the identity and sum_i Tr(E_i) phi_i proportional to the
 identity.  This file provides validation, application, the explicit
-entanglement-extraction example, the general ratio-based transformation
-synthesis, and deterministic completion.
+entanglement-extraction example, the synthesis of a map rho -> sigma from the
+two eigenbases, and deterministic completion.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .states import (
     as_dims,
     density_matrix,
     hermitian_part,
-    is_singular,
     make_named_state,
     make_omega_t,
     maximally_mixed,
@@ -32,9 +31,6 @@ from .states import (
 
 SUBPOVM_TOL = 1e-10
 UNITALITY_TOL = 1e-9
-# Least divisor of phi_1 and phi_2 when R(rho) leaves room: a divisor x near 0
-# amplifies sigma's rounding by about 1/x, past what validation admits
-DIVISOR_FLOOR = 1e-3
 
 
 class SubPovmViolation(ValueError):
@@ -136,10 +132,17 @@ def construct_transformation(rho, sigma):
 
     Feasible exactly when R(rho) >= R(sigma) (``ratio_at_least``), where a
     singular state has R = inf.  One construction covers every feasible
-    pair: alpha = D lambda_max(sigma), beta = 1 / (D lambda_min(sigma)), or
-    beta = inf for a singular sigma, in which case phi_1 is sigma itself.
-    A singular rho takes beta = inf and alpha at least 2.  Where R(rho) leaves
-    room, neither divisor alpha - 1 nor 1 - 1/beta is left below DIVISOR_FLOOR.
+    pair: it measures in rho's eigenbasis and prepares states diagonal in
+    sigma's.  Let hi and lo be rho's extreme eigenvalues, with
+    eigenvectors v_hi and v_lo, sigma = U diag(s) U^dagger, and
+    w_j = (hi s_j / s_max - lo) / (hi - lo), in [0, 1] because
+    R(rho) >= R(sigma).  With q = 1 / max(sum w, sum (1 - w)), the effect
+    q sum(w) |v_hi><v_hi| prepares U diag(w / sum w) U^dagger and the effect
+    q sum(1 - w) |v_lo><v_lo| prepares U diag((1 - w) / sum(1 - w)) U^dagger,
+    so Lambda(I) = q I and Lambda(rho) = p sigma with
+    p = q hi / s_max >= hi / (D s_max).  Every division is by a sum of
+    non-negative weights, so none amplifies sigma's rounding.  On
+    seed_state -> werner this is the Sec. C instrument (p = 2/9, q = 5/12).
     A maximally mixed target yields the depolarizing channel.
     """
     if rho.dims != sigma.dims:
@@ -156,38 +159,20 @@ def construct_transformation(rho, sigma):
         raise RatioTooSmall("R(rho) = %.12g < R(sigma) = %.12g"
                             % (spectral_ratio(rho_spec), spectral_ratio(sig_spec)))
     rho_vals, rho_vecs = np.linalg.eigh(rho.matrix)
-    lam_min_rho = float(rho_vals[0])
-    lam_max_rho = float(rho_vals[-1])
-    v_min, v_max = rho_vecs[:, 0], rho_vecs[:, -1]
-
-    alpha = big_d * float(sig_spec.values[0])
-    beta = math.inf if is_singular(sig_spec) else 1.0 / (big_d * float(sig_spec.values[-1]))
-    if is_singular(rho_spec):
-        # R(rho) = inf frees both minima, and P = lam_max(rho) / alpha for any
-        # beta: beta = inf makes phi_1 = sigma, and alpha - 1 >= 1 keeps the
-        # division in phi_2 from amplifying sigma's rounding near I / D
-        alpha, beta = max(alpha, 2.0), math.inf
-    floored = max(alpha, 1.0 + DIVISOR_FLOOR), max(beta, 1.0 / (1.0 - DIVISOR_FLOOR))
-    if floored[0] * floored[1] <= spectral_ratio(rho_spec):
-        alpha, beta = floored
-    # sigma = (1 - 1/beta) phi_1 + (1/beta) identity / D; at beta = inf the
-    # division below is exact, so phi_1 is sigma and is not validated again
-    phi1 = sigma if math.isinf(beta) else density_matrix(
-        (sigma.matrix - eye / (beta * big_d)) / (1.0 - 1.0 / beta), rho.dims
-    )
-    phi2 = density_matrix((alpha * eye / big_d - sigma.matrix) / (alpha - 1.0), rho.dims)
-    k = (alpha - 1.0) / (1.0 - 1.0 / beta)
-    # y = cos(theta) v_max + sin(theta) v_min with <y|rho|y> = the target
-    # lam_max / (alpha beta), which R(rho) >= R(sigma) puts in [lam_min, lam_max]
-    cos2 = (lam_max_rho / (alpha * beta) - lam_min_rho) / (lam_max_rho - lam_min_rho)
-    cos2 = min(max(cos2, 0.0), 1.0)
-    cos_t, sin_t = math.sqrt(cos2), math.sqrt(1.0 - cos2)
-    y = cos_t * v_max + sin_t * v_min
-
-    c = 1.0 / (1.0 + k)
-    m1 = c * np.outer(v_max, v_max.conj())
-    m2 = c * k * np.outer(y, y.conj())
-    return make_map(rho.dims, [(m1, phi1), (m2, phi2)])
+    # a noise-negative lo is kept, so that Lambda(rho) stays exactly p sigma; the
+    # clip absorbs the weights down to about -D eps that R(rho) >= R(sigma)
+    # within the ratio allowance leaves
+    lo, hi = float(rho_vals[0]), float(rho_vals[-1])
+    s, u = np.linalg.eigh(sigma.matrix)
+    w = np.clip((hi * (s / s[-1]) - lo) / (hi - lo), 0.0, 1.0)
+    q = 1.0 / max(w.sum(), (1.0 - w).sum())
+    branches = []
+    for weights, v in ((w, rho_vecs[:, -1]), (1.0 - w, rho_vecs[:, 0])):
+        total = float(weights.sum())
+        if total > 0.0:
+            output = density_matrix((u * (weights / total)) @ u.conj().T, rho.dims)
+            branches.append((q * total * np.outer(v, v.conj()), output))
+    return make_map(rho.dims, branches)
 
 
 def entangle_from(rho):

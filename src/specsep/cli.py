@@ -21,9 +21,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_PRECONDITION = 3
 
-# Largest D = d_a * d_b that construct, witness, falsify and classify
+# Largest D = d_a * d_b that construct, witness, transform, falsify and classify
 # --compare-criteria take: one D x D complex matrix takes 16 D^2 bytes and its
-# JSON file about 40 D^2 bytes, and falsify builds a D x D rotation per sample.
+# JSON file about 40 D^2 bytes, transform writes four such matrices, and falsify
+# builds a D x D rotation per sample.
 MAX_TOTAL_DIM = 1024
 
 
@@ -132,7 +133,7 @@ def _named_states_for(dims):
     if (d_a, d_b) == (2, 2):
         out.append(("seed_state", states.make_named_state("seed_state")))
         out.append(("werner", states.make_named_state("werner")))
-    if 2 <= d_a < d_b:
+    if d_a < d_b:
         out.append(("rho_tilde", states.make_rho_tilde(d_a, d_b)))
     return out
 
@@ -156,6 +157,7 @@ def cmd_construct(args):
 
 def cmd_transform(args):
     rho = fileio.load_state(args.rho)
+    _check_total_dim(rho.dims.total, "the state's D")
     sigma = fileio.load_state(args.sigma)
     if not (isinstance(rho, states.DensityMatrix) and isinstance(sigma, states.DensityMatrix)):
         raise InvalidStateError("transform needs explicit matrix state files")
@@ -241,8 +243,7 @@ def cmd_falsify(args):
         raise InvalidStateError("--seed must be a non-negative integer, got %d" % args.seed)
     spec = _load_spectrum(args.state)
     _check_total_dim(spec.dims.total, "the state's D")
-    dims = states.bipartite_dims(*spec.dims.bipartite())
-    result = oracles.as_falsify_search(spec, dims, args.samples, args.seed)
+    result = oracles.as_falsify_search(spec, spec.dims, args.samples, args.seed)
     if result.found:
         print("found: NPT after %d samples (unitary seed %d, index %d, min PT eigenvalue %.12g)"
               % (result.samples_used, result.unitary_seed, result.unitary_index,

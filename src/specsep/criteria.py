@@ -48,8 +48,6 @@ def ratio_criterion(s):
     rank.
     """
     d = min(s.dims.bipartite())
-    if d < 2:
-        raise ValueError("smaller local dimension must be >= 2")
     threshold = (d + 1) / (d - 1)
     if is_singular(s):
         return _verdict("ratio_cas", False, {"ratio": math.inf, "threshold": threshold},

@@ -101,6 +101,7 @@ def as_falsify_search(s, dims, samples, seed):
     never certifies absolute separability.  Sample ``i`` is
     ``haar_unitaries(D, seed, i + 1)[i]``, so a hit is reproducible from the
     search seed and its index (``unitary_seed``, ``unitary_index``) alone.
+    ``dims`` must equal ``s.dims``.
 
     Rotations are drawn in batches of SEARCH_BATCHES (the last size
     repeating), and only those that can change the result are
@@ -113,9 +114,10 @@ def as_falsify_search(s, dims, samples, seed):
     stack, so the result is the one an eigendecomposition of every sample
     gives, whatever the batch and slice sizes.
     """
+    if dims != s.dims:
+        raise ValueError("spectrum dims %r differ from search dims %r"
+                         % (s.dims.locals, dims.locals))
     d_a, d_b = dims.bipartite()
-    if len(s.values) != dims.total:
-        raise ValueError("spectrum length does not match dims")
     if samples < 1:
         raise ValueError("samples must be >= 1, got %d" % samples)
     rng = np.random.default_rng(seed)

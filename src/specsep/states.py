@@ -43,6 +43,9 @@ class Dims:
 
     def __post_init__(self):
         try:
+            # operator.index reads a bool as 0 or 1, so a bool is refused here
+            if any(isinstance(d, bool) for d in self.locals):
+                raise TypeError
             locs = tuple(operator.index(d) for d in self.locals)
         except TypeError:  # not a sequence of integers
             locs = ()
@@ -56,10 +59,17 @@ class Dims:
         return math.prod(self.locals)
 
     def bipartite(self):
-        """Return (d_A, d_B), raising if not a two-party system."""
-        if len(self.locals) != 2:
-            raise ValueError("operation requires bipartite dims, got %r" % (self.locals,))
-        return self.locals
+        """Return (d_A, d_B), raising unless two parties of dimension >= 2."""
+        return _bipartite(self.locals)
+
+
+def _bipartite(locs):
+    """The one rule for bipartite dims: two local dimensions, each >= 2."""
+    if len(locs) != 2:
+        raise ValueError("operation requires bipartite dims, got %r" % (locs,))
+    if min(locs) < 2:
+        raise ValueError("bipartite local dimensions must be >= 2, got %r" % (locs,))
+    return locs
 
 
 def as_dims(dims):
@@ -70,9 +80,7 @@ def as_dims(dims):
 
 def bipartite_dims(d_a, d_b):
     """Dims for a two-party system; both local dimensions must be >= 2."""
-    if d_a < 2 or d_b < 2:
-        raise ValueError("bipartite local dimensions must be >= 2")
-    return Dims((d_a, d_b))
+    return Dims(_bipartite((d_a, d_b)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import numpy as np
 from .states import (
     Dims,
     as_dims,
-    bipartite_dims,
     hermitian_part,
     partial_transpose,
     phi_plus_pt,
@@ -73,8 +72,8 @@ def make_ppt_witness(dims):
     Trace 1, spectrum in [-1/d, 1/d], block positive; detects every NPT
     state that a maximally-entangled-fidelity test can see.
     """
-    dims = bipartite_dims(*as_dims(dims).bipartite())
-    return make_witness(phi_plus_pt(*dims.locals), dims)
+    dims = as_dims(dims)
+    return make_witness(phi_plus_pt(*dims.bipartite()), dims)
 
 
 def separating_witness_condition(d_a, d_b):

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from specsep import density_matrix, make_named_state, maximally_mixed, spectral_ratio, spectrum
 from specsep.channels import (
-    DIVISOR_FLOOR,
     InputIsCAS,
     NotUnital,
     RatioTooSmall,
@@ -21,7 +20,14 @@ from specsep.channels import (
     normalized_output,
 )
 from specsep.oracles import haar_unitaries, ppt_min_eigenvalue, verify_ratio_monotone
-from specsep.states import EIG_CLAMP, bipartite_dims, is_singular, make_omega_t, make_rho_tilde
+from specsep.states import (
+    EIG_CLAMP,
+    bipartite_dims,
+    is_singular,
+    make_omega_t,
+    make_rho_tilde,
+    ratio_at_least,
+)
 
 from conftest import rand_full_rank_state, rand_state, rand_valid_map
 
@@ -112,13 +118,15 @@ def test_transposed_local_dims_are_refused():
 def test_construct_transformation_worked_example():
     rho = _diag_state([0.4, 0.3, 0.2, 0.1])
     sigma = make_omega_t(2, 2, 1.2)
-    # alpha = 16/7 and beta = 7/4 give k = 3, so the effects have traces
-    # c = 1/4 and c k = 3/4, and p = lambda_max(rho) / alpha = 0.4 * 7/16
+    # sigma has spectrum (4/7, 1/7, 1/7, 1/7), so with hi = 0.4 and lo = 0.1
+    # w = (1, 0, 0, 0) and q = 1/max(1, 3) = 1/3: the effects have traces
+    # q sum(w) = 1/3 and q sum(1 - w) = 1, and p = q hi / s_max = 7/30
     instrument = construct_transformation(rho, sigma)
     traces = [float(e.trace().real) for e, _ in instrument.branches]
-    assert traces == pytest.approx([0.25, 0.75], abs=1e-9)
+    assert traces == pytest.approx([1 / 3, 1.0], abs=1e-9)
+    assert instrument.unitality_factor == pytest.approx(1 / 3, abs=1e-12)
     out, prob = apply_map(instrument, rho)
-    assert prob == pytest.approx(0.175, abs=1e-9)
+    assert prob == pytest.approx(7 / 30, abs=1e-9)
     assert np.abs(out / prob - sigma.matrix).max() < 1e-9
 
 
@@ -131,18 +139,27 @@ def test_construct_transformation_maximally_mixed_target(rng):
 
 
 def test_construct_transformation_singular_input():
-    # a singular input (R = inf) takes beta = inf, so phi_1 = werner; werner
-    # has lambda_max = 5/8, so alpha = 5/2, k = 3/2, c = 2/5 and the
-    # success probability is c lambda_max(seed) = lambda_max(seed) / alpha
+    # seed_state (hi = 1/3, lo = 0) -> werner (5/8, 1/8, 1/8, 1/8) has
+    # w = (1, 1/5, 1/5, 1/5), so q = 1/max(8/5, 12/5) = 5/12 and
+    # p = q hi / s_max = 2/9: the Sec. C instrument, whose outputs are werner
+    # and sigma_hat = (2/3)(5/8 I - werner)
     seed = make_named_state("seed_state")
     werner = make_named_state("werner")
     instrument = construct_transformation(seed, werner)
+    sec_c = make_sec_c_example()
+    assert instrument.unitality_factor == pytest.approx(5 / 12, abs=1e-12)
     traces = [float(e.trace().real) for e, _ in instrument.branches]
-    assert traces == pytest.approx([2 / 5, 3 / 5], abs=1e-12)
+    assert traces == pytest.approx([2 / 3, 1.0], abs=1e-12)
     out, prob = apply_map(instrument, seed)
-    assert prob == pytest.approx(2 / 15, abs=1e-12)
-    assert np.abs(out / prob - werner.matrix).max() < 1e-9
-    assert np.array_equal(instrument.branches[0][1].matrix, werner.matrix)
+    assert prob == pytest.approx(2 / 9, abs=1e-12)
+    assert prob == pytest.approx(apply_map(sec_c, seed)[1], abs=1e-12)
+    assert np.abs(out / prob - werner.matrix).max() < 1e-12
+    (_, sigma_hat), (_, sec_c_werner) = sec_c.branches
+    outputs = [output.matrix for _, output in instrument.branches]
+    assert np.abs(outputs[0] - sec_c_werner.matrix).max() < 1e-12
+    assert np.abs(outputs[1] - sigma_hat.matrix).max() < 1e-12
+    # the failure branch of both measures the seed's kernel |11>
+    assert np.abs(instrument.branches[1][0] - sec_c.branches[0][0]).max() < 1e-12
 
 
 def test_construct_transformation_ratio_too_small():
@@ -187,9 +204,8 @@ def test_construct_transformation_across_singular_boundary(lam):
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-7, 1e-6])
 def test_singular_input_reaches_targets_near_maximally_mixed(delta):
-    # at the least alpha and beta, phi_1 and phi_2 would divide by 1 - 1/beta
-    # and alpha - 1, both about D delta here; a singular input takes
-    # beta = inf and alpha >= 2 instead
+    # the branch states divide only by sums of weights in [0, 1], one of them
+    # about D delta here, so sigma's rounding is not amplified
     seed = make_named_state("seed_state")
     vals = 0.25 + delta * np.array([1.5, -0.5, -0.5, -0.5])
     for s in range(20):
@@ -201,9 +217,11 @@ def test_singular_input_reaches_targets_near_maximally_mixed(delta):
 
 @pytest.mark.parametrize("delta", [1e-12, 3e-12, 1e-9, 1e-7, 1e-6, 1e-5])
 def test_full_rank_input_reaches_targets_near_maximally_mixed(delta):
-    # werner has R = 5, room to raise alpha and beta to 1 + DIVISOR_FLOOR and
-    # 1/(1 - DIVISOR_FLOOR), which puts P at (5/8)/(1 + DIVISOR_FLOOR); sigma
-    # within 1e-12 of I / D takes the depolarizing channel (P = 1)
+    # werner (hi = 5/8, lo = 1/8) onto s = 1/4 + delta (1.5, -.5, -.5, -.5):
+    # w = (1, (5r - 1)/4 thrice) with r = (1/4 - delta/2)/(1/4 + 3 delta/2), so
+    # sum(w) = (1 + 15 r)/4 > 2, q = 1/sum(w) and p = q hi / s_max = 5/(8 - 12 delta),
+    # which tends to 5/8; sigma within 1e-12 of I / D takes the depolarizing
+    # channel (p = 1)
     werner = make_named_state("werner")
     vals = 0.25 + delta * np.array([1.5, -0.5, -0.5, -0.5])
     for s in range(20):
@@ -211,7 +229,7 @@ def test_full_rank_input_reaches_targets_near_maximally_mixed(delta):
         instrument, residual = _transform_residual(werner, sigma)
         assert residual <= 1e-12
         prob = apply_map(instrument, werner)[1]
-        assert any(prob == pytest.approx(p, abs=1e-12) for p in (1.0, 0.625 / (1 + DIVISOR_FLOOR)))
+        assert any(prob == pytest.approx(p, abs=1e-12) for p in (1.0, 5 / (8 - 12 * delta)))
 
 
 def _rotated_pair(dims, vals_seed, floor, concentration, seed):
@@ -225,9 +243,9 @@ def _rotated_pair(dims, vals_seed, floor, concentration, seed):
 
 @st.composite
 def rotated_spectrum_pairs(draw):
-    """Two Haar rotations of one 2..3 x 2..3 spectrum with lambda_min at
+    """Two Haar rotations of one 2..3 x 2..4 spectrum with lambda_min at
     least a drawn floor of 1e-10 or more."""
-    return _rotated_pair((draw(st.integers(2, 3)), draw(st.integers(2, 3))),
+    return _rotated_pair((draw(st.integers(2, 3)), draw(st.integers(2, 4))),
                          draw(st.integers(0, 2**32 - 1)),
                          draw(st.sampled_from([1e-10, 1e-7, 1e-3])),
                          draw(st.sampled_from([0.5, 5.0, 500.0])),
@@ -247,6 +265,53 @@ def test_rotations_of_one_spectrum_transform(pair):
     instrument, residual = _transform_residual(rho, sigma)
     assert verify_ratio_monotone(instrument, rho)
     assert residual <= 1e-9
+
+
+@st.composite
+def feasible_pairs(draw):
+    """(rho, sigma) on 2..3 x 2..4 with R(rho) >= R(sigma): two rotations of one
+    spectrum (equal ratios), a singular rho (its least eigenvalue 0 or the
+    admitted noise -5e-11), or a sigma within delta of I / D."""
+    kind = draw(st.sampled_from(["equal-ratio", "singular", "near-mixed"]))
+    if kind == "equal-ratio":
+        return draw(rotated_spectrum_pairs())
+    dims = (draw(st.integers(2, 3)), draw(st.integers(2, 4)))
+    big_d = dims[0] * dims[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.dirichlet(np.full(big_d, draw(st.sampled_from([0.5, 5.0, 500.0]))))
+    if kind == "singular":
+        x[:draw(st.integers(1, big_d - 1))] = 0.0
+        x /= x.sum()
+        x[0] = draw(st.sampled_from([0.0, -5e-11]))
+        rho_vals, sigma_vals = x, rng.dirichlet(np.ones(big_d))
+    else:
+        delta = draw(st.sampled_from([1e-13, 1e-12, 1e-10, 1e-7, 1e-4]))
+        rho_vals, sigma_vals = rng.dirichlet(np.ones(big_d)), 1 / big_d + delta * (x - 1 / big_d)
+    seed = draw(st.integers(0, 2**31 - 1))
+    rho, sigma = _rotated(rho_vals, dims, seed), _rotated(sigma_vals, dims, seed + 1)
+    assume(ratio_at_least(spectrum(rho), spectrum(sigma)))
+    return rho, sigma
+
+
+# The example's lambda_min(rho) = -0.9e-10 is admitted noise: measured on v_lo,
+# it cancels in Lambda(rho) only if the weights use it rather than 0 (with
+# lo clamped at 0 the output residual was 1.1e-10).
+@settings(max_examples=200, deadline=None)
+@given(pair=feasible_pairs())
+@example(pair=(_rotated([0.5, 0.3, 0.2 + 0.9e-10, -0.9e-10], (2, 2), 3),
+               make_named_state("werner")))
+def test_transform_is_exact_and_at_least_the_rank_one_probability(pair):
+    # p = q lambda_max(rho) / lambda_max(sigma) with q >= 1/D, so p is at least
+    # lambda_max(rho) / (D lambda_max(sigma)), what two rank-one effects with
+    # Lambda(I) = I / D reach
+    rho, sigma = pair
+    instrument = construct_transformation(rho, sigma)
+    make_map(instrument.dims, instrument.branches)
+    out, prob = apply_map(instrument, rho)
+    assert np.abs(out / prob - sigma.matrix).max() <= 1e-12
+    assert verify_ratio_monotone(instrument, rho)
+    lam_rho, lam_sigma = spectrum(rho).values[0], spectrum(sigma).values[0]
+    assert prob >= lam_rho / (rho.dims.total * lam_sigma) - 1e-12
 
 
 # --- entanglement extraction ----------------------------------------------

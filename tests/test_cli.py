@@ -193,9 +193,10 @@ def test_transform_worked_example(tmp_path, capsys):
     report = str(tmp_path / "plan.json")
     assert main(["transform", rho, sigma, "--output", report]) == EXIT_OK
     printed = capsys.readouterr().out
-    assert "0.175" in printed
+    # p = q lambda_max(rho) / lambda_max(sigma) = (1/3)(0.4)(7/4) = 7/30
+    assert "success probability: 0.233333333333" in printed
     payload = json.loads(open(report).read())
-    assert payload["success_probability"] == pytest.approx(0.175, abs=1e-9)
+    assert payload["success_probability"] == pytest.approx(7 / 30, abs=1e-9)
     assert payload["verification"]["output_residual"] < 1e-9
     assert payload["verification"]["ratio_monotone"] is True
 
@@ -609,6 +610,15 @@ def test_self_transform_of_near_singular_state(tmp_path):
             assert verification["output_residual"] < 1e-9
 
 
+def test_transform_refuses_dims_above_the_limit(tmp_path, capsys, monkeypatch):
+    werner = _write(tmp_path, "werner.json", make_named_state("werner"))
+    monkeypatch.setattr(cli, "MAX_TOTAL_DIM", 3)
+    out = tmp_path / "t.json"
+    assert main(["transform", werner, werner, "--output", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: the state's D is 4, above the limit D <= 3\n"
+    assert not out.exists()
+
+
 def test_transform_refuses_transposed_local_dims(tmp_path, capsys):
     phi = _write(tmp_path, "phi.json", make_named_state("phi_plus", 2, 3))
     relabelled = _write(tmp_path, "rt32.json", density_matrix(make_rho_tilde(2, 3).matrix, (3, 2)))
@@ -621,7 +631,7 @@ def test_eigensolver_call_budget(tmp_path, monkeypatch):
     # each state file is eigendecomposed once, by its validation; transform
     # adds one eigvalsh per branch state, three in make_map (one per effect
     # and one for their sum) and one in the ratio-monotone oracle, and one
-    # eigh for rho's eigenvectors
+    # eigh each for rho's and sigma's eigenvectors
     werner = _write(tmp_path, "werner.json", make_named_state("werner"))
     omega = _write(tmp_path, "om.json", make_omega_t(2, 2, 1.2))
     calls = {}
@@ -632,7 +642,7 @@ def test_eigensolver_call_budget(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     # witness computes its trace norm once; a built-in state is validated once
     for argv, eigvalsh, eigh in ((["classify", werner], 1, 0),
-                                 (["transform", werner, omega], 8, 1),
+                                 (["transform", werner, omega], 8, 2),
                                  (["witness", "ppt", "--d-a", "2", "--d-b", "3"], 1, 0),
                                  (["construct", "omega_t", "--t", "1.2", "--d-a", "2",
                                    "--d-b", "3"], 1, 0)):

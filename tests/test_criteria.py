@@ -60,6 +60,13 @@ def test_ratio_rejects_bad_d():
         ratio_criterion(s)
 
 
+def test_purity_bound_report_refuses_a_local_dimension_of_one():
+    # d_A = 1 once reached the CAS bound (d_A/d_B)/(d_A^2 - 1) and divided by 0
+    s = spectrum_from_values([0.25] * 4, (1, 4))
+    with pytest.raises(ValueError, match="local dimensions must be >= 2"):
+        purity_bound_report(s)
+
+
 def test_ratio_scale_free(rng):
     vals = rng.dirichlet(np.ones(6))
     for c in (1.0, 7.0, 1e-3):

@@ -212,6 +212,20 @@ def malformed_state_files(draw):
     return dumps(payload)
 
 
+# JSON true is a Python bool, which operator.index reads as 1
+@pytest.mark.parametrize("locals_,big_d", [("[true,4]", 4), ("[2,true,2]", 4)],
+                         ids=["true-4", "2-true-2"])
+def test_bool_local_dimensions_are_refused(tmp_path, locals_, big_d):
+    path = tmp_path / "s.json"
+    path.write_text('{"dims":{"locals":%s},"spectrum":[%s]}'
+                    % (locals_, ",".join(["%r" % (1.0 / big_d)] * big_d)))
+    with pytest.raises(InvalidStateError, match="dims.locals"):
+        load_state(path)
+    code, err = _run(["classify", str(path)])
+    assert code == EXIT_INVALID
+    assert err == "error: state file lacks a valid dims.locals entry\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=malformed_state_files())
 def test_malformed_state_files_exit_2_with_an_error_line(text):

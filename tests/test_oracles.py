@@ -271,6 +271,11 @@ def test_falsify_rejects_mismatched_spectrum():
     s = spectrum_from_values([0.25] * 4, (2, 2))
     with pytest.raises(ValueError):
         as_falsify_search(s, bipartite_dims(2, 3), samples=1, seed=0)
+    # equal D, transposed locals: searched as (3, 2), this (2, 3) spectrum
+    # once gave min PT eigenvalue -0.0959 at sample 0, against -0.0175
+    s = spectrum_from_values([0.5, 0.3, 0.1, 0.05, 0.05, 0.0], (2, 3))
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 2\)"):
+        as_falsify_search(s, bipartite_dims(3, 2), samples=1, seed=0)
 
 
 def test_rearrangement_examples():
@@ -315,14 +320,13 @@ def test_pure_state_pt_spectrum_examples():
 @settings(max_examples=200, deadline=None)
 @given(weights=st.lists(st.floats(0, 1), min_size=1, max_size=4).filter(lambda w: sum(w) > 0))
 def test_pt_spectrum_matches_dense_computation(weights):
-    from specsep.states import partial_transpose
-
     p = np.array(weights) / sum(weights)
     d = len(p)
     ket = np.zeros(d * d, dtype=complex)
     ket[np.arange(d) * (d + 1)] = np.sqrt(p)
-    rho = density_matrix(np.outer(ket, ket.conj()), (d, d))
-    dense = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
+    # the partial transpose written out, since dims (1, 1) are not bipartite
+    pt = np.outer(ket, ket.conj()).reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    dense = np.sort(np.linalg.eigvalsh(pt))
     assert np.allclose(dense, np.sort(pure_state_pt_spectrum(p, d * d)), rtol=0, atol=1e-12)
 
 

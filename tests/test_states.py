@@ -270,6 +270,23 @@ def test_dims_accept_only_positive_integers(locals_):
         Dims(locals_)
 
 
+# operator.index reads True as 1, so these once made dims (1, 4) and (2, 1, 2)
+@pytest.mark.parametrize("locals_", [(True, 4), (2, True, 2)], ids=["true-4", "2-true-2"])
+def test_dims_refuse_bool_locals(locals_):
+    with pytest.raises(ValueError, match="positive integers"):
+        Dims(locals_)
+
+
+@pytest.mark.parametrize("locals_", [(1, 4), (4, 1), (1, 1)], ids=["1-4", "4-1", "1-1"])
+def test_bipartite_refuses_a_local_dimension_of_one(locals_):
+    dims = Dims(locals_)
+    assert dims.total == locals_[0] * locals_[1]
+    with pytest.raises(ValueError, match="local dimensions must be >= 2"):
+        dims.bipartite()
+    with pytest.raises(ValueError, match="local dimensions must be >= 2"):
+        bipartite_dims(*locals_)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_validation_rejects_non_finite(bad):
     with pytest.raises(InvalidStateError, match="non-finite"):

@@ -1,19 +1,21 @@
-"""Write the files of 24 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Write the files of 25 fixed CLI commands into OUTDIR, for byte-identity checks.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 8 ``construct`` commands (state files) and 16 commands that write
-reports: ``classify`` x3, ``transform`` x4 (one onto a singular target),
-``witness`` x3 (one on 4 x 9, a 36 x 36 matrix), ``bounds`` and ``falsify``
-x5 (two misses, a hit on the first sample, a hit at index 16, the last
-rotation of the second batch and of its second screen slice, and a hit at
-index 131, deep in a batch whose earlier slices the orbit search screens
-out).  ``construct`` writes only matrix files, so the spectrum files
-that one ``classify`` and three ``falsify`` read are written first from the
-literal text in SPECTRUM_FILES (unsorted, so loading sorts them).  To compare
-two source trees, run it once against each and ``diff -r`` the two output
-directories.  Exits 1 if a command does not exit 0.
+importable, 8 ``construct`` commands (state files) and 17 commands that write
+reports: ``classify`` x3, ``transform`` x5 (one onto a singular target, and
+one onto a target within 1.5e-6 of I/4, where a map that divides by a small
+number would amplify the target's rounding), ``witness`` x3 (one on 4 x 9, a
+36 x 36 matrix), ``bounds`` and ``falsify`` x5 (two misses, a hit on the
+first sample, a hit at index 16, the last rotation of the second batch and of
+its second screen slice, and a hit at index 131, deep in a batch whose earlier
+slices the orbit search screens out).  The files ``construct`` cannot write
+are written first from the literal text in STATE_FILES: the spectrum files
+that one ``classify`` and three ``falsify`` read (unsorted, so loading sorts
+them) and that near-I/4 matrix.  To compare two source trees, run it once
+against each and ``diff -r`` the two output directories.  Exits 1 if a
+command does not exit 0.
 """
 
 import contextlib
@@ -23,10 +25,14 @@ import sys
 
 from specsep.cli import main as specsep_main
 
-SPECTRUM_FILES = {
+STATE_FILES = {
     "spec23.json": '{"dims":{"locals":[2,3]},"spectrum":[0.125,0.25,0.125,0.25,0.125,0.125]}\n',
     # lambda_1 = 0.4 > lambda_3 + 2 sqrt(lambda_2 lambda_4) = 0.3: NPT rotations exist
     "late22.json": '{"dims":{"locals":[2,2]},"spectrum":[0.3,0.4,0,0.3]}\n',
+    # diag(1/4 + 1e-6 (1.5, -.5, -.5, -.5))
+    "near_mm.json": '{"dims":{"locals":[2,2]},"matrix":[[[0.2500015,0],[0,0],[0,0],[0,0]],'
+                    '[[0,0],[0.2499995,0],[0,0],[0,0]],[[0,0],[0,0],[0.2499995,0],[0,0]],'
+                    '[[0,0],[0,0],[0,0],[0.2499995,0]]]}\n',
 }
 
 # (output file, argv without --output); later commands read earlier files
@@ -46,6 +52,7 @@ COMMANDS = [
     ("t_seed_phi.json", ["transform", "seed.json", "phi22.json"]),
     ("t_werner_om.json", ["transform", "werner.json", "om.json"]),
     ("t_om_mm.json", ["transform", "om.json", "mm2.json"]),
+    ("t_werner_near.json", ["transform", "werner.json", "near_mm.json"]),
     ("w_sep.json", ["witness", "separating", "--d-a", "2", "--d-b", "3",
                     "--evaluate", "rt.json"]),
     ("w_ppt.json", ["witness", "ppt"]),
@@ -71,7 +78,7 @@ def main(argv=None):
     def path(name):
         return os.path.join(outdir, name) if name.endswith(".json") else name
 
-    for name, text in SPECTRUM_FILES.items():
+    for name, text in STATE_FILES.items():
         with open(path(name), "w") as fh:
             fh.write(text)
     for out, command in COMMANDS:
