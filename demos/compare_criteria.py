@@ -16,7 +16,7 @@ from specsep.witnesses import evaluate, make_separating_witness
 def show(label, rho):
     print(label)
     for v in run_all(spectrum(rho)):
-        print("  %-20s %s" % (v.name, v.status.value))
+        print("  %-20s %s" % (v.name, v.status))
 
 
 def main():

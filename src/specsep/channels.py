@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import Status, ratio_criterion
+from .criteria import ratio_criterion
 from .states import (
     PSD_TOL,
     Dims,
@@ -63,6 +63,8 @@ class MeasurePrepareMap:
 def make_map(dims, branches):
     """Validate the branch list and wrap it with its unitality factor."""
     dims = as_dims(dims)
+    if not branches:
+        raise NotUnital("map has no branches")
     big_d = dims.total
     checked = []
     for effect, output in branches:
@@ -187,7 +189,7 @@ def entangle_from(rho):
     d = min(d_a, d_b)
     cas = ratio_criterion(spectrum(rho))
     ratio = cas.computed["ratio"]
-    if cas.status is Status.DETECTED:
+    if cas.detected:
         raise InputIsCAS("spectral ratio %.12g within CAS threshold %.12g"
                          % (ratio, cas.computed["threshold"]))
     t = d * (ratio - 1.0) / (ratio + 1.0) if math.isfinite(ratio) else (1.0 + d) / 2.0

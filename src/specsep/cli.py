@@ -98,7 +98,7 @@ def _load_spectrum(path):
 
 
 def _verdict_payload(v):
-    return {"name": v.name, "status": v.status.value,
+    return {"name": v.name, "status": v.status,
             "computed": {k: float(x) for k, x in v.computed.items()},
             "reason": v.reason}
 
@@ -107,7 +107,7 @@ def _print_verdicts(spec, verdicts, label):
     print("criteria report for %s (dims %s):" % (label, "x".join(map(str, spec.dims.locals))))
     for v in verdicts:
         extra = " ".join("%s=%.6g" % (k, x) for k, x in sorted(v.computed.items()))
-        print("  %-20s %-13s %s" % (v.name, v.status.value, extra))
+        print("  %-20s %-13s %s" % (v.name, v.status, extra))
 
 
 def cmd_classify(args):
@@ -142,7 +142,7 @@ def _print_comparison(spec):
     print("named-state comparison at dims %s:" % ("x".join(map(str, spec.dims.locals))))
     for name, rho in _named_states_for(spec.dims):
         verdicts = criteria.run_all(states.spectrum(rho))
-        detected = [v.name for v in verdicts if v.status is criteria.Status.DETECTED]
+        detected = [v.name for v in verdicts if v.detected]
         print("  %-16s detected-by: %s" % (name, ", ".join(detected) or "(none)"))
 
 

@@ -1,26 +1,21 @@
 """Spectral separability criteria and closed-form bounds.
 
 Every criterion consumes a ``Spectrum`` (never a matrix) and produces a
-``CriterionVerdict`` carrying the computed quantities behind the verdict.
+``CriterionVerdict``: its name, whether it detected, and the computed
+quantities behind that bool.
 Boundary comparisons get a 1e-12 tolerance on the Detected side: the sets
 involved are closed, so boundary states must be detected.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .states import is_singular, purity, spectral_ratio
 
 BOUNDARY_TOL = 1e-12
-
-
-class Status(enum.Enum):
-    DETECTED = "detected"
-    NOT_DETECTED = "not-detected"
 
 
 class CriterionInapplicable(ValueError):
@@ -30,14 +25,14 @@ class CriterionInapplicable(ValueError):
 @dataclass(frozen=True)
 class CriterionVerdict:
     name: str
-    status: Status
-    computed: dict = field(default_factory=dict)
+    detected: bool
+    computed: dict
     reason: str = ""
 
-
-def _verdict(name, detected, computed, reason=""):
-    status = Status.DETECTED if detected else Status.NOT_DETECTED
-    return CriterionVerdict(name=name, status=status, computed=computed, reason=reason)
+    @property
+    def status(self):
+        """The report word: ``"detected"`` or ``"not-detected"``."""
+        return "detected" if self.detected else "not-detected"
 
 
 def ratio_criterion(s):
@@ -50,11 +45,11 @@ def ratio_criterion(s):
     d = min(s.dims.bipartite())
     threshold = (d + 1) / (d - 1)
     if is_singular(s):
-        return _verdict("ratio_cas", False, {"ratio": math.inf, "threshold": threshold},
-                        "singular spectrum: CAS states are full rank")
+        return CriterionVerdict("ratio_cas", False, {"ratio": math.inf, "threshold": threshold},
+                                "singular spectrum: CAS states are full rank")
     ratio = spectral_ratio(s)
-    return _verdict("ratio_cas", ratio <= threshold + BOUNDARY_TOL,
-                    {"ratio": ratio, "threshold": threshold})
+    return CriterionVerdict("ratio_cas", ratio <= threshold + BOUNDARY_TOL,
+                            {"ratio": ratio, "threshold": threshold})
 
 
 def purity_ball(s):
@@ -63,7 +58,8 @@ def purity_ball(s):
     big_d = s.dims.total
     p = purity(s)
     bound = 1.0 / (big_d - 1)
-    return _verdict("purity_ball", p <= bound + BOUNDARY_TOL, {"purity": p, "bound": bound})
+    return CriterionVerdict("purity_ball", p <= bound + BOUNDARY_TOL,
+                            {"purity": p, "bound": bound})
 
 
 def region_a(s):
@@ -74,8 +70,8 @@ def region_a(s):
     """
     lam_min = float(s.values[-1])
     bound = 1.0 / (s.dims.total + 2)
-    return _verdict("region_a", lam_min >= bound - BOUNDARY_TOL,
-                    {"lambda_min": lam_min, "bound": bound})
+    return CriterionVerdict("region_a", lam_min >= bound - BOUNDARY_TOL,
+                            {"lambda_min": lam_min, "bound": bound})
 
 
 def appt_spectral_necessary(s):
@@ -89,11 +85,10 @@ def appt_spectral_necessary(s):
     big_d = len(v)
     if big_d < 3:
         raise ValueError("APPT spectral inequality needs dimension >= 3")
-    rhs = v[-2] + 2.0 * math.sqrt(v[-1] * v[-3])
-    detected = v[0] <= rhs + BOUNDARY_TOL
-    return _verdict(
-        "appt_necessary", detected, {"lambda_max": float(v[0]), "bound": float(rhs)}
-    )
+    lam_max = float(v[0])
+    rhs = float(v[-2] + 2.0 * math.sqrt(v[-1] * v[-3]))
+    return CriterionVerdict("appt_necessary", lam_max <= rhs + BOUNDARY_TOL,
+                            {"lambda_max": lam_max, "bound": rhs})
 
 
 def _filippov_condition(p, big_d):
@@ -121,17 +116,16 @@ def purity_bound_report(s):
     p = purity(s)
 
     cas_bound = (d_a / d_b) / (d_a**2 - 1)
-    v_cas = _verdict(
-        "cas_purity", p <= cas_bound + BOUNDARY_TOL, {"purity": p, "bound": cas_bound}
-    )
+    v_cas = CriterionVerdict("cas_purity", p <= cas_bound + BOUNDARY_TOL,
+                             {"purity": p, "bound": cas_bound})
 
     as_bound = 3.0 / 8.0 if big_d == 4 else 2.0 / big_d
-    v_as = _verdict("as_purity", p <= as_bound + BOUNDARY_TOL, {"purity": p, "bound": as_bound})
+    v_as = CriterionVerdict("as_purity", p <= as_bound + BOUNDARY_TOL,
+                            {"purity": p, "bound": as_bound})
 
     k, lhs, rhs = _filippov_condition(p, big_d)
-    v_fil = _verdict(
-        "filippov", lhs <= rhs + BOUNDARY_TOL, {"purity": p, "k": k, "lhs": lhs, "rhs": rhs}
-    )
+    v_fil = CriterionVerdict("filippov", lhs <= rhs + BOUNDARY_TOL,
+                             {"purity": p, "k": k, "lhs": lhs, "rhs": rhs})
     return [v_cas, v_as, v_fil]
 
 
@@ -196,8 +190,5 @@ def copy_bound(ratio):
 
 def run_all(s):
     """Evaluate every registered criterion once; returns the tuple of verdicts."""
-    verdicts = [ratio_criterion(s), purity_ball(s), region_a(s)]
-    if s.dims.total >= 3:
-        verdicts.append(appt_spectral_necessary(s))
-    verdicts.extend(purity_bound_report(s))
-    return tuple(verdicts)
+    return (ratio_criterion(s), purity_ball(s), region_a(s), appt_spectral_necessary(s),
+            *purity_bound_report(s))

@@ -6,7 +6,8 @@ A state file carries either an explicit complex matrix (row-major,
 Every file is written by ``dumps``, whose bytes are a contract (digests and
 byte-identity checks depend on them): no whitespace; dict keys sorted and
 written as ASCII-escaped JSON strings; a finite float (Python, np.float64
-or any np.floating) as ``format(x, ".17g")``, so -0.0 stays ``-0`` and
+or any np.floating) as ``format(x, ".17g")``, so -0.0 stays ``-0``, which
+``load_state`` reads back as -0.0 (``json`` alone reads the int 0), and
 save -> load -> save is byte-identical and exact for doubles; a non-finite
 float (an infinite spectral ratio, say) as ``null``; bool as
 ``true``/``false``, None as ``null``, int and np.integer as their decimal,
@@ -109,6 +110,10 @@ def _reject_constant(name):
     raise ValueError("non-finite number %s" % name)
 
 
+def _parse_int(token):
+    return -0.0 if token == "-0" else int(token)
+
+
 def _json_numbers(data, ndim):
     """``data`` as an ndim-dimensional float array.  Raises TypeError unless every
     entry is a JSON number (bool is its own type, so true/false fail with null,
@@ -126,7 +131,7 @@ def load_state(path):
     """
     try:
         with open(path) as fh:
-            payload = json.load(fh, parse_constant=_reject_constant)
+            payload = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidStateError("cannot parse state file %s: %s" % (path, exc))
     try:

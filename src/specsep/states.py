@@ -139,7 +139,8 @@ def hermitian_part(m, dims, error):
     residual = np.abs(m - adjoint).max()
     if residual > HERMITICITY_TOL * max(scale, 1.0):
         raise error("matrix is not Hermitian (residual %.3e)" % residual)
-    return 0.5 * (m + adjoint)
+    # halve as floats: complex * 0.5 turns some -0.0 parts into +0.0, so a second pass would differ
+    return ((m + adjoint).view(float) * 0.5).view(complex)
 
 
 def density_matrix(matrix, dims):

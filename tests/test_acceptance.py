@@ -28,7 +28,6 @@ from specsep.channels import (
 from specsep.criteria import (
     _filippov_condition,
     appt_spectral_necessary,
-    Status,
 )
 from specsep.oracles import (
     as_falsify_search,
@@ -208,7 +207,7 @@ def test_acceptance_06_purity_chain(capsys):
         spectra += [rng.dirichlet(np.full(big_d, 6.0 * big_d)) for _ in range(3000)]
         for vals in spectra:
             s = spectrum_from_values(np.sort(vals)[::-1], dims)
-            if appt_spectral_necessary(s).status is Status.DETECTED:
+            if appt_spectral_necessary(s).detected:
                 passed += 1
                 ok = ok and purity(s) <= 2.0 / big_d + 1e-12
         ok = ok and passed > 100
@@ -251,7 +250,7 @@ def test_acceptance_08_copy_bound(capsys):
             vals = np.outer(vals, one).ravel()
         dims_n = (2**n, 2**n)
         s = spectrum_from_values(np.sort(vals)[::-1], dims_n)
-        ok = ok and appt_spectral_necessary(s).status is Status.NOT_DETECTED
+        ok = ok and not appt_spectral_necessary(s).detected
         # one copy fewer does not yet trigger the sufficient-violation formula
         ok = ok and r ** (n - 1) <= r + 2.0 * math.sqrt(r) + 1e-12
     _finish(capsys, 8, "copy counts push ratio-R spectra past the PT-invariance "

@@ -60,6 +60,11 @@ def test_sub_povm_violation():
         make_map(DIMS22, [(2.0 * np.eye(4, dtype=complex), maximally_mixed(DIMS22))])
 
 
+def test_make_map_refuses_an_empty_branch_list():
+    with pytest.raises(NotUnital, match="map has no branches"):
+        make_map(DIMS22, [])
+
+
 # --- application -----------------------------------------------------------
 
 def test_sec_c_on_seed_state():

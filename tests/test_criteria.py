@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from specsep import make_named_state, spectrum, spectrum_from_values, tensor_product
 from specsep.criteria import (
     CriterionInapplicable,
-    Status,
     appt_spectral_necessary,
     copy_bound,
     gibbs_threshold,
@@ -31,26 +30,26 @@ def _sorted_dirichlet(rng, n, d, alpha=1.0):
 def test_ratio_maximally_mixed_detected():
     for d in (2, 3, 5):
         s = spectrum_from_values([1 / d**2] * d**2, (d, d))
-        assert ratio_criterion(s).status is Status.DETECTED
+        assert ratio_criterion(s).detected
 
 
 def test_ratio_rho_tilde_boundary_detected():
     s = spectrum(make_rho_tilde(2, 3))
     v = ratio_criterion(s)
-    assert v.status is Status.DETECTED
+    assert v.detected
     assert v.computed["ratio"] == pytest.approx(3.0, abs=1e-12)
     assert v.computed["threshold"] == 3.0
 
 
 def test_ratio_not_detected():
     s = spectrum_from_values([0.4, 0.3, 0.2, 0.1], (2, 2))
-    assert ratio_criterion(s).status is Status.NOT_DETECTED
+    assert not ratio_criterion(s).detected
 
 
 def test_ratio_singular_never_cas():
     s = spectrum_from_values([1 / 3, 1 / 3, 1 / 3, 0.0], (2, 2))
     v = ratio_criterion(s)
-    assert v.status is Status.NOT_DETECTED
+    assert not v.detected
     assert "singular" in v.reason
 
 
@@ -79,41 +78,41 @@ def test_ratio_scale_free(rng):
 
 def test_purity_ball_examples():
     mm = spectrum_from_values([1 / 6] * 6, (2, 3))
-    assert purity_ball(mm).status is Status.DETECTED
+    assert purity_ball(mm).detected
     rt = spectrum(make_rho_tilde(2, 3))
-    assert purity_ball(rt).status is Status.NOT_DETECTED
+    assert not purity_ball(rt).detected
     boundary = spectrum_from_values([1 / 3, 1 / 3, 1 / 3, 0.0], (2, 2))
     v = purity_ball(boundary)
-    assert v.status is Status.DETECTED
+    assert v.detected
     assert v.computed["purity"] == pytest.approx(v.computed["bound"], abs=1e-12)
 
 
 def test_region_checks():
     mm = spectrum_from_values([1 / 6] * 6, (2, 3))
     a, b = region_a(mm), purity_ball(mm)
-    assert a.status is Status.DETECTED and b.status is Status.DETECTED
+    assert a.detected and b.detected
     rt = spectrum(make_rho_tilde(2, 3))
     a, b = region_a(rt), purity_ball(rt)
-    assert a.status is Status.NOT_DETECTED
-    assert b.status is Status.NOT_DETECTED
+    assert not a.detected
+    assert not b.detected
     # constructed exactly on the region-A boundary
     d = 6
     vals = np.full(d, 1 / (d + 2))
     vals[0] = 3 / (d + 2)
     a = region_a(spectrum_from_values(vals, (2, 3)))
-    assert a.status is Status.DETECTED
+    assert a.detected
 
 
 # --- APPT necessary inequality --------------------------------------------
 
 def test_appt_examples():
     mm = spectrum_from_values([0.25] * 4, (2, 2))
-    assert appt_spectral_necessary(mm).status is Status.DETECTED
+    assert appt_spectral_necessary(mm).detected
     s = spectrum_from_values([0.3, 0.3, 0.3, 0.1], (2, 2))
-    assert appt_spectral_necessary(s).status is Status.DETECTED
+    assert appt_spectral_necessary(s).detected
     rho = density_matrix(np.diag([0.3, 0.3, 0.3, 0.1]).astype(complex), (2, 2))
     squared = spectrum(tensor_product(rho, rho))
-    assert appt_spectral_necessary(squared).status is Status.NOT_DETECTED
+    assert not appt_spectral_necessary(squared).detected
 
 
 def test_appt_needs_three_levels():
@@ -136,7 +135,7 @@ def test_as_purity_two_qubit_threshold():
     s = spectrum_from_values([a, b, b, b], (2, 2))
     report = {v.name: v for v in purity_bound_report(s)}
     assert report["as_purity"].computed["bound"] == pytest.approx(3 / 8)
-    assert report["as_purity"].status is Status.NOT_DETECTED
+    assert not report["as_purity"].detected
 
 
 def test_filippov_strict_at_as_bound():
@@ -152,7 +151,7 @@ def test_filippov_strict_at_as_bound():
     assert fil.computed["purity"] == pytest.approx(2 / d, abs=1e-12)
     assert fil.computed["lhs"] == pytest.approx(1.0, abs=1e-9)
     assert fil.computed["rhs"] == pytest.approx(3 * math.sqrt(6 / 28), rel=1e-9)
-    assert fil.status is Status.DETECTED
+    assert fil.detected
 
 
 @pytest.mark.parametrize("vals", [
@@ -166,7 +165,7 @@ def test_filippov_at_the_largest_admitted_purity(vals):
     assert fil.computed["purity"] > 1.0
     assert fil.computed["k"] == 1
     assert fil.computed["lhs"] == 1.0
-    assert fil.status is Status.NOT_DETECTED
+    assert not fil.detected
 
 
 def test_purity_bounds_swap_unequal_dims():
@@ -259,7 +258,7 @@ def test_copy_bound_tensor_copies_fail_appt():
         for _ in range(n - 1):
             prod = np.outer(prod, vals).ravel()
         s = spectrum_from_values(np.sort(prod)[::-1], (len(prod),))
-        assert appt_spectral_necessary(s).status is Status.NOT_DETECTED
+        assert not appt_spectral_necessary(s).detected
 
 
 # --- cross-criterion consistency ------------------------------------------
@@ -321,7 +320,7 @@ def bipartite_spectra(draw):
 def test_run_all_report_shape(s):
     report = run_all(s)
     assert [v.name for v in report] == VERDICT_NAMES  # so no name twice
-    verdicts = {v.name: v.status is Status.DETECTED for v in report}
+    verdicts = {v.name: v.detected for v in report}
     vals, big_d = s.values, s.dims.total
     d = min(s.dims.locals)
     if vals[-1] <= 1e-12:

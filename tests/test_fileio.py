@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from specsep import InvalidStateError, __version__, density_matrix, spectrum_from_values
 from specsep.cli import EXIT_INVALID, EXIT_OK, main
@@ -60,8 +60,19 @@ def _strict_load(path):
         return json.load(fh, parse_constant=refuse)
 
 
+def _signed_zero_state():
+    """diag(0.4, 0.3, 0.2, 0.1) with entries (0, 1) = -0+0j and (1, 0) = -0-0j."""
+    m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    m[0, 1], m[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    return density_matrix(m, (2, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(rho=matrix_states(), spec=spectra(), of_matrix=st.booleans())
+@example(rho=_signed_zero_state(), spec=spectrum_from_values([0.5, 0.5, 0.0, -0.0], (2, 2)),
+         of_matrix=False)
+@example(rho=_signed_zero_state(), spec=spectrum_from_values([0.5, 0.5, 0.0, -0.0], (2, 2)),
+         of_matrix=True)
 def test_save_load_save_is_byte_identical(rho, spec, of_matrix):
     state = rho if of_matrix else spec
     with tempfile.TemporaryDirectory() as tmp:

@@ -25,6 +25,8 @@ from specsep import (
 from specsep.channels import construct_transformation
 from specsep.fileio import load_state, save_state
 from specsep.states import (
+    as_dims,
+    hermitian_part,
     is_singular,
     make_omega_t,
     make_rho_tilde,
@@ -337,6 +339,30 @@ def test_spectrum_does_not_validate_again():
 def test_validation_rejects_wrong_shapes(shape):
     with pytest.raises(InvalidStateError, match="does not match dims"):
         density_matrix(np.zeros(shape), (2, 2))
+
+
+@st.composite
+def signed_zero_hermitian(draw):
+    """A Hermitian matrix whose real and imaginary parts hold +0.0 and -0.0 in
+    random mirrored places, so that it stays exactly Hermitian up to zero signs."""
+    d = draw(st.integers(1, 6))
+    rate = draw(st.floats(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g + g.conj().T
+    for part in (m.real, m.imag):
+        zero = np.triu(rng.random((d, d)) < rate)
+        zero |= zero.T
+        part[zero] = rng.choice([-0.0, 0.0], size=int(zero.sum()))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=signed_zero_hermitian())
+def test_hermitian_part_is_bitwise_idempotent(m):
+    dims = as_dims((len(m),))
+    once = hermitian_part(m, dims, InvalidStateError)
+    assert hermitian_part(once, dims, InvalidStateError).tobytes() == once.tobytes()
 
 
 def _constructed(case, d_a, d_b, rng):

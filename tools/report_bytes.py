@@ -14,16 +14,22 @@ slices the orbit search screens out).  The files ``construct`` cannot write
 are written first from the literal text in STATE_FILES: the spectrum files
 that one ``classify`` and three ``falsify`` read (unsorted, so loading sorts
 them) and that near-I/4 matrix.  To compare two source trees, run it once
-against each and ``diff -r`` the two output directories.  Exits 1 if a
-command does not exit 0.
+against each and ``diff -r`` the two output directories.  Then loads each
+``construct`` file with ``load_state`` and saves it again with ``save_state``
+(into a temporary directory), checking save -> load -> save on real output;
+the literal STATE_FILES are left out, as specsep did not write them.  Exits 1
+if a command does not exit 0 or a saved-again file's bytes differ.
 """
 
 import contextlib
+import filecmp
 import io
 import os
 import sys
+import tempfile
 
 from specsep.cli import main as specsep_main
+from specsep.fileio import load_state, save_state
 
 STATE_FILES = {
     "spec23.json": '{"dims":{"locals":[2,3]},"spectrum":[0.125,0.25,0.125,0.25,0.125,0.125]}\n',
@@ -88,6 +94,14 @@ def main(argv=None):
         if code != 0:
             print("%s exited %d" % (" ".join(command), code), file=sys.stderr)
             return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        again = os.path.join(tmp, "again.json")
+        for out, command in COMMANDS:
+            if command[0] == "construct":
+                save_state(again, load_state(path(out)))
+                if not filecmp.cmp(path(out), again, shallow=False):
+                    print("%s changed on save -> load -> save" % out, file=sys.stderr)
+                    return 1
     return 0
 
 
