@@ -29,7 +29,6 @@ from .states import (
     spectrum,
 )
 
-SUBPOVM_TOL = 1e-10
 UNITALITY_TOL = 1e-9
 
 
@@ -76,7 +75,7 @@ def make_map(dims, branches):
                                    % (output.dims.locals, dims.locals))
         checked.append((e, output))
     total = sum(e for e, _ in checked)
-    if float(np.linalg.eigvalsh(total).max()) > 1.0 + SUBPOVM_TOL:
+    if float(np.linalg.eigvalsh(total).max()) > 1.0 + PSD_TOL:
         raise SubPovmViolation("sum of effects exceeds the identity")
     image = sum(float(e.trace().real) * out.matrix for e, out in checked)
     q = float(image.trace().real) / big_d
@@ -103,7 +102,7 @@ def apply_map(m, rho):
                          % (m.dims.locals, rho.dims.locals))
     out = apply_to_operator(m, rho.matrix)
     prob = float(out.trace().real)
-    if not (-1e-10 <= prob <= 1.0 + 1e-10):
+    if not (-PSD_TOL <= prob <= 1.0 + PSD_TOL):
         raise ValueError("success probability %.17g outside [0, 1]" % prob)
     return out, max(prob, 0.0)
 
@@ -203,7 +202,7 @@ def complete_to_deterministic(m):
     The completed instrument is trace preserving and unital (q = 1).
     """
     q = m.unitality_factor
-    if q > 1.0 + 1e-10:
+    if q > 1.0 + PSD_TOL:
         raise NotUnital("unitality factor %.17g exceeds 1; cannot complete" % q)
     big_d = m.dims.total
     e_fail = np.eye(big_d, dtype=complex) - sum(e for e, _ in m.branches)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +176,8 @@ def pure_state_pt_spectrum(p, ambient):
     i < j, zero-padded to the ambient dimension.  ``p`` may be one row of
     d weights or a (..., d) stack; every row is checked."""
     p = np.asarray(p, dtype=float)
-    if (p.min(axis=-1) < -1e-12).any() or (abs(p.sum(axis=-1) - 1.0) > 1e-10).any():
+    # negated, so that a NaN weight fails them
+    if not ((p.min(axis=-1) >= -1e-12).all() and (abs(p.sum(axis=-1) - 1.0) <= 1e-10).all()):
         raise ValueError("Schmidt weights must be nonnegative and sum to 1")
     p = np.clip(p, 0.0, None)
     d = p.shape[-1]
@@ -200,7 +202,7 @@ def thm2_violation_value(values, d_a, d_bprime):
     extended matrix.
     """
     needed = d_a * (d_a + 1) // 2
-    if d_bprime < needed:
+    if operator.index(d_bprime) < needed:
         raise ValueError("d_bprime must be >= d_A(d_A+1)/2 = %d" % needed)
     extended = np.repeat(values, d_bprime, axis=-1) / d_bprime
     return rearrangement_min(

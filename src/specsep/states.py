@@ -19,16 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 # Validation tolerances.  Each state invariant is checked once, when a value
-# enters the library: shape, finiteness and Hermiticity in ``hermitian_part``,
-# PSD and trace in ``spectrum_from_values``, whose result a DensityMatrix keeps.
-# Eigenvalues in [-PSD_TOL, 0) are numerical noise and clamped to zero; anything
-# more negative is a genuine invariant violation.  EIG_CLAMP only marks a state
-# as singular (smallest eigenvalue at or below it).
+# enters the library, by one code path: shape, finiteness and Hermiticity in
+# ``hermitian_part`` (at half scale), PSD and trace in ``spectrum_from_values``.
+# Eigenvalues in [-PSD_TOL, 0) are numerical noise and clamped to zero, and
+# ``channels`` allows the same noise in I - sum E and in probabilities.
+# EIG_CLAMP only marks a state as singular (smallest eigenvalue at or below it).
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_CLAMP = 1e-12
-_HALF_MAX = np.finfo(float).max / 2
 
 
 class InvalidStateError(ValueError):
@@ -123,24 +122,18 @@ def hermitian_part(m, dims, error):
     if m.shape != (d, d):
         raise error("matrix shape %r does not match dims %r (total %d)"
                     % (m.shape, dims.locals, d))
-    # the largest modulus is finite unless an entry is, or a modulus overflows
-    scale = np.abs(m).max()
-    if not scale < _HALF_MAX:
-        if not np.isfinite(m).all():
-            raise error("matrix has non-finite entries")
-        # a modulus, or the sum of two, overflows: test and average m / 2 instead
-        half = 0.5 * m
-        adjoint = half.conj().T
-        residual = np.abs(half - adjoint).max()
-        if residual > HERMITICITY_TOL * np.abs(half).max():
-            raise error("matrix is not Hermitian (residual %.3e)" % (2 * float(residual)))
-        return half + adjoint
-    adjoint = m.conj().T
-    residual = np.abs(m - adjoint).max()
-    if residual > HERMITICITY_TOL * max(scale, 1.0):
-        raise error("matrix is not Hermitian (residual %.3e)" % residual)
-    # halve as floats: complex * 0.5 turns some -0.0 parts into +0.0, so a second pass would differ
-    return ((m + adjoint).view(float) * 0.5).view(complex)
+    # every check and sum runs on m / 2, where no modulus or sum of two overflows;
+    # halving is exact for parts of magnitude >= 2^-1021, and it is done on the
+    # floats, since complex * 0.5 turns some -0.0 parts into +0.0
+    half = (np.ascontiguousarray(m).view(float) * 0.5).view(complex)
+    scale = np.abs(half).max()  # finite unless an entry is
+    if not math.isfinite(scale):
+        raise error("matrix has non-finite entries")
+    adjoint = half.conj().T
+    residual = np.abs(half - adjoint).max()
+    if residual > HERMITICITY_TOL * max(scale, 0.5):
+        raise error("matrix is not Hermitian (residual %.3e)" % (2 * float(residual)))
+    return half + adjoint
 
 
 def density_matrix(matrix, dims):
@@ -175,12 +168,9 @@ def spectrum_from_values(values, dims):
     if low < -PSD_TOL:
         raise InvalidStateError("state is not PSD (eigenvalue %.3e below -%.3g)"
                                 % (low, PSD_TOL))
-    # in the given order, which the message's digits show; the sum can overflow
-    # only when the largest value alone already rules out a unit trace
-    if ascending[-1] - 1.0 > TRACE_TOL + len(v) * PSD_TOL:
-        with np.errstate(over="ignore"):
-            total = v.sum()
-    else:
+    # in the given order, which the message's digits show; a sum that overflows
+    # is inf, which fails the trace check below
+    with np.errstate(over="ignore"):
         total = v.sum()
     if abs(total - 1.0) > TRACE_TOL:
         raise InvalidStateError("trace is %.17g, expected 1" % total)
@@ -373,8 +363,9 @@ def gibbs_spectrum(energies, temperature, k_b=1.0, locals=None):
     ``locals`` defaults to a single party of the full dimension; pass the
     actual local dimensions when feeding multipartite criteria.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not (temperature > 0 and 0 < k_b < math.inf):  # NaN fails both
+        raise ValueError("need temperature > 0 and finite k_b > 0, got %r and %r"
+                         % (temperature, k_b))
     e = np.asarray(energies, dtype=float)
     w = np.exp(-(e - e.min()) / (k_b * temperature))
     w /= w.sum()

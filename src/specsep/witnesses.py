@@ -56,12 +56,12 @@ def make_witness(matrix, dims):
 
 
 def evaluate(w, rho):
-    """Tr(W rho).  Dims must match; the imaginary residue is checked."""
+    """Tr(W rho).  Dims must match; the imaginary residue is checked relative to max(1, max|W|)."""
     if w.dims.locals != rho.dims.locals:
         raise ValueError("witness dims %r do not match state dims %r"
                          % (w.dims.locals, rho.dims.locals))
     val = np.trace(w.matrix @ rho.matrix)
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > 1e-10 * max(1.0, np.abs(w.matrix).max()):  # rounding, W and rho Hermitian
         raise ValueError("expectation has imaginary residue %.3e" % val.imag)
     return float(val.real)
 

@@ -211,6 +211,13 @@ def test_multipartite_side_dimension_cap(rng):
             assert min(2 ** len(left), 2 ** len(right)) <= l
 
 
+@pytest.mark.parametrize("l", [1, math.nan])
+def test_multipartite_refuses_l_below_two(l):
+    s = spectrum_from_values([1 / 8] * 8, (2, 2, 2))
+    with pytest.raises(ValueError, match="l must be >= 2"):
+        multipartite_guarantee(s, l)
+
+
 def test_multipartite_needs_two_parties():
     s = spectrum_from_values([1 / 8] * 8, (8,))
     with pytest.raises(ValueError, match="two parties"):
@@ -227,6 +234,8 @@ def test_gibbs_threshold_values():
         prev = cur
     with pytest.raises(ValueError):
         gibbs_threshold(1.0, 1)
+    with pytest.raises(ValueError, match="l must be >= 2"):
+        gibbs_threshold(1.0, math.nan)
 
 
 # --- copy bound ------------------------------------------------------------

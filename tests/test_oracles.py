@@ -315,6 +315,10 @@ def test_pure_state_pt_spectrum_examples():
         pure_state_pt_spectrum([0.5, 0.5], 3)
     with pytest.raises(ValueError):
         pure_state_pt_spectrum([0.7, 0.7], 4)
+    # a NaN weight fails both checks, alone or in one row of a stack
+    for p in ([math.nan, 0.5], [[0.5, 0.5], [math.nan, 0.5]], [[0.5, 0.5], [math.nan] * 2]):
+        with pytest.raises(ValueError, match="Schmidt weights"):
+            pure_state_pt_spectrum(p, 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,6 +381,9 @@ def test_thm2_violation_examples():
     assert thm2_violation_value(mixed.values, 2, 3) > 0
     with pytest.raises(ValueError):
         thm2_violation_value(s.values, 2, 2)  # ancilla below d_A(d_A+1)/2
+    for d_bprime in (3.5, 3.0, math.nan):  # 3.5 repeated 3 times but divided by 3.5
+        with pytest.raises(TypeError):
+            thm2_violation_value(s.values, 2, d_bprime)
 
 
 def test_thm2_negative_iff_ratio_exceeds_threshold(rng):

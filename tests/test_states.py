@@ -232,6 +232,13 @@ def test_gibbs_spectrum():
     assert np.allclose(hot.values, 0.25, atol=1e-9)
     with pytest.raises(ValueError):
         gibbs_spectrum([0.0, 1.0], 0.0)
+    # k_b = -1 inverted the distribution, k_b = 0 warned, and a NaN temperature
+    # was reported as a non-finite spectrum
+    for temperature, k_b in [(1.0, -1.0), (1.0, 0.0), (1.0, math.inf), (1.0, math.nan),
+                             (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="need temperature > 0 and finite k_b > 0"):
+            gibbs_spectrum([0.0, 1.0], temperature, k_b)
+    assert np.array_equal(gibbs_spectrum([0.0, 1.0, 2.0], math.inf).values, [1 / 3] * 3)
 
 
 def test_spectrum_unitarily_invariant(rng):
@@ -363,6 +370,41 @@ def test_hermitian_part_is_bitwise_idempotent(m):
     dims = as_dims((len(m),))
     once = hermitian_part(m, dims, InvalidStateError)
     assert hermitian_part(once, dims, InvalidStateError).tobytes() == once.tobytes()
+
+
+@st.composite
+def unit_hermitian_and_shift(draw):
+    """A Hermitian or near-Hermitian matrix whose largest part lies in [1, 2),
+    with +0.0 and -0.0 injected, and a shift k for which 2^k m stays finite,
+    up to one that puts its largest part in [2^1023, 2^1024), at or above half
+    the largest double."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g + g.conj().T + draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-9])) * g
+    for part in (m.real, m.imag):
+        part[rng.random((d, d)) < draw(st.floats(0, 0.5))] = -0.0
+        part[rng.random((d, d)) < draw(st.floats(0, 0.5))] = 0.0
+    m = np.ldexp(m.view(float), -int(np.frexp(np.abs(m.view(float)).max())[1]) + 1).view(complex)
+    return m, draw(st.integers(0, 1023) | st.just(1023))
+
+
+def _hermitian_part_or_refusal(m):
+    try:
+        return hermitian_part(m, as_dims((len(m),)), InvalidStateError)
+    except InvalidStateError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=unit_hermitian_and_shift())
+def test_hermitian_part_has_one_rule_at_every_scale(case):
+    m, k = case
+    unit = _hermitian_part_or_refusal(m)
+    shifted = _hermitian_part_or_refusal(np.ldexp(m.view(float), k).view(complex))
+    assert (unit is None) == (shifted is None)
+    if unit is not None:
+        assert shifted.tobytes() == np.ldexp(unit.view(float), k).view(complex).tobytes()
 
 
 def _constructed(case, d_a, d_b, rng):
