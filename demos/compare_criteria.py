@@ -7,9 +7,15 @@ silent, and a tailored witness separates it from the classic
 guaranteed-separable regions.
 """
 
-from specsep import make_named_state, maximally_mixed, spectrum
 from specsep.criteria import run_all
-from specsep.states import bipartite_dims, make_omega_t, make_rho_tilde
+from specsep.states import (
+    bipartite_dims,
+    make_named_state,
+    make_omega_t,
+    make_rho_tilde,
+    maximally_mixed,
+    spectrum,
+)
 from specsep.witnesses import evaluate, make_separating_witness
 
 

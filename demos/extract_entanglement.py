@@ -11,9 +11,9 @@ partial transpose.
 
 import numpy as np
 
-from specsep import density_matrix, spectral_ratio, spectrum
 from specsep.channels import entangle_from, normalized_output
 from specsep.oracles import ppt_min_eigenvalue
+from specsep.states import density_matrix, spectral_ratio, spectrum
 
 
 def main():

@@ -10,8 +10,8 @@ any non-maximally-mixed state always escape the absolutely-PPT set.
 import math
 from itertools import product
 
-from specsep import gibbs_spectrum, spectral_ratio
 from specsep.criteria import copy_bound, gibbs_threshold, multipartite_guarantee
+from specsep.states import gibbs_spectrum, spectral_ratio
 
 
 def main():

@@ -6,22 +6,3 @@ instruments, and cross-checks everything against brute-force oracles.
 """
 
 __version__ = "0.1.0"
-
-from .states import (  # noqa: F401
-    DensityMatrix,
-    Dims,
-    InvalidStateError,
-    Spectrum,
-    attach_mixed_ancilla,
-    bipartite_dims,
-    density_matrix,
-    gibbs_spectrum,
-    make_named_state,
-    maximally_mixed,
-    partial_transpose,
-    purity,
-    spectral_ratio,
-    spectrum,
-    spectrum_from_values,
-    tensor_product,
-)

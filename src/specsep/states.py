@@ -361,13 +361,20 @@ def gibbs_spectrum(energies, temperature, k_b=1.0, locals=None):
     """Thermal spectrum exp(-E_i/(k_B T)) / Z, descending.
 
     ``locals`` defaults to a single party of the full dimension; pass the
-    actual local dimensions when feeding multipartite criteria.
+    actual local dimensions when feeding multipartite criteria.  Energies
+    must be finite and at least one; where k_B T underflows or their span
+    overflows, the lowest levels share the weight, as in the limit.
     """
     if not (temperature > 0 and 0 < k_b < math.inf):  # NaN fails both
         raise ValueError("need temperature > 0 and finite k_b > 0, got %r and %r"
                          % (temperature, k_b))
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-(e - e.min()) / (k_b * temperature))
+    if not (e.size and np.isfinite(e).all()):
+        raise ValueError("need a non-empty list of finite energies, got %r" % (energies,))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = (e - e.min()) / (k_b * temperature)
+    # NaN only as 0/0 (k_b*T underflowed) or inf/inf (T = inf, span overflowed): weight 1
+    w = np.exp(-np.fmax(x, 0.0))
     w /= w.sum()
     dims = Dims(locals if locals is not None else (len(e),))
     return spectrum_from_values(w, dims)

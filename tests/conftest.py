@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from specsep import density_matrix, maximally_mixed, spectrum_from_values
 from specsep.channels import make_map
 from specsep.oracles import haar_unitary
+from specsep.states import density_matrix, maximally_mixed, spectrum_from_values
 
 
 def rand_spectrum(rng, dims, alpha=1.0):

@@ -8,14 +8,6 @@ import math
 
 import numpy as np
 
-from specsep import (
-    density_matrix,
-    make_named_state,
-    purity,
-    spectral_ratio,
-    spectrum,
-    spectrum_from_values,
-)
 from specsep.channels import (
     apply_map,
     apply_to_operator,
@@ -28,14 +20,27 @@ from specsep.channels import (
 from specsep.criteria import (
     _filippov_condition,
     appt_spectral_necessary,
+    purity_ball,
+    ratio_criterion,
 )
 from specsep.oracles import (
     as_falsify_search,
     haar_unitaries,
+    ppt_min_eigenvalue,
     thm2_violation_value,
     verify_ratio_monotone,
 )
-from specsep.states import DensityMatrix, bipartite_dims, make_rho_tilde
+from specsep.states import (
+    DensityMatrix,
+    bipartite_dims,
+    density_matrix,
+    make_named_state,
+    make_rho_tilde,
+    purity,
+    spectral_ratio,
+    spectrum,
+    spectrum_from_values,
+)
 from specsep.witnesses import (
     evaluate,
     make_decomposable_witness,
@@ -63,8 +68,6 @@ def test_acceptance_01_instrument_example(capsys):
     werner = make_named_state("werner")
     ok = ok and abs(prob - 2 / 9) <= 1e-12
     ok = ok and np.abs(out - (2 / 9) * werner.matrix).max() < 1e-12
-    from specsep.oracles import ppt_min_eigenvalue
-
     normalized, _ = normalized_output(m, seed)
     ok = ok and abs(ppt_min_eigenvalue(normalized) + 1 / 8) <= 1e-9
     # with its failure branch the instrument is a channel that produces no
@@ -78,8 +81,6 @@ def test_acceptance_01_instrument_example(capsys):
 
 
 def test_acceptance_02_extraction_matches_formula(capsys):
-    from specsep.oracles import ppt_min_eigenvalue
-
     rng = np.random.default_rng(2)
     ok = True
     produced = 0
@@ -300,3 +301,21 @@ def test_acceptance_10_block_positivity_oracle(capsys):
     brute = _grid_min_product_expectation(w)
     ok = ok and abs(brute - seesaw) <= 1e-4
     _finish(capsys, 10, "alternating minimizer agrees with the exhaustive grid", ok)
+
+
+# acceptance 11 (generated AS spectra on both sides of the CAS threshold) is
+# still to come; 12 is the abstract's headline on one spectrum
+def test_acceptance_12_absolutely_separable_state_yields_entanglement(capsys):
+    rho = density_matrix(np.diag([0.45, 0.25, 0.25, 0.05]).astype(complex), (2, 2))
+    s = spectrum(rho)
+    # purity 0.33 <= 1/3 certifies absolute separability; R = 9 > 3 is not CAS
+    ok = purity_ball(s).detected and abs(purity(s) - 0.33) <= 1e-12
+    ok = ok and not ratio_criterion(s).detected and abs(spectral_ratio(s) - 9.0) <= 1e-12
+    search = as_falsify_search(s, s.dims, samples=2000, seed=0)
+    ok = ok and not search.found and search.min_pt_eigenvalue > 0.01
+    # no unitary entangles rho, yet a stochastic unital map does, at t = 8/5
+    instrument, _ = entangle_from(rho)
+    out, prob = normalized_output(instrument, rho)
+    ok = ok and abs(prob - 0.2) <= 1e-12 and abs(ppt_min_eigenvalue(out) + 0.25) <= 1e-9
+    _finish(capsys, 12, "an absolutely separable, not CAS spectrum: no Haar rotation is NPT, "
+                        "yet a stochastic unital map extracts an NPT state", ok)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from specsep import density_matrix, make_named_state, maximally_mixed, spectral_ratio, spectrum
 from specsep.channels import (
     InputIsCAS,
+    MeasurePrepareMap,
     NotUnital,
     RatioTooSmall,
     SubPovmViolation,
@@ -23,10 +23,15 @@ from specsep.oracles import haar_unitaries, ppt_min_eigenvalue, verify_ratio_mon
 from specsep.states import (
     EIG_CLAMP,
     bipartite_dims,
+    density_matrix,
     is_singular,
+    make_named_state,
     make_omega_t,
     make_rho_tilde,
+    maximally_mixed,
     ratio_at_least,
+    spectral_ratio,
+    spectrum,
 )
 
 from conftest import rand_full_rank_state, rand_state, rand_valid_map
@@ -56,13 +61,18 @@ def test_pure_preparation_not_unital():
 
 
 def test_sub_povm_violation():
-    with pytest.raises(SubPovmViolation):
+    with pytest.raises(SubPovmViolation, match="sum of effects exceeds the identity"):
         make_map(DIMS22, [(2.0 * np.eye(4, dtype=complex), maximally_mixed(DIMS22))])
+    with pytest.raises(SubPovmViolation, match="effect has a negative eigenvalue"):
+        make_map(DIMS22, [(np.diag([1.0, 1.0, 1.0, -0.5]), maximally_mixed(DIMS22))])
 
 
 def test_make_map_refuses_an_empty_branch_list():
     with pytest.raises(NotUnital, match="map has no branches"):
         make_map(DIMS22, [])
+    # a list of zero effects is refused alike: it maps the identity to 0
+    with pytest.raises(NotUnital, match="map annihilates the identity"):
+        make_map(DIMS22, [(np.zeros((4, 4)), maximally_mixed(DIMS22))])
 
 
 # --- application -----------------------------------------------------------
@@ -364,6 +374,9 @@ def test_complete_already_deterministic():
     completed = complete_to_deterministic(depol)
     assert completed.unitality_factor == pytest.approx(1.0, abs=1e-12)
     assert float(completed.branches[-1][0].trace().real) == pytest.approx(0.0, abs=1e-10)
+    raw = MeasurePrepareMap(dims=DIMS22, branches=depol.branches, unitality_factor=2.0)
+    with pytest.raises(NotUnital, match="unitality factor 2 exceeds 1"):
+        complete_to_deterministic(raw)
 
 
 def test_complete_random_maps(rng):
@@ -413,6 +426,17 @@ def test_success_probability_range(rng):
         m = rand_valid_map(rng, (2, 2))
         _, prob = apply_map(m, rand_state(rng, (2, 2)))
         assert 0.0 <= prob <= 1.0 + 1e-10
+    # a hand-built map whose effect exceeds I yields a probability above 1
+    mixed = maximally_mixed(DIMS22)
+    raw = MeasurePrepareMap(dims=DIMS22, branches=((2.0 * np.eye(4, dtype=complex), mixed),),
+                            unitality_factor=2.0)
+    with pytest.raises(ValueError, match="success probability 2 outside"):
+        apply_map(raw, mixed)
+    # the seed state has no weight on |3>, so measuring |3><3| never succeeds
+    last = make_map(DIMS22, [(np.diag([0.0, 0.0, 0.0, 1.0]), mixed)])
+    assert apply_map(last, make_named_state("seed_state"))[1] == 0.0
+    with pytest.raises(ValueError, match="success probability is numerically zero"):
+        normalized_output(last, make_named_state("seed_state"))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -13,11 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specsep
-from specsep import DensityMatrix, __version__, cli, density_matrix, make_named_state, spectrum
+from specsep import __version__, cli
 from specsep.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, MAX_TOTAL_DIM, main
 from specsep.criteria import gibbs_threshold
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
-from specsep.states import make_omega_t, make_rho_tilde
+from specsep.states import (
+    DensityMatrix,
+    density_matrix,
+    make_named_state,
+    make_omega_t,
+    make_rho_tilde,
+    spectrum,
+)
 
 
 def _write(tmp_path, name, state):
@@ -65,7 +72,7 @@ def test_classify_rho_tilde(tmp_path, capsys):
 
 
 def test_classify_spectrum_file(tmp_path):
-    from specsep import spectrum_from_values
+    from specsep.states import spectrum_from_values
 
     spec = spectrum_from_values([0.4, 0.3, 0.2, 0.1], (2, 2))
     state = _write(tmp_path, "s.json", spec)
@@ -77,6 +84,12 @@ def test_classify_compare_criteria(tmp_path, capsys):
     assert main(["classify", state, "--compare-criteria"]) == EXIT_OK
     printed = capsys.readouterr().out
     assert "maximally_mixed" in printed and "rho_tilde" in printed
+    # only 2x2 tabulates the seed state and the Werner state, and has no rho_tilde
+    state = _write(tmp_path, "w.json", make_named_state("werner"))
+    assert main(["classify", state, "--compare-criteria"]) == EXIT_OK
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if "detected-by:" in line]
+    assert names == ["maximally_mixed", "seed_state", "werner"]
 
 
 def test_classify_compare_criteria_refuses_dims_above_the_limit(tmp_path, capsys):
@@ -220,7 +233,7 @@ def test_transform_precondition_failure(tmp_path):
 
 
 def test_transform_needs_matrix_files(tmp_path):
-    from specsep import spectrum_from_values
+    from specsep.states import spectrum_from_values
 
     spec = spectrum_from_values([0.4, 0.3, 0.2, 0.1], (2, 2))
     s = _write(tmp_path, "spec.json", spec)
@@ -254,6 +267,15 @@ def test_witness_ppt_verdict(tmp_path, capsys, state, d_b, value, verdict):
                  "--evaluate", path, "--output", str(report)]) == EXIT_OK
     assert "(%s)" % verdict in capsys.readouterr().out
     assert json.loads(report.read_text())["expectation"] == pytest.approx(value, abs=1e-12)
+
+
+def test_witness_evaluate_refuses_a_spectrum_file(tmp_path, capsys):
+    state = _write(tmp_path, "s.json", spectrum(make_named_state("werner")))
+    report = tmp_path / "w.json"
+    assert main(["witness", "ppt", "--d-a", "2", "--d-b", "2",
+                 "--evaluate", state, "--output", str(report)]) == EXIT_INVALID
+    assert "witness evaluation needs a matrix state file" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_witness_ppt_trace_norm(capsys):
@@ -332,8 +354,7 @@ def test_falsify_needs_a_positive_sample_count(tmp_path, capsys):
 
 
 def test_falsify_not_found_inconclusive(tmp_path, capsys):
-    from specsep import maximally_mixed
-    from specsep.states import bipartite_dims
+    from specsep.states import bipartite_dims, maximally_mixed
 
     state = _write(tmp_path, "mm.json", maximally_mixed(bipartite_dims(2, 2)))
     assert main(["falsify", state, "--samples", "10"]) == EXIT_OK
@@ -711,10 +732,15 @@ def _outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+_FRESH_PARSER = cli.build_parser()  # the public build, apart from main's own parser
+
+
 @settings(max_examples=400, deadline=None)
 @given(argv=command_argvs())
 def test_one_parse_per_command_matches_the_top_level_parse(argv):
-    assert _outcome(cli._parse, argv) == _outcome(cli._PARSER.parse_args, argv)
+    outcome = _outcome(cli._parse, argv)
+    assert outcome == _outcome(cli._PARSER.parse_args, argv)
+    assert outcome == _outcome(_FRESH_PARSER.parse_args, argv)
 
 
 def _run_module(tmp_path, *argv):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from specsep import make_named_state, spectrum, spectrum_from_values, tensor_product
 from specsep.criteria import (
     CriterionInapplicable,
     appt_spectral_necessary,
@@ -17,7 +16,14 @@ from specsep.criteria import (
     region_a,
     run_all,
 )
-from specsep.states import density_matrix, make_rho_tilde
+from specsep.states import (
+    density_matrix,
+    make_named_state,
+    make_rho_tilde,
+    spectrum,
+    spectrum_from_values,
+    tensor_product,
+)
 
 
 def _sorted_dirichlet(rng, n, d, alpha=1.0):

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from specsep import InvalidStateError, __version__, density_matrix, spectrum_from_values
+from specsep import __version__
 from specsep.cli import EXIT_INVALID, EXIT_OK, main
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
+from specsep.states import InvalidStateError, density_matrix, spectrum_from_values
 
 LOCALS = st.sampled_from([(2,), (1, 2), (2, 2), (2, 3), (3, 3), (2, 2, 2)])
 BIPARTITE = st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
@@ -235,6 +236,16 @@ def test_bool_local_dimensions_are_refused(tmp_path, locals_, big_d):
     code, err = _run(["classify", str(path)])
     assert code == EXIT_INVALID
     assert err == "error: state file lacks a valid dims.locals entry\n"
+
+
+def test_matrix_entries_of_three_numbers_are_refused(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(dumps({"dims": {"locals": [2, 2]},
+                           "matrix": [[[v, 0.0, 0.0] for v in row] for row in np.eye(4) / 4]}))
+    with pytest.raises(InvalidStateError, match=r"matrix entries must be \(re, im\) pairs"):
+        load_state(path)
+    assert _run(["classify", str(path)]) == (
+        EXIT_INVALID, "error: matrix entries must be (re, im) pairs of numbers\n")
 
 
 @settings(max_examples=200, deadline=None)

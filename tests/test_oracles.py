@@ -5,15 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from specsep import (
-    density_matrix,
-    make_named_state,
-    maximally_mixed,
-    spectral_ratio,
-    spectrum,
-    spectrum_from_values,
-    tensor_product,
-)
 from specsep import oracles
 from specsep.oracles import (
     FalsificationResult,
@@ -28,9 +19,16 @@ from specsep.oracles import (
 from specsep.states import (
     DensityMatrix,
     bipartite_dims,
+    density_matrix,
+    make_named_state,
     make_omega_t,
     make_rho_tilde,
+    maximally_mixed,
     partial_transpose,
+    spectral_ratio,
+    spectrum,
+    spectrum_from_values,
+    tensor_product,
 )
 
 from conftest import rand_spectrum, rand_valid_map, rand_full_rank_state
@@ -438,7 +436,7 @@ def test_falsify_never_fires_on_cas_spectra(rng):
 
 
 def test_verify_ratio_monotone_examples(rng):
-    from specsep.channels import make_sec_c_example
+    from specsep.channels import make_map, make_sec_c_example
     from specsep.oracles import verify_ratio_monotone
 
     m = rand_valid_map(rng, (2, 2))
@@ -447,6 +445,9 @@ def test_verify_ratio_monotone_examples(rng):
     # the worked example is allowed to *increase* the ratio only because its
     # input is singular (infinite ratio), which still verifies
     assert verify_ratio_monotone(make_sec_c_example(), make_named_state("seed_state"))
+    # a map that never succeeds on its input verifies: the seed state has no weight on |3>
+    never = make_map(rho.dims, [(np.diag([0.0, 0.0, 0.0, 1.0]), maximally_mixed(rho.dims))])
+    assert verify_ratio_monotone(never, make_named_state("seed_state"))
 
 
 def test_verify_ratio_monotone_flags_a_ratio_increase():

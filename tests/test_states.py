@@ -6,35 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsep import (
+from specsep.channels import construct_transformation
+from specsep.fileio import load_state, save_state
+from specsep.oracles import haar_unitaries, haar_unitary
+from specsep.states import (
     Dims,
     InvalidStateError,
+    as_dims,
     attach_mixed_ancilla,
     bipartite_dims,
     density_matrix,
     gibbs_spectrum,
+    hermitian_part,
+    is_singular,
     make_named_state,
+    make_omega_t,
+    make_rho_tilde,
     maximally_mixed,
     partial_transpose,
+    phi_plus_pt,
     purity,
+    ratio_at_least,
+    rho_tilde_blocks,
     spectral_ratio,
     spectrum,
     spectrum_from_values,
     tensor_product,
 )
-from specsep.channels import construct_transformation
-from specsep.fileio import load_state, save_state
-from specsep.states import (
-    as_dims,
-    hermitian_part,
-    is_singular,
-    make_omega_t,
-    make_rho_tilde,
-    phi_plus_pt,
-    ratio_at_least,
-    rho_tilde_blocks,
-)
-from specsep.oracles import haar_unitaries, haar_unitary
 
 from conftest import rand_state
 
@@ -239,6 +237,17 @@ def test_gibbs_spectrum():
         with pytest.raises(ValueError, match="need temperature > 0 and finite k_b > 0"):
             gibbs_spectrum([0.0, 1.0], temperature, k_b)
     assert np.array_equal(gibbs_spectrum([0.0, 1.0, 2.0], math.inf).values, [1 / 3] * 3)
+    # where k_b*T underflows or the span overflows, the lowest levels share the
+    # weight, as in the limit, with no numpy warning
+    assert np.array_equal(gibbs_spectrum([0.0, 1.0], 1e-200, 1e-200).values, [1.0, 0.0])
+    assert np.array_equal(gibbs_spectrum([1.0, 0.0, 0.0], 1e-200, 1e-200).values,
+                          [0.5, 0.5, 0.0])
+    assert np.array_equal(gibbs_spectrum([-1e308, 1e308], 1.0).values, [1.0, 0.0])
+    assert np.array_equal(gibbs_spectrum([-1e308, 1e308], math.inf).values, [0.5, 0.5])
+    # no energies, or a non-finite one, is refused as such, not blamed on the spectrum
+    for energies in [[], [0.0, math.nan], [0.0, math.inf]]:
+        with pytest.raises(ValueError, match="need a non-empty list of finite energies"):
+            gibbs_spectrum(energies, 1.0)
 
 
 def test_spectrum_unitarily_invariant(rng):
@@ -284,6 +293,11 @@ def test_dims_accept_only_positive_integers(locals_):
 def test_dims_refuse_bool_locals(locals_):
     with pytest.raises(ValueError, match="positive integers"):
         Dims(locals_)
+
+
+def test_bipartite_refuses_other_than_two_parties():
+    with pytest.raises(ValueError, match=r"requires bipartite dims, got \(2, 2, 2\)"):
+        Dims((2, 2, 2)).bipartite()
 
 
 @pytest.mark.parametrize("locals_", [(1, 4), (4, 1), (1, 1)], ids=["1-4", "4-1", "1-1"])

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsep import density_matrix, make_named_state, maximally_mixed, spectrum, witnesses
-from specsep.states import Dims, bipartite_dims, make_rho_tilde
+from specsep import witnesses
+from specsep.states import (
+    Dims,
+    bipartite_dims,
+    density_matrix,
+    make_named_state,
+    make_rho_tilde,
+    maximally_mixed,
+    spectrum,
+)
 from specsep.witnesses import (
     Witness,
     _HALF_PAULI,
@@ -55,6 +63,13 @@ def test_evaluate_dim_mismatch():
     w = make_ppt_witness(bipartite_dims(2, 2))
     with pytest.raises(ValueError):
         evaluate(w, maximally_mixed(bipartite_dims(2, 3)))
+
+
+def test_evaluate_refuses_an_imaginary_expectation():
+    # make_witness takes the Hermitian part; a hand-built anti-Hermitian W gives Tr(W rho) = i/4
+    w = Witness(dims=bipartite_dims(2, 2), matrix=np.diag([1j, 0, 0, 0]))
+    with pytest.raises(ValueError, match="expectation has imaginary residue 2.500e-01"):
+        evaluate(w, maximally_mixed(bipartite_dims(2, 2)))
 
 
 def test_evaluate_scales_with_the_witness():
@@ -501,6 +516,16 @@ def test_seesaw_refuses_non_finite_starts(dims, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="start row 2 is not finite"):
             seesaw_minimize(w, starts, 10)
+
+
+def test_seesaw_refuses_starts_of_the_wrong_shape_and_no_restarts():
+    w = make_ppt_witness(bipartite_dims(2, 3))
+    for starts in (np.ones((4, 2)), np.ones(3), np.ones((1, 4, 3))):
+        with pytest.raises(ValueError, match=r"starts must be a \(k, 3\) stack"):
+            seesaw_minimize(w, starts, 10)
+    for restarts, iters in ((0, 10), (4, 0)):
+        with pytest.raises(ValueError, match="restarts and iters must be >= 1"):
+            min_product_expectation(w, restarts, iters)
 
 
 def test_seesaw_stop_rule_is_scale_free():

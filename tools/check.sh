@@ -1,13 +1,14 @@
 #!/bin/sh
-# Run the checks every change must pass: the tier-1 suite, in which a numpy
-# RuntimeWarning (overflow, invalid value) fails the test that raised it, the
-# benchmark's reference tests, the three demos and a benchmark smoke run: every workload
+# Run the checks every change must pass: the tier-1 suite, the benchmark's
+# reference tests, the three demos and a benchmark smoke run: every workload
 # for 2 seconds untraced and traced, which must report "correct": true and no
 # failed op (a traced run fails when a function its per-layer metrics name is
 # gone).  Given the src/ directory of a parent tree, also write the files of
 # tools/report_bytes.py from both trees into a temporary directory and require
-# `diff -r` to find no difference.  Ends by printing the line count of src/,
-# after the parent's (`src/ lines: 1771 -> 1750`) when a parent is given.
+# `diff -r` to find no difference.  In the tier-1 suite, the demos and the
+# report runs a numpy RuntimeWarning (overflow, invalid value) is an error.
+# Ends by printing the line count of src/, after the parent's
+# (`src/ lines: 1771 -> 1750`) when a parent is given.
 #
 # Usage: tools/check.sh [PARENT_SRC]
 #
@@ -29,7 +30,7 @@ trap 'rm -rf "$out"' EXIT
 PYTHONPATH="$src" python3 -m pytest -q --continue-on-collection-errors -W error::RuntimeWarning
 PYTHONPATH="$src" python3 -m pytest -q bench/test_reference.py
 for demo in demos/*.py; do
-    PYTHONPATH="$src" python3 "$demo" > /dev/null
+    PYTHONPATH="$src" python3 -W error::RuntimeWarning "$demo" > /dev/null
     echo "$demo: exit 0"
 done
 
@@ -50,8 +51,8 @@ sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)'; then
 done
 
 if [ -n "$parent" ]; then
-    PYTHONPATH="$parent" python3 tools/report_bytes.py "$out/parent"
-    PYTHONPATH="$src" python3 tools/report_bytes.py "$out/change"
+    PYTHONPATH="$parent" python3 -W error::RuntimeWarning tools/report_bytes.py "$out/parent"
+    PYTHONPATH="$src" python3 -W error::RuntimeWarning tools/report_bytes.py "$out/change"
     diff -r "$out/parent" "$out/change"
     echo "report bytes: $(ls "$out/change" | wc -l) files identical"
     echo "src/ lines: $(cat "$parent"/specsep/*.py | wc -l) -> $(cat "$src"/specsep/*.py | wc -l)"
