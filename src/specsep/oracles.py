@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .states import spectral_ratio, spectrum
 
@@ -29,13 +30,6 @@ SEARCH_BATCHES = (1, 16, 256)
 # No batch is cut at D <= 64.  A rotation gets the same QR, Cholesky factor and
 # eigvalsh in any stack, so the cap changes no result.
 SEARCH_BATCH_ENTRIES = 1 << 20
-
-# Each batch is screened in slices of at most this many rotations.  Once a
-# running minimum m exists, a slice whose PT - (m + 1e-12) I has a Cholesky
-# factor has every PT eigenvalue above m, so it can hold neither a hit nor a
-# new minimum and skips eigvalsh.  PT eigenvalues lie in [-1/2, 1], so
-# Cholesky's backward error (about D eps) is far below the 1e-12 margin.
-SCREEN_SLICE = 8
 
 
 @dataclass(frozen=True)
@@ -106,14 +100,16 @@ def as_falsify_search(s, dims, samples, seed):
 
     Rotations are drawn in batches of SEARCH_BATCHES (the last size
     repeating), and only those that can change the result are
-    eigendecomposed.  Once a running minimum m exists, each slice of
-    SCREEN_SLICE rotations is first Cholesky-factorized with its spectrum
-    shifted down by m + 1e-12, a shift built again only when m falls; success
-    puts every eigenvalue in the slice above m (and so above the hit
-    threshold), and the slice is skipped.  The argmin and the first hit always
-    go through ``eigvalsh``, which gives a matrix the same eigenvalues in any
-    stack, so the result is the one an eigendecomposition of every sample
-    gives, whatever the batch and slice sizes.
+    eigendecomposed.  Once a running minimum m exists, each batch is first
+    Cholesky-factorized in one call, its spectra shifted down by m + 1e-12 (a
+    shift built again only when m falls).  PT eigenvalues lie in [-1/2, 1], so
+    Cholesky's backward error (about D eps) is far below that margin: a
+    rotation whose factor exists has every eigenvalue above m (and so above the
+    hit threshold), and skips ``eigvalsh``.  numpy's batched Cholesky gufunc
+    fills each failed factor with NaN, so the failures are the candidates, and
+    one ``eigvalsh`` call per batch gives the argmin and the first hit.  It
+    gives a matrix the same eigenvalues in any stack, so the result is the one
+    an eigendecomposition of every sample gives, whatever the batch sizes.
     """
     if dims != s.dims:
         raise ValueError("spectrum dims %r differ from search dims %r"
@@ -131,23 +127,23 @@ def as_falsify_search(s, dims, samples, seed):
     while done < samples:
         n = min(next(sizes), cap, samples - done)
         u = _haar_batch(rng, dims.total, n)
-        rotated = (u * s.values) @ u.conj().swapaxes(-2, -1)
-        pt = _partial_transpose(rotated, d_a, d_b)
-        for lo in range(0, n, SCREEN_SLICE):
-            block = pt[lo:lo + SCREEN_SLICE]
-            if shift is not None:
-                try:
-                    np.linalg.cholesky(block - shift)
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
-            mins = np.linalg.eigvalsh(block)[:, 0]
+        pt = _partial_transpose((u * s.values) @ u.conj().swapaxes(-2, -1), d_a, d_b)
+        del u
+        if shift is None:
+            candidates = np.arange(n)
+        else:
+            with np.errstate(invalid="ignore"):
+                failed = np.isnan(_cholesky_lo(pt - shift, signature="D->D")[:, 0, 0])
+            candidates = np.flatnonzero(failed)
+        if candidates.size:
+            mins = np.linalg.eigvalsh(pt[candidates])[:, 0]
+            hits = np.flatnonzero(mins < NPT_THRESHOLD)
+            if hits.size:
+                i = int(candidates[hits[0]])
+                return FalsificationResult(unitary_seed=seed, unitary_index=done + i,
+                                           min_pt_eigenvalue=float(mins[hits[0]]),
+                                           samples_used=done + i + 1)
             low = float(mins.min())
-            if low < NPT_THRESHOLD:
-                i = int(np.flatnonzero(mins < NPT_THRESHOLD)[0])
-                return FalsificationResult(unitary_seed=seed, unitary_index=done + lo + i,
-                                           min_pt_eigenvalue=float(mins[i]),
-                                           samples_used=done + lo + i + 1)
             if low < overall_min:
                 overall_min = low
                 shift = (overall_min + 1e-12) * eye

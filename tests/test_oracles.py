@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg._umath_linalg import cholesky_lo
 from hypothesis import example, given, settings, strategies as st
 
 from specsep import oracles
@@ -143,25 +145,45 @@ def test_screened_search_matches_unscreened_loop(inputs, seed, samples):
 @settings(max_examples=40, deadline=None)
 @given(inputs=_search_inputs(), seed=st.integers(0, 7), samples=st.integers(1, 300),
        cap=st.integers(1, 20),
-       batches=st.sampled_from([(1,), (2, 3), (1, 4, 16, 64, 256), (1, 16, 256)]),
-       screen=st.sampled_from([1, 3, 8, 64]))
-@example(inputs=_LATE_HIT, seed=2, samples=300, cap=3, batches=(1, 16, 256), screen=8)
-@example(inputs=_LATE_HIT, seed=7, samples=300, cap=8, batches=(1, 4, 16, 64, 256), screen=3)
-def test_capped_batches_give_the_uncapped_result(inputs, seed, samples, cap, batches, screen):
-    # batches of at most ``cap`` rotations, in any schedule and screened in
-    # slices of any size, late hits (index 131, 40) included
+       batches=st.sampled_from([(1,), (2, 3), (1, 4, 16, 64, 256), (1, 16, 256)]))
+@example(inputs=_LATE_HIT, seed=2, samples=300, cap=3, batches=(1, 16, 256))
+@example(inputs=_LATE_HIT, seed=7, samples=300, cap=8, batches=(1, 4, 16, 64, 256))
+def test_capped_batches_give_the_uncapped_result(inputs, seed, samples, cap, batches):
+    # batches of at most ``cap`` rotations, in any schedule, late hits (index
+    # 131, 40) included
     s, dims = inputs
     uncapped = as_falsify_search(s, dims, samples=samples, seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "SEARCH_BATCH_ENTRIES", cap * dims.total ** 2)
         patch.setattr(oracles, "SEARCH_BATCHES", batches)
-        patch.setattr(oracles, "SCREEN_SLICE", screen)
         assert as_falsify_search(s, dims, samples=samples, seed=seed) == uncapped
 
 
+def test_batched_cholesky_nan_fills_exactly_the_failures():
+    # the search screens a batch with numpy's Cholesky gufunc and takes the
+    # NaN-filled factors as its candidates; a numpy that raised, warned or
+    # left a failed factor finite instead would skip candidates silently
+    rng = np.random.default_rng(31)
+    least = [0.1, -1e-3, 0.5, -2.0, 1e-6, -1e-3, 0.2]
+    stack = []
+    for low in least:
+        u = haar_unitary(6, int(rng.integers(2**31)))
+        stack.append((u * np.array([low, 0.3, 0.4, 0.6, 0.8, 1.0])) @ u.conj().T)
+    stack = np.array(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            factors = cholesky_lo(stack, signature="D->D")
+    failed = np.isnan(factors).all(axis=(-2, -1))
+    assert np.array_equal(failed, np.array(least) < 0)
+    assert np.array_equal(np.isnan(factors[:, 0, 0]), failed)
+    for a, f in zip(stack[~failed], factors[~failed]):
+        assert np.abs(f @ f.conj().T - a).max() < 1e-12
+
+
 def test_search_memory_is_bounded_at_large_dimension():
-    # 11x11: uncapped batches would hold several stacks of up to 41 MiB (176
-    # MiB peak for 200 samples); capped ones hold about seven stacks of 16 MiB
+    # 11x11: uncapped batches would hold several stacks of up to 41 MiB (169
+    # MiB peak for 200 samples); capped ones hold about five stacks of 16 MiB
     dims = bipartite_dims(11, 11)
     s = spectrum(maximally_mixed(dims))
     tracemalloc.start()
@@ -176,7 +198,7 @@ def test_search_memory_is_bounded_at_large_dimension():
 
 def test_screen_skips_most_eigendecompositions(rng, monkeypatch):
     # a miss on 3x4 needs every sample's minimum; eigvalsh should see only
-    # the slices that can lower it
+    # the rotations that can lower it, at most once per batch (1, 16 and 239)
     eigvalsh = np.linalg.eigvalsh
     matrices = []
 
@@ -192,6 +214,7 @@ def test_screen_skips_most_eigendecompositions(rng, monkeypatch):
         matrices.clear()
         result = as_falsify_search(s, dims, samples=256, seed=k)
         assert not result.found
+        assert len(matrices) <= 3
         assert sum(matrices) < 128
 
 

@@ -1,14 +1,15 @@
 #!/bin/sh
-# Run the checks every change must pass: the tier-1 suite, the benchmark's
-# reference tests, the three demos and a benchmark smoke run: every workload
-# for 2 seconds untraced and traced, which must report "correct": true and no
-# failed op (a traced run fails when a function its per-layer metrics name is
-# gone).  Given the src/ directory of a parent tree, also write the files of
-# tools/report_bytes.py from both trees into a temporary directory and require
-# `diff -r` to find no difference.  In the tier-1 suite, the demos and the
-# report runs a numpy RuntimeWarning (overflow, invalid value) is an error.
-# Ends by printing the line count of src/, after the parent's
-# (`src/ lines: 1771 -> 1750`) when a parent is given.
+# Run the checks every change must pass: the tier-1 suite (printing its ten
+# slowest tests), the benchmark's reference tests, the three demos and a
+# benchmark smoke run: every workload for 2 seconds untraced and traced, which
+# must report "correct": true and no failed op (a traced run fails when a
+# function its per-layer metrics name is gone).  Given the src/ directory of a
+# parent tree, also write the files of tools/report_bytes.py from both trees
+# into a temporary directory and require `diff -r` to find no difference.  In
+# the tier-1 suite, the demos and the report runs a numpy RuntimeWarning
+# (overflow, invalid value) is an error.  Ends by printing the line count of
+# src/, after the parent's (`src/ lines: 1771 -> 1750`) when a parent is
+# given.
 #
 # Usage: tools/check.sh [PARENT_SRC]
 #
@@ -27,7 +28,8 @@ src="$(pwd)/src"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-PYTHONPATH="$src" python3 -m pytest -q --continue-on-collection-errors -W error::RuntimeWarning
+PYTHONPATH="$src" python3 -m pytest -q --continue-on-collection-errors -W error::RuntimeWarning \
+    --durations=10
 PYTHONPATH="$src" python3 -m pytest -q bench/test_reference.py
 for demo in demos/*.py; do
     PYTHONPATH="$src" python3 -W error::RuntimeWarning "$demo" > /dev/null

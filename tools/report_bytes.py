@@ -7,18 +7,18 @@ importable, 8 ``construct`` commands (state files) and 17 commands that write
 reports: ``classify`` x3, ``transform`` x5 (one onto a singular target, and
 one onto a target within 1.5e-6 of I/4, where a map that divides by a small
 number would amplify the target's rounding), ``witness`` x3 (one on 4 x 9, a
-36 x 36 matrix), ``bounds`` and ``falsify`` x5 (two misses, a hit on the
-first sample, a hit at index 16, the last rotation of the second batch and of
-its second screen slice, and a hit at index 131, deep in a batch whose earlier
-slices the orbit search screens out).  The files ``construct`` cannot write
-are written first from the literal text in STATE_FILES: the spectrum files
-that one ``classify`` and three ``falsify`` read (unsorted, so loading sorts
-them) and that near-I/4 matrix.  To compare two source trees, run it once
-against each and ``diff -r`` the two output directories.  Then loads each
-``construct`` file with ``load_state`` and saves it again with ``save_state``
-(into a temporary directory), checking save -> load -> save on real output;
-the literal STATE_FILES are left out, as specsep did not write them.  Exits 1
-if a command does not exit 0 or a saved-again file's bytes differ.
+36 x 36 matrix), ``bounds`` and ``falsify`` x5 (two misses, a hit on the first
+sample, a hit at index 16, the last rotation of the second batch, and a hit at
+index 131, deep in a batch most of whose rotations the orbit search screens
+out).  The files ``construct`` cannot write are written first from the literal
+text in STATE_FILES: the spectrum files that one ``classify`` and three
+``falsify`` read (unsorted, so loading sorts them) and that near-I/4 matrix.
+To compare two source trees, run it once against each and ``diff -r`` the two
+output directories.  Then loads each ``construct`` file with ``load_state``
+and saves it again with ``save_state`` (into a temporary directory), checking
+save -> load -> save on real output; the literal STATE_FILES are left out, as
+specsep did not write them.  Exits 1 if a command does not exit 0 or a
+saved-again file's bytes differ.
 """
 
 import contextlib
