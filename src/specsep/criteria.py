@@ -18,10 +18,6 @@ from .states import is_singular, purity, spectral_ratio
 BOUNDARY_TOL = 1e-12
 
 
-class CriterionInapplicable(ValueError):
-    """Criterion preconditions cannot be met for this input."""
-
-
 @dataclass(frozen=True)
 class CriterionVerdict:
     name: str
@@ -91,42 +87,37 @@ def appt_spectral_necessary(s):
                             {"lambda_max": lam_max, "bound": rhs})
 
 
-def _filippov_condition(p, big_d):
-    """Purity-window condition of the Filippov bound, evaluated with
-    k = ceil(1/p) so the hypothesis 1/k <= p <= 1/(k-1) holds; the radical
-    term vanishes in the pure-state window k = 1."""
+def cas_purity(s):
+    """Necessary for CAS: Tr(rho^2) <= (d_A/d_B)/(d_A^2 - 1), d_A <= d_B.
+    NotDetected certifies the spectrum is not CAS."""
+    d_a, d_b = sorted(s.dims.bipartite())
+    p = purity(s)
+    bound = (d_a / d_b) / (d_a**2 - 1)
+    return CriterionVerdict("cas_purity", p <= bound + BOUNDARY_TOL,
+                            {"purity": p, "bound": bound})
+
+
+def as_purity(s):
+    """Necessary for AS: Tr(rho^2) <= 2/D for D > 4, and 3/8 at D = 4.
+    NotDetected certifies the spectrum is not AS."""
+    big_d = math.prod(s.dims.bipartite())
+    p = purity(s)
+    bound = 3.0 / 8.0 if big_d == 4 else 2.0 / big_d
+    return CriterionVerdict("as_purity", p <= bound + BOUNDARY_TOL,
+                            {"purity": p, "bound": bound})
+
+
+def filippov(s):
+    """Filippov's necessary condition for AS, evaluated at k = ceil(1/purity)
+    so the hypothesis 1/k <= p <= 1/(k-1) holds; the radical term vanishes in
+    the pure-state window k = 1.  NotDetected certifies the spectrum is not AS."""
+    big_d = math.prod(s.dims.bipartite())
+    p = purity(s)
     k = math.ceil(1.0 / p - BOUNDARY_TOL)
     lhs = 1.0 + math.sqrt(max(k * p - 1.0, 0.0) / (k - 1)) if k > 1 else 1.0
     rhs = 3.0 * k * math.sqrt(p / (big_d + 8))
-    return k, lhs, rhs
-
-
-def purity_bound_report(s):
-    """The three purity-based necessary conditions, as a list of verdicts.
-
-    (i)  CAS purity:  Tr(rho^2) <= (d_A/d_B)/(d_A^2 - 1)  (d_A <= d_B).
-    (ii) AS purity:   Tr(rho^2) <= 2/D for D > 4; exactly 3/8 at D = 4.
-    (iii) Filippov:   window condition at k = ceil(1/purity).
-
-    Detected means "consistent with" the respective set; NotDetected
-    certifies exclusion.
-    """
-    d_a, d_b = sorted(s.dims.bipartite())
-    big_d = s.dims.total
-    p = purity(s)
-
-    cas_bound = (d_a / d_b) / (d_a**2 - 1)
-    v_cas = CriterionVerdict("cas_purity", p <= cas_bound + BOUNDARY_TOL,
-                             {"purity": p, "bound": cas_bound})
-
-    as_bound = 3.0 / 8.0 if big_d == 4 else 2.0 / big_d
-    v_as = CriterionVerdict("as_purity", p <= as_bound + BOUNDARY_TOL,
-                            {"purity": p, "bound": as_bound})
-
-    k, lhs, rhs = _filippov_condition(p, big_d)
-    v_fil = CriterionVerdict("filippov", lhs <= rhs + BOUNDARY_TOL,
-                             {"purity": p, "k": k, "lhs": lhs, "rhs": rhs})
-    return [v_cas, v_as, v_fil]
+    return CriterionVerdict("filippov", lhs <= rhs + BOUNDARY_TOL,
+                            {"purity": p, "k": k, "lhs": lhs, "rhs": rhs})
 
 
 def multipartite_guarantee(s, l):
@@ -170,7 +161,8 @@ def gibbs_threshold(h_inf_norm, l, k_b=1.0):
     # ln((l+1)/(l-1)) as log1p(2/(l-1)): the quotient rounds to 1 (log 0) once
     # l passes about 1e16, and int / int rounds 2/(l-1) correctly for any int l
     denominator = k_b * math.log1p(2 / (l - 1))
-    t_star = 2.0 * h_inf_norm / denominator if denominator > 0 else math.inf
+    # abs turns an h_inf_norm of -0.0 into a temperature of +0.0
+    t_star = 2.0 * abs(h_inf_norm) / denominator if denominator > 0 else math.inf
     if t_star == math.inf:
         raise ValueError("T* overflows a double for h_inf_norm %r, l %r, k_b %r"
                          % (h_inf_norm, l, k_b))
@@ -181,7 +173,7 @@ def copy_bound(ratio):
     """Smallest n with R^n > R + 2 sqrt(R): that many tensor copies are
     certified to leave the absolutely-PPT (hence AS) set."""
     if not math.isfinite(ratio) or ratio <= 1.0:
-        raise CriterionInapplicable(
+        raise ValueError(
             "copy bound needs a finite ratio > 1 (the maximally mixed state never leaves AS)"
         )
     bound = math.log(ratio + 2.0 * math.sqrt(ratio)) / math.log(ratio)
@@ -189,6 +181,6 @@ def copy_bound(ratio):
 
 
 def run_all(s):
-    """Evaluate every registered criterion once; returns the tuple of verdicts."""
+    """Evaluate the seven criteria once, in report order; returns their verdicts."""
     return (ratio_criterion(s), purity_ball(s), region_a(s), appt_spectral_necessary(s),
-            *purity_bound_report(s))
+            cas_purity(s), as_purity(s), filippov(s))

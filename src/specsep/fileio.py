@@ -6,7 +6,7 @@ A state file carries either an explicit complex matrix (row-major,
 Every file is written by ``dumps``, whose bytes are a contract (digests and
 byte-identity checks depend on them): no whitespace; dict keys sorted and
 written as ASCII-escaped JSON strings; a finite float (Python, np.float64
-or any np.floating) as ``format(x, ".17g")``, so -0.0 stays ``-0``, which
+or any np.floating) as ``"%.17g" % x``, so -0.0 stays ``-0``, which
 ``load_state`` reads back as -0.0 (``json`` alone reads the int 0), and
 save -> load -> save is byte-identical and exact for doubles; a non-finite
 float (an infinite spectral ratio, say) as ``null``; bool as
@@ -14,11 +14,8 @@ float (an infinite spectral ratio, say) as ``null``; bool as
 str as ASCII-escaped JSON; list and tuple as arrays.  Anything else,
 np.bool_ and set among them, raises TypeError.
 
-An np.ndarray is written exactly as its ``.tolist()`` would be.  A floating
-array is written in one ``%`` operation from a template of ``%.17g`` slots
-for its shape; ``'%.17g' % x`` and ``format(x, ".17g")`` spell a double
-alike, so this path writes the same bytes as the per-value path that lists,
-tuples and every other array take.
+An np.ndarray is written exactly as its ``.tolist()`` would be; a floating
+array in one ``%`` operation from a template of ``%.17g`` slots for its shape.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ def dumps(obj):
     mostly np.float64 (a float), lists and float arrays.
     """
     if isinstance(obj, float):
-        return format(obj, ".17g") if math.isfinite(obj) else "null"
+        return "%.17g" % obj if math.isfinite(obj) else "null"
     if isinstance(obj, (list, tuple)):
         return "[%s]" % ",".join(map(dumps, obj))
     if isinstance(obj, np.ndarray):

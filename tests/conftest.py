@@ -13,6 +13,17 @@ def rand_spectrum(rng, dims, alpha=1.0):
     return spectrum_from_values(vals, dims)
 
 
+def two_level_spectrum(dims, p):
+    """Spectrum with one large eigenvalue and D - 1 equal ones, at purity p:
+    1/D plus sqrt(p - 1/D) times a unit vector orthogonal to all-ones."""
+    d = int(np.prod(dims))
+    x = np.sqrt(p - 1 / d)
+    vals = np.full(d, 1 / d)
+    vals[0] += x * np.sqrt((d - 1) / d)
+    vals[1:] -= x / np.sqrt(d * (d - 1))
+    return spectrum_from_values(vals, dims)
+
+
 def rand_state(rng, dims):
     """Ginibre-induced random density matrix."""
     d = int(np.prod(dims))

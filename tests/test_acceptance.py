@@ -17,12 +17,7 @@ from specsep.channels import (
     make_sec_c_example,
     normalized_output,
 )
-from specsep.criteria import (
-    _filippov_condition,
-    appt_spectral_necessary,
-    purity_ball,
-    ratio_criterion,
-)
+from specsep.criteria import appt_spectral_necessary, filippov, purity_ball, ratio_criterion
 from specsep.oracles import (
     as_falsify_search,
     haar_unitaries,
@@ -50,7 +45,13 @@ from specsep.witnesses import (
     trace_norm,
 )
 
-from conftest import rand_full_rank_state, rand_state, region_a_weights, region_b_values
+from conftest import (
+    rand_full_rank_state,
+    rand_state,
+    region_a_weights,
+    region_b_values,
+    two_level_spectrum,
+)
 
 
 def _finish(capsys, num, desc, ok):
@@ -212,8 +213,8 @@ def test_acceptance_06_purity_chain(capsys):
                 passed += 1
                 ok = ok and purity(s) <= 2.0 / big_d + 1e-12
         ok = ok and passed > 100
-        _, lhs, rhs = _filippov_condition(2.0 / big_d, big_d)
-        ok = ok and lhs < rhs
+        fil = filippov(two_level_spectrum(dims, 2.0 / big_d))
+        ok = ok and fil.computed["lhs"] < fil.computed["rhs"]
     _finish(capsys, 6, "spectra consistent with the PT-invariance inequality stay "
                        "inside the 2/D purity cap, which sits inside the window bound", ok)
 

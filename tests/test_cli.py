@@ -309,6 +309,13 @@ def test_bounds_gibbs_value(capsys):
     assert format(2 / math.log(3), ".12g") in printed
 
 
+def test_bounds_writes_a_zero_temperature_for_a_negative_zero_norm(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(["bounds", "--h-norm", "-0", "--l", "2", "--output", str(out)]) == EXIT_OK
+    assert "T* = 0\n" in capsys.readouterr().out
+    assert '"temperature":0}' in out.read_text()
+
+
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 10**6, 10**17, 2**80])
 def test_gibbs_threshold_is_accurate_for_large_l(tmp_path, l):
     with decimal.localcontext() as ctx:

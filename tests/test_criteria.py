@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from specsep.criteria import (
-    CriterionInapplicable,
     appt_spectral_necessary,
+    as_purity,
+    cas_purity,
     copy_bound,
+    filippov,
     gibbs_threshold,
     multipartite_guarantee,
     purity_ball,
-    purity_bound_report,
     ratio_criterion,
     region_a,
     run_all,
@@ -24,6 +25,8 @@ from specsep.states import (
     spectrum_from_values,
     tensor_product,
 )
+
+from conftest import two_level_spectrum
 
 
 def _sorted_dirichlet(rng, n, d, alpha=1.0):
@@ -65,11 +68,14 @@ def test_ratio_rejects_bad_d():
         ratio_criterion(s)
 
 
-def test_purity_bound_report_refuses_a_local_dimension_of_one():
+def test_purity_criteria_refuse_non_bipartite_dims():
     # d_A = 1 once reached the CAS bound (d_A/d_B)/(d_A^2 - 1) and divided by 0
-    s = spectrum_from_values([0.25] * 4, (1, 4))
-    with pytest.raises(ValueError, match="local dimensions must be >= 2"):
-        purity_bound_report(s)
+    for criterion in (cas_purity, as_purity, filippov):
+        with pytest.raises(ValueError, match="local dimensions must be >= 2"):
+            criterion(spectrum_from_values([0.25] * 4, (1, 4)))
+        for dims in ((8,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="requires bipartite dims"):
+                criterion(spectrum_from_values([1 / 8] * 8, dims))
 
 
 def test_ratio_scale_free(rng):
@@ -126,12 +132,11 @@ def test_appt_needs_three_levels():
         appt_spectral_necessary(spectrum_from_values([0.7, 0.3], (2,)))
 
 
-# --- purity bound report ---------------------------------------------------
+# --- purity bounds ---------------------------------------------------------
 
 def test_cas_purity_bound_matches_purity_ball_at_two_qubits():
     s = spectrum_from_values([0.25] * 4, (2, 2))
-    report = {v.name: v for v in purity_bound_report(s)}
-    assert report["cas_purity"].computed["bound"] == pytest.approx(1 / 3)
+    assert cas_purity(s).computed["bound"] == pytest.approx(1 / 3)
 
 
 def test_as_purity_two_qubit_threshold():
@@ -139,21 +144,15 @@ def test_as_purity_two_qubit_threshold():
     a = (2 + math.sqrt(4 + 2.24)) / 8
     b = (1 - a) / 3
     s = spectrum_from_values([a, b, b, b], (2, 2))
-    report = {v.name: v for v in purity_bound_report(s)}
-    assert report["as_purity"].computed["bound"] == pytest.approx(3 / 8)
-    assert not report["as_purity"].detected
+    v = as_purity(s)
+    assert v.computed["bound"] == pytest.approx(3 / 8)
+    assert not v.detected
 
 
 def test_filippov_strict_at_as_bound():
     # spectrum with purity exactly 2/D at D = 6
     d = 6
-    x = 1 / math.sqrt(d)  # purity of the perturbed spectrum is 1/d + x^2 = 2/d
-    vals = np.full(d, 1 / d)
-    vals[0] += x * math.sqrt((d - 1) / d)
-    vals[1:] -= x / math.sqrt(d * (d - 1))
-    s = spectrum_from_values(vals, (2, 3))
-    report = {v.name: v for v in purity_bound_report(s)}
-    fil = report["filippov"]
+    fil = filippov(two_level_spectrum((2, 3), 2 / d))
     assert fil.computed["purity"] == pytest.approx(2 / d, abs=1e-12)
     assert fil.computed["lhs"] == pytest.approx(1.0, abs=1e-9)
     assert fil.computed["rhs"] == pytest.approx(3 * math.sqrt(6 / 28), rel=1e-9)
@@ -167,7 +166,7 @@ def test_filippov_strict_at_as_bound():
 def test_filippov_at_the_largest_admitted_purity(vals):
     # a validated spectrum has purity at most about 1 + 1e-9, so k = 1
     s = spectrum_from_values(vals, (2, 2))
-    fil = {v.name: v for v in purity_bound_report(s)}["filippov"]
+    fil = filippov(s)
     assert fil.computed["purity"] > 1.0
     assert fil.computed["k"] == 1
     assert fil.computed["lhs"] == 1.0
@@ -176,12 +175,35 @@ def test_filippov_at_the_largest_admitted_purity(vals):
 
 def test_purity_bounds_swap_unequal_dims():
     s = spectrum(make_rho_tilde(2, 3))
-    r1 = {v.name: v.computed.get("bound", v.computed.get("rhs"))
-          for v in purity_bound_report(s)}
-    r2 = {v.name: v.computed.get("bound", v.computed.get("rhs"))
-          for v in purity_bound_report(spectrum_from_values(s.values, (3, 2)))}
-    assert r1 == r2
-    assert r1["cas_purity"] == pytest.approx((2 / 3) / 3)
+    swapped = spectrum_from_values(s.values, (3, 2))
+    for criterion in (cas_purity, as_purity, filippov):
+        assert criterion(s) == criterion(swapped)
+    assert cas_purity(s).computed["bound"] == pytest.approx((2 / 3) / 3)
+
+
+@st.composite
+def dirichlet_spectra(draw):
+    """A d_a x d_b spectrum, 2 <= d_a <= d_b <= 8, from a symmetric Dirichlet
+    law at a concentration log-uniform in [0.05, 100]."""
+    d_a = draw(st.integers(2, 8))
+    dims = (d_a, draw(st.integers(d_a, 8)))
+    alpha = 10.0 ** draw(st.floats(math.log10(0.05), 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return spectrum_from_values(rng.dirichlet(np.full(d_a * dims[1], alpha)), dims)
+
+
+@settings(max_examples=500, deadline=None)
+@given(s=dirichlet_spectra())
+def test_as_purity_cap_lies_inside_the_filippov_window(s):
+    assert filippov(s).detected or not as_purity(s).detected
+
+
+def test_filippov_detects_the_two_level_spectrum_at_the_as_cap():
+    for d_a in range(2, 9):
+        for d_b in range(d_a, 9):
+            big_d = d_a * d_b
+            s = two_level_spectrum((d_a, d_b), 3 / 8 if big_d == 4 else 2 / big_d)
+            assert as_purity(s).detected and filippov(s).detected, (d_a, d_b)
 
 
 # --- multipartite guarantee and Gibbs threshold ---------------------------
@@ -233,6 +255,8 @@ def test_multipartite_needs_two_parties():
 def test_gibbs_threshold_values():
     assert gibbs_threshold(1.0, 2) == pytest.approx(2 / math.log(3), rel=1e-12)
     assert gibbs_threshold(0.0, 2) == 0.0
+    # -0.0 passes the h_inf_norm >= 0 check; the temperature is +0.0, not -0.0
+    assert math.copysign(1.0, gibbs_threshold(-0.0, 2)) == 1.0
     prev = gibbs_threshold(1.0, 2)
     for l in range(3, 30):
         cur = gibbs_threshold(1.0, l)
@@ -258,10 +282,9 @@ def test_copy_bound_monotone_decreasing():
 
 
 def test_copy_bound_inapplicable():
-    with pytest.raises(CriterionInapplicable):
-        copy_bound(1.0)
-    with pytest.raises(CriterionInapplicable):
-        copy_bound(math.inf)
+    for ratio in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite ratio > 1"):
+            copy_bound(ratio)
 
 
 def test_copy_bound_tensor_copies_fail_appt():
@@ -335,6 +358,9 @@ def bipartite_spectra(draw):
 def test_run_all_report_shape(s):
     report = run_all(s)
     assert [v.name for v in report] == VERDICT_NAMES  # so no name twice
+    assert report == tuple(criterion(s) for criterion in (
+        ratio_criterion, purity_ball, region_a, appt_spectral_necessary,
+        cas_purity, as_purity, filippov))
     verdicts = {v.name: v.detected for v in report}
     vals, big_d = s.values, s.dims.total
     d = min(s.dims.locals)

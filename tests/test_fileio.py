@@ -399,10 +399,3 @@ def test_dumps_refuses_a_complex_array():
     with pytest.raises(TypeError):
         dumps(np.array([1 + 2j, 0.5]))
 
-
-def test_percent_format_spells_doubles_as_format():
-    # the array path formats with '%.17g' %, the per-value path with format()
-    xs = np.frombuffer(np.random.default_rng(0).bytes(8 * 10**6), dtype=float).tolist()
-    percent = list(map("%.17g".__mod__, xs))
-    formatted = [format(x, ".17g") for x in xs]
-    assert percent == formatted, next(x for x, a, b in zip(xs, percent, formatted) if a != b)

@@ -133,7 +133,7 @@ def _search_inputs(draw):
 @example(inputs=_LATE_HIT, seed=2, samples=300)
 def test_screened_search_matches_unscreened_loop(inputs, seed, samples):
     # seeds 0-7 put the qubit pair's first hit at indices 0 to 131: inside the
-    # first slices and deep in screened batches (seed 7 at 40, seed 2 at 131)
+    # first batches and deep in screened batches (seed 7 at 40, seed 2 at 131)
     s, dims = inputs
     result = as_falsify_search(s, dims, samples=samples, seed=seed)
     found, index, used, low = _unscreened_search(s, dims, samples, seed)

@@ -8,8 +8,9 @@
 # into a temporary directory and require `diff -r` to find no difference.  In
 # the tier-1 suite, the demos and the report runs a numpy RuntimeWarning
 # (overflow, invalid value) is an error.  Ends by printing the line count of
-# src/, after the parent's (`src/ lines: 1771 -> 1750`) when a parent is
-# given.
+# src/ and then of each src/specsep/*.py, after the parent's
+# (`src/ lines: 1771 -> 1750`, `  criteria.py: 194 -> 185`) when a parent is
+# given; a module missing from one tree counts 0 lines there.
 #
 # Usage: tools/check.sh [PARENT_SRC]
 #
@@ -58,6 +59,13 @@ if [ -n "$parent" ]; then
     diff -r "$out/parent" "$out/change"
     echo "report bytes: $(ls "$out/change" | wc -l) files identical"
     echo "src/ lines: $(cat "$parent"/specsep/*.py | wc -l) -> $(cat "$src"/specsep/*.py | wc -l)"
+    for module in $( (cd "$parent/specsep" && ls *.py; cd "$src/specsep" && ls *.py) | sort -u); do
+        echo "  $module: $(cat "$parent/specsep/$module" 2>/dev/null | wc -l)" \
+             "-> $(cat "$src/specsep/$module" 2>/dev/null | wc -l)"
+    done
 else
     echo "src/ lines: $(cat "$src"/specsep/*.py | wc -l)"
+    for module in "$src"/specsep/*.py; do
+        echo "  $(basename "$module"): $(wc -l < "$module")"
+    done
 fi
