@@ -143,7 +143,10 @@ def construct_transformation(rho, sigma):
     so Lambda(I) = q I and Lambda(rho) = p sigma with
     p = q hi / s_max >= hi / (D s_max).  Every division is by a sum of
     non-negative weights, so none amplifies sigma's rounding.  On
-    seed_state -> werner this is the Sec. C instrument (p = 2/9, q = 5/12).
+    seed_state -> werner it has Sec. C's q = 5/12, p = 2/9, outputs and
+    failure effect |11><11|, but its success effect is rank one,
+    (2/3)|v><v| on one eigenvector v of the seed's threefold eigenvalue,
+    where ``make_sec_c_example`` has (2/9)(I - |11><11|).
     A maximally mixed target yields the depolarizing channel.
     """
     if rho.dims != sigma.dims:

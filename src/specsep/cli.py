@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import __version__, channels, criteria, fileio, oracles, states, witnesses
-from .states import InvalidStateError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -28,12 +27,6 @@ EXIT_PRECONDITION = 3
 MAX_TOTAL_DIM = 1024
 
 
-def _parent():
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--output", help="write the machine-readable result here")
-    return p
-
-
 def build_parser():
     return _build_parsers()[0]
 
@@ -44,7 +37,8 @@ def _build_parsers():
                                      description="Spectral separability toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parent = _parent()
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--output", help="write the machine-readable result here")
 
     p = sub.add_parser("classify", parents=[parent],
                        help="run every spectral criterion on a state file")
@@ -88,7 +82,7 @@ def _build_parsers():
 
 def _check_total_dim(total, label="--d-a x --d-b"):
     if total > MAX_TOTAL_DIM:
-        raise InvalidStateError("%s is %d, above the limit D <= %d"
+        raise ValueError("%s is %d, above the limit D <= %d"
                                 % (label, total, MAX_TOTAL_DIM))
 
 
@@ -99,7 +93,7 @@ def _load_spectrum(path):
 
 def _verdict_payload(v):
     return {"name": v.name, "status": v.status,
-            "computed": {k: float(x) for k, x in v.computed.items()},
+            "computed": v.computed,
             "reason": v.reason}
 
 
@@ -127,20 +121,14 @@ def cmd_classify(args):
     }
 
 
-def _named_states_for(dims):
-    d_a, d_b = dims.bipartite()
-    out = [("maximally_mixed", states.maximally_mixed(dims))]
-    if (d_a, d_b) == (2, 2):
-        out.append(("seed_state", states.make_named_state("seed_state")))
-        out.append(("werner", states.make_named_state("werner")))
-    if d_a < d_b:
-        out.append(("rho_tilde", states.make_rho_tilde(d_a, d_b)))
-    return out
-
-
 def _print_comparison(spec):
     print("named-state comparison at dims %s:" % ("x".join(map(str, spec.dims.locals))))
-    for name, rho in _named_states_for(spec.dims):
+    d_a, d_b = spec.dims.bipartite()
+    for name in ("maximally_mixed", "seed_state", "werner", "rho_tilde"):
+        try:
+            rho = states.make_named_state(name, d_a, d_b)
+        except ValueError:  # not defined at these dims
+            continue
         verdicts = criteria.run_all(states.spectrum(rho))
         detected = [v.name for v in verdicts if v.detected]
         print("  %-16s detected-by: %s" % (name, ", ".join(detected) or "(none)"))
@@ -160,7 +148,7 @@ def cmd_transform(args):
     _check_total_dim(rho.dims.total, "the state's D")
     sigma = fileio.load_state(args.sigma)
     if not (isinstance(rho, states.DensityMatrix) and isinstance(sigma, states.DensityMatrix)):
-        raise InvalidStateError("transform needs explicit matrix state files")
+        raise ValueError("transform needs explicit matrix state files")
     instrument = channels.construct_transformation(rho, sigma)
     out, prob = channels.apply_map(instrument, rho)
     q = instrument.unitality_factor
@@ -206,7 +194,7 @@ def cmd_witness(args):
     if args.evaluate:
         rho = fileio.load_state(args.evaluate)
         if not isinstance(rho, states.DensityMatrix):
-            raise InvalidStateError("witness evaluation needs a matrix state file")
+            raise ValueError("witness evaluation needs a matrix state file")
         value = report["expectation"] = witnesses.evaluate(w, rho)
         # only the ppt witness is block positive, so only its negative value means entangled
         if args.kind == "ppt":
@@ -219,7 +207,7 @@ def cmd_witness(args):
 
 def cmd_bounds(args):
     if args.h_norm is None and (args.l is not None or args.k_b is not None):
-        raise InvalidStateError("bounds: --l and --k-b apply only with --h-norm")
+        raise ValueError("bounds: --l and --k-b apply only with --h-norm")
     results = {}
     if args.copies is not None:
         n = criteria.copy_bound(args.copies)
@@ -227,20 +215,20 @@ def cmd_bounds(args):
         print("copy bound for R = %.12g: n = %d" % (args.copies, n))
     if args.h_norm is not None:
         if args.l is None:
-            raise InvalidStateError("--h-norm requires --l")
+            raise ValueError("--h-norm requires --l")
         k_b = 1.0 if args.k_b is None else args.k_b
         t_star = criteria.gibbs_threshold(args.h_norm, args.l, k_b=k_b)
         results["gibbs_threshold"] = {"h_norm": args.h_norm, "l": args.l,
                                       "k_b": k_b, "temperature": t_star}
         print("entanglement-free above T* = %.12g" % t_star)
     if not results:
-        raise InvalidStateError("bounds: nothing requested (use --copies or --h-norm)")
+        raise ValueError("bounds: nothing requested (use --copies or --h-norm)")
     return results
 
 
 def cmd_falsify(args):
     if args.seed < 0:
-        raise InvalidStateError("--seed must be a non-negative integer, got %d" % args.seed)
+        raise ValueError("--seed must be a non-negative integer, got %d" % args.seed)
     spec = _load_spectrum(args.state)
     _check_total_dim(spec.dims.total, "the state's D")
     result = oracles.as_falsify_search(spec, spec.dims, args.samples, args.seed)

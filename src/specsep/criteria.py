@@ -127,8 +127,8 @@ def multipartite_guarantee(s, l):
     ``s.dims`` whose smaller side has Hilbert dimension at most l (as pairs
     of index tuples, first side containing party 0).  Otherwise returns [].
     """
-    if not l >= 2:  # a NaN l fails too
-        raise ValueError("l must be >= 2")
+    if not 2 <= l < math.inf:  # a NaN l fails too
+        raise ValueError("l must be >= 2 and finite")
     locals = s.dims.locals
     if len(locals) < 2:
         raise ValueError("multipartite guarantee needs at least two parties, got dims %r"
@@ -153,8 +153,8 @@ def gibbs_threshold(h_inf_norm, l, k_b=1.0):
     """Temperature above which a Gibbs state is separable across every
     bipartition with smaller side dimension <= l:
     T* = 2 ||H||_inf / (k_B ln((l+1)/(l-1)))."""
-    if not l >= 2:  # a NaN l fails too
-        raise ValueError("l must be >= 2")
+    if not 2 <= l < math.inf:  # a NaN l fails too
+        raise ValueError("l must be >= 2 and finite")
     if not (0 <= h_inf_norm < math.inf and 0 < k_b < math.inf):
         raise ValueError("need finite h_inf_norm >= 0 and k_b > 0, got %r and %r"
                          % (h_inf_norm, k_b))

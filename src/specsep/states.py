@@ -346,10 +346,10 @@ def tensor_product(a, b):
 def attach_mixed_ancilla(rho, d_bprime):
     """rho tensor (identity / d_B') with bipartition A : BB'.
 
-    Leaves the spectral ratio unchanged; divides purity by d_B'.
+    Leaves the spectral ratio unchanged; divides purity by d_B'.  d_B' must
+    be a positive integer, the ``Dims`` rule.
     """
-    if d_bprime < 1:
-        raise ValueError("ancilla dimension must be >= 1")
+    (d_bprime,) = Dims((d_bprime,)).locals
     d_a, d_b = rho.dims.bipartite()
     if d_bprime == 1:
         return rho

@@ -239,7 +239,7 @@ def test_multipartite_side_dimension_cap(rng):
             assert min(2 ** len(left), 2 ** len(right)) <= l
 
 
-@pytest.mark.parametrize("l", [1, math.nan])
+@pytest.mark.parametrize("l", [1, math.nan, math.inf])
 def test_multipartite_refuses_l_below_two(l):
     s = spectrum_from_values([1 / 8] * 8, (2, 2, 2))
     with pytest.raises(ValueError, match="l must be >= 2"):
@@ -266,6 +266,9 @@ def test_gibbs_threshold_values():
         gibbs_threshold(1.0, 1)
     with pytest.raises(ValueError, match="l must be >= 2"):
         gibbs_threshold(1.0, math.nan)
+    # at l = inf the log of (l+1)/(l-1) is NaN, not 0: refused, not an overflow
+    with pytest.raises(ValueError, match="l must be >= 2 and finite"):
+        gibbs_threshold(1.0, math.inf)
 
 
 # --- copy bound ------------------------------------------------------------
@@ -320,6 +323,39 @@ def test_sufficiency_implies_necessity(dims):
     if d_a == d_b:
         purities = (vals**2).sum(axis=1)
         assert (purities[cas] <= 1 / (big_d - 1) + 1e-12).all()
+
+
+@st.composite
+def cas_spectra(draw):
+    """A d_a x d_b spectrum with ratio R <= (d_a + 1)/(d_a - 1), d_a <= d_b and
+    D <= 40, of one of three kinds: levels uniform in [1, threshold]; two
+    levels exactly at the threshold, split at random; or two to four levels
+    spanning just below it, with random multiplicities."""
+    d_a = draw(st.integers(2, 6))
+    d_b = draw(st.integers(d_a, 40 // d_a))
+    big_d = d_a * d_b
+    thr = (d_a + 1) / (d_a - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "two_level", "few_level"]))
+    if kind == "uniform":
+        vals = rng.uniform(1.0, thr, big_d)
+    elif kind == "two_level":
+        vals = np.where(np.arange(big_d) < draw(st.integers(1, big_d - 1)), thr, 1.0)
+    else:
+        top = thr * (1 - 10.0 ** draw(st.integers(-12, -3)))
+        levels = np.concatenate([[1.0, top], rng.uniform(1.0, top, draw(st.integers(0, 2)))])
+        vals = np.concatenate([levels, rng.choice(levels, big_d - len(levels))])
+    return spectrum_from_values(vals / vals.sum(), (d_a, d_b))
+
+
+@settings(max_examples=500, deadline=None)
+@given(s=cas_spectra())
+def test_cas_spectrum_passes_every_necessary_condition(s):
+    # CAS implies AS implies absolutely PPT; each criterion below is necessary
+    # for one of them, so none may refuse what the ratio test certifies
+    assert ratio_criterion(s).detected
+    for criterion in (appt_spectral_necessary, cas_purity, as_purity, filippov):
+        assert criterion(s).detected, criterion.__name__
 
 
 def test_appt_implies_as_purity():

@@ -217,8 +217,10 @@ def test_attach_mixed_ancilla_purity():
 
 
 def test_attach_mixed_ancilla_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        attach_mixed_ancilla(make_named_state("werner"), 0)
+    # a bool is not a dimension: True would otherwise read as 1 and return rho
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="positive integers"):
+            attach_mixed_ancilla(make_named_state("werner"), bad)
 
 
 def test_gibbs_spectrum():

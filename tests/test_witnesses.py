@@ -523,9 +523,13 @@ def test_seesaw_refuses_starts_of_the_wrong_shape_and_no_restarts():
     for starts in (np.ones((4, 2)), np.ones(3), np.ones((1, 4, 3))):
         with pytest.raises(ValueError, match=r"starts must be a \(k, 3\) stack"):
             seesaw_minimize(w, starts, 10)
-    for restarts, iters in ((0, 10), (4, 0)):
-        with pytest.raises(ValueError, match="restarts and iters must be >= 1"):
-            min_product_expectation(w, restarts, iters)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        min_product_expectation(w, 0, 10)
+    # zero iterations would leave every best at +inf, a value no product vector attains
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        min_product_expectation(w, 4, 0)
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        seesaw_minimize(w, np.ones((4, 3)), 0)
 
 
 def test_seesaw_stop_rule_is_scale_free():

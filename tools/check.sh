@@ -5,12 +5,14 @@
 # must report "correct": true and no failed op (a traced run fails when a
 # function its per-layer metrics name is gone).  Given the src/ directory of a
 # parent tree, also write the files of tools/report_bytes.py from both trees
-# into a temporary directory and require `diff -r` to find no difference.  In
-# the tier-1 suite, the demos and the report runs a numpy RuntimeWarning
-# (overflow, invalid value) is an error.  Ends by printing the line count of
-# src/ and then of each src/specsep/*.py, after the parent's
-# (`src/ lines: 1771 -> 1750`, `  criteria.py: 194 -> 185`) when a parent is
-# given; a module missing from one tree counts 0 lines there.
+# into a temporary directory and require `diff -r` to find no difference; then,
+# under each tree, run the three demos and `classify --compare-criteria` on
+# rt.json, werner.json and mm3.json of those files, and require `diff` to find
+# the two trees' stdout identical.  In the tier-1 suite, the demos and the
+# report runs a numpy RuntimeWarning (overflow, invalid value) is an error.
+# Ends by printing the line count of src/ and then of each src/specsep/*.py,
+# after the parent's (`src/ lines: 1771 -> 1750`, `  criteria.py: 194 -> 185`)
+# when a parent is given; a module missing from one tree counts 0 lines there.
 #
 # Usage: tools/check.sh [PARENT_SRC]
 #
@@ -58,6 +60,20 @@ if [ -n "$parent" ]; then
     PYTHONPATH="$src" python3 -W error::RuntimeWarning tools/report_bytes.py "$out/change"
     diff -r "$out/parent" "$out/change"
     echo "report bytes: $(ls "$out/change" | wc -l) files identical"
+    for tree in parent change; do
+        if [ "$tree" = parent ]; then path="$parent"; else path="$src"; fi
+        for demo in demos/*.py; do
+            PYTHONPATH="$path" python3 -W error::RuntimeWarning "$demo"
+        done > "$out/$tree.stdout"
+        # relative names, as classify prints the path it is given
+        for f in rt.json werner.json mm3.json; do
+            (cd "$out/$tree" && PYTHONPATH="$path" python3 -W error::RuntimeWarning \
+                -m specsep.cli classify "$f" --compare-criteria)
+        done >> "$out/$tree.stdout"
+    done
+    diff "$out/parent.stdout" "$out/change.stdout"
+    echo "stdout: demos and classify --compare-criteria identical" \
+         "($(wc -l < "$out/change.stdout") lines)"
     echo "src/ lines: $(cat "$parent"/specsep/*.py | wc -l) -> $(cat "$src"/specsep/*.py | wc -l)"
     for module in $( (cd "$parent/specsep" && ls *.py; cd "$src/specsep" && ls *.py) | sort -u); do
         echo "  $module: $(cat "$parent/specsep/$module" 2>/dev/null | wc -l)" \
