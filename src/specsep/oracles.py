@@ -14,9 +14,10 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, eigvalsh_lo as _eigvalsh_lo
+from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
 
-from .states import spectral_ratio, spectrum
+from .states import _integer, spectral_ratio, spectrum
 
 NPT_THRESHOLD = -1e-9
 
@@ -64,23 +65,39 @@ def ppt_min_eigenvalue(rho):
     return float(np.linalg.eigvalsh(_partial_transpose(rho.matrix, d_a, d_b)).min())
 
 
+def _lapack_failed(err, flag):
+    # QR flags only an illegal argument, which these shapes never give, so a
+    # flag comes from eigvalsh: numpy.linalg.eigvalsh's error
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# numpy.linalg's failure mapping for the LAPACK gufuncs called here directly:
+# each flags a failed routine as an invalid value, raised as LinAlgError.  It
+# decorates, as one errstate object cannot be entered twice at once.
+_lapack_errors = np.errstate(call=_lapack_failed, invalid="call")
+
+
 def _haar_batch(rng, dim, n):
-    # QR of a complex Gaussian matrix with the phase-corrected diagonal.  Q
-    # does not depend on the Gaussian's scale, so the draw is left unscaled.
-    z = rng.standard_normal((n, dim, dim, 2)).view(complex)[..., 0]
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    # QR of a complex Gaussian matrix with the phase-corrected diagonal, as
+    # np.linalg.qr computes it.  The draw is factored in place (R on and above
+    # its diagonal), and Q does not depend on its scale, so it is left unscaled.
+    a = rng.standard_normal((n, dim, dim, 2)).view(complex)[..., 0]
+    q = _qr_reduced(a, _qr_r_raw(a, signature="D->D"), signature="DD->D")
+    phases = np.diagonal(a, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases))[:, None, :]
 
 
+@_lapack_errors
 def haar_unitaries(dim, seed, n):
     """``n`` Haar-distributed unitaries as an (n, dim, dim) array.
 
     Deterministic per seed, and a batch of k is the prefix of a batch of
-    n >= k drawn from the same seed.
+    n >= k drawn from the same seed.  ``dim`` >= 1, ``seed`` >= 0 and
+    ``n`` >= 0 are integers, not bools.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    dim = _integer(dim, 1, "dimension")
+    seed = _integer(seed, 0, "seed")
+    n = _integer(n, 0, "n")
     return _haar_batch(np.random.default_rng(seed), dim, n)
 
 
@@ -89,6 +106,7 @@ def haar_unitary(dim, seed):
     return haar_unitaries(dim, seed, 1)[0]
 
 
+@_lapack_errors
 def as_falsify_search(s, dims, samples, seed):
     """Sample Haar unitaries and PPT-test each rotation of the spectrum.
 
@@ -110,13 +128,19 @@ def as_falsify_search(s, dims, samples, seed):
     one ``eigvalsh`` call per batch gives the argmin and the first hit.  It
     gives a matrix the same eigenvalues in any stack, so the result is the one
     an eigendecomposition of every sample gives, whatever the batch sizes.
+
+    QR, Cholesky and eigvalsh are numpy's LAPACK gufuncs, called directly
+    rather than through ``np.linalg``'s wrappers: each routine gets the input
+    the wrapper would give it, so every value is the same, and a LAPACK
+    failure still raises ``np.linalg.LinAlgError``.  ``samples`` >= 1 and
+    ``seed`` >= 0 are integers, not bools.
     """
     if dims != s.dims:
         raise ValueError("spectrum dims %r differ from search dims %r"
                          % (s.dims.locals, dims.locals))
     d_a, d_b = dims.bipartite()
-    if samples < 1:
-        raise ValueError("samples must be >= 1, got %d" % samples)
+    samples = _integer(samples, 1, "samples")
+    seed = _integer(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     sizes = itertools.chain(SEARCH_BATCHES, itertools.repeat(SEARCH_BATCHES[-1]))
     cap = max(1, SEARCH_BATCH_ENTRIES // dims.total ** 2)
@@ -136,7 +160,7 @@ def as_falsify_search(s, dims, samples, seed):
                 failed = np.isnan(_cholesky_lo(pt - shift, signature="D->D")[:, 0, 0])
             candidates = np.flatnonzero(failed)
         if candidates.size:
-            mins = np.linalg.eigvalsh(pt[candidates])[:, 0]
+            mins = _eigvalsh_lo(pt[candidates], signature="D->d")[:, 0]
             hits = np.flatnonzero(mins < NPT_THRESHOLD)
             if hits.size:
                 i = int(candidates[hits[0]])

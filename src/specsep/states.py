@@ -34,6 +34,21 @@ class InvalidStateError(ValueError):
     """A matrix or spectrum fails the density-matrix invariants."""
 
 
+def _integer(value, low, name):
+    """``value`` as an int >= ``low``, else ValueError: the library's one
+    integer rule.  ``operator.index`` refuses 2.5, "5" and NaN, and a bool,
+    which it reads as 0 or 1, is refused here."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+    if n < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, n))
+    return n
+
+
 @dataclass(frozen=True)
 class Dims:
     """Local dimensions d_1..d_N of a multipartite system."""
@@ -42,13 +57,10 @@ class Dims:
 
     def __post_init__(self):
         try:
-            # operator.index reads a bool as 0 or 1, so a bool is refused here
-            if any(isinstance(d, bool) for d in self.locals):
-                raise TypeError
-            locs = tuple(operator.index(d) for d in self.locals)
-        except TypeError:  # not a sequence of integers
+            locs = tuple(_integer(d, 1, "a local dimension") for d in self.locals)
+        except (TypeError, ValueError):  # not a sequence of positive integers
             locs = ()
-        if not locs or any(d < 1 for d in locs):
+        if not locs:
             raise ValueError("local dimensions must be positive integers, got %r"
                              % (self.locals,))
         object.__setattr__(self, "locals", locs)

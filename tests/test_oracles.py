@@ -181,6 +181,90 @@ def test_batched_cholesky_nan_fills_exactly_the_failures():
         assert np.abs(f @ f.conj().T - a).max() < 1e-12
 
 
+def _phase_fixed_qr(dim, seed, n):
+    """Haar unitaries as np.linalg.qr gives them: the seeded Gaussian draw of
+    the sampler, with R's diagonal phases moved into Q."""
+    z = np.random.default_rng(seed).standard_normal((n, dim, dim, 2)).view(complex)[..., 0]
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+def test_lapack_gufuncs_give_the_bytes_of_numpy_linalg():
+    # the sampler and the search call LAPACK's QR and eigvalsh gufuncs
+    # directly; a numpy whose gufuncs stopped matching np.linalg (another
+    # routine, layout or signature) would change every sample and result, or
+    # warn where np.linalg is silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in range(1, 13):
+            for n in (0, 1, 16, 83):
+                seed = 1000 * dim + n
+                u = haar_unitaries(dim, seed, n)
+                ref = _phase_fixed_qr(dim, seed, n)
+                assert (u.shape, u.dtype) == (ref.shape, ref.dtype) == ((n, dim, dim), complex)
+                assert u.tobytes() == ref.tobytes()
+        for local in [(2, 2), (2, 3), (3, 4), (4, 4)]:
+            dims = bipartite_dims(*local)
+            # ratio 1.5, inside every threshold here: no rotation is NPT
+            s = spectrum_from_values(np.linspace(1.5, 1.0, dims.total) / (1.25 * dims.total), dims)
+            u = haar_unitaries(dims.total, 5, 40)
+            pt = np.array([partial_transpose(DensityMatrix((v * s.values) @ v.conj().T, s))
+                           for v in u])[::3]  # a copied stack, as the search's pt[candidates]
+            eigs = oracles._eigvalsh_lo(pt, signature="D->d")
+            assert eigs.tobytes() == np.linalg.eigvalsh(pt).tobytes()
+        # a hit at index 131, a miss on the 4x4 spectrum above and a hit on the
+        # first sample
+        late_s, late_dims = _LATE_HIT
+        assert as_falsify_search(late_s, late_dims, samples=300, seed=2).unitary_index == 131
+        assert not as_falsify_search(s, dims, samples=300, seed=3).found
+        assert as_falsify_search(spectrum_from_values([1.0, 0, 0, 0], (2, 2)), late_dims,
+                                 samples=5, seed=0).found
+
+
+def test_a_lapack_failure_in_the_search_raises_linalgerror(monkeypatch):
+    # NaN rotations make eigvalsh fail: the search raises np.linalg.eigvalsh's
+    # own error, not a warning and a NaN minimum
+    dims = bipartite_dims(2, 2)
+    s = spectrum(maximally_mixed(dims))
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        np.linalg.eigvalsh(np.full((3, 4, 4), complex(math.nan)))
+    monkeypatch.setattr(oracles, "_haar_batch",
+                        lambda rng, dim, n: np.full((n, dim, dim), complex(math.nan)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            as_falsify_search(s, dims, samples=20, seed=0)
+
+
+def test_search_and_sampler_refuse_bools_and_non_integers():
+    # the Dims rule: samples=True used to run one sample and report
+    # samples_used=True, seed=True ran as seed 1, and 2.5 or "5" ended in a
+    # numpy or comparison TypeError
+    dims = bipartite_dims(2, 2)
+    s = spectrum(maximally_mixed(dims))
+    for bad in (True, False, 2.5, 3.0, "5", None, math.nan):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            as_falsify_search(s, dims, samples=bad, seed=0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            as_falsify_search(s, dims, samples=5, seed=bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            haar_unitaries(3, bad, 2)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            haar_unitaries(3, 0, bad)
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            haar_unitaries(bad, 0, 2)
+    for call in (lambda: as_falsify_search(s, dims, samples=5, seed=-1),
+                 lambda: haar_unitaries(3, -1, 2), lambda: haar_unitaries(3, 0, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            call()
+    # numpy integers are integers
+    assert (as_falsify_search(s, dims, samples=np.int64(5), seed=np.uint8(3))
+            == as_falsify_search(s, dims, samples=5, seed=3))
+    assert np.array_equal(haar_unitaries(np.int32(3), np.int64(4), np.uint16(2)),
+                          haar_unitaries(3, 4, 2))
+
+
 def test_search_memory_is_bounded_at_large_dimension():
     # 11x11: uncapped batches would hold several stacks of up to 41 MiB (169
     # MiB peak for 200 samples); capped ones hold about five stacks of 16 MiB
@@ -196,26 +280,38 @@ def test_search_memory_is_bounded_at_large_dimension():
     assert peak < 8 * 16 * oracles.SEARCH_BATCH_ENTRIES
 
 
+def _count_stacks(monkeypatch, name):
+    """Replace the oracle's gufunc binding ``name`` by one that records the
+    stack size of each call; returns that list."""
+    gufunc = getattr(oracles, name)
+    sizes = []
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return gufunc(a, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, name, counting)
+    return sizes
+
+
 def test_screen_skips_most_eigendecompositions(rng, monkeypatch):
     # a miss on 3x4 needs every sample's minimum; eigvalsh should see only
-    # the rotations that can lower it, at most once per batch (1, 16 and 239)
-    eigvalsh = np.linalg.eigvalsh
-    matrices = []
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        matrices.append(a.shape[0] if a.ndim == 3 else 1)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    # the rotations that can lower it, at most once per batch (1, 16 and 239).
+    # The search calls LAPACK through its own gufunc bindings, so those are
+    # what is counted.
+    qr_sizes = _count_stacks(monkeypatch, "_qr_r_raw")
+    eig_sizes = _count_stacks(monkeypatch, "_eigvalsh_lo")
     dims = bipartite_dims(3, 4)
     for k in range(5):
         weights = rng.uniform(1.0, 2.0, dims.total)
         s = spectrum_from_values(weights / weights.sum(), dims)
-        matrices.clear()
+        qr_sizes.clear()
+        eig_sizes.clear()
         result = as_falsify_search(s, dims, samples=256, seed=k)
         assert not result.found
-        assert len(matrices) <= 3
-        assert sum(matrices) < 128
+        assert qr_sizes == [1, 16, 239]
+        assert 1 <= len(eig_sizes) <= 3
+        assert sum(eig_sizes) < 128
 
 
 def _replayed_min(s, dims, seed, index):

@@ -1,19 +1,22 @@
-"""Write the files of 25 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Write the files of 28 fixed CLI commands into OUTDIR, for byte-identity checks.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 8 ``construct`` commands (state files) and 17 commands that write
+importable, 9 ``construct`` commands (state files) and 19 commands that write
 reports: ``classify`` x3, ``transform`` x5 (one onto a singular target, and
 one onto a target within 1.5e-6 of I/4, where a map that divides by a small
 number would amplify the target's rounding), ``witness`` x3 (one on 4 x 9, a
-36 x 36 matrix), ``bounds`` and ``falsify`` x5 (two misses, a hit on the first
-sample, a hit at index 16, the last rotation of the second batch, and a hit at
-index 131, deep in a batch most of whose rotations the orbit search screens
-out).  The files ``construct`` cannot write are written first from the literal
-text in STATE_FILES: the spectrum files that one ``classify`` and three
-``falsify`` read (unsorted, so loading sorts them) and that near-I/4 matrix.
-To compare two source trees, run it once against each and ``diff -r`` the two
+36 x 36 matrix), ``bounds`` and ``falsify`` x7 (three misses, a hit on the
+first sample, a hit at index 16, the last rotation of the second batch, a
+hit at index 131, deep in a batch most of whose rotations the orbit search
+screens out, and two long misses: 1000 samples on 3 x 4, six batches mostly
+screened out, and 300 samples of rho_tilde on 8 x 9, where the 2^20-entry cap
+cuts the third batch to 202 rotations).  The files ``construct`` cannot write
+are written first from the literal text in STATE_FILES: the spectrum files
+that one ``classify`` and four ``falsify`` read (unsorted, so loading sorts
+them) and that near-I/4 matrix.  So OUTDIR ends up holding 32 files.  To
+compare two source trees, run it once against each and ``diff -r`` the two
 output directories.  Then loads each ``construct`` file with ``load_state``
 and saves it again with ``save_state`` (into a temporary directory), checking
 save -> load -> save on real output; the literal STATE_FILES are left out, as
@@ -35,6 +38,9 @@ STATE_FILES = {
     "spec23.json": '{"dims":{"locals":[2,3]},"spectrum":[0.125,0.25,0.125,0.25,0.125,0.125]}\n',
     # lambda_1 = 0.4 > lambda_3 + 2 sqrt(lambda_2 lambda_4) = 0.3: NPT rotations exist
     "late22.json": '{"dims":{"locals":[2,2]},"spectrum":[0.3,0.4,0,0.3]}\n',
+    # ratio 0.1 / 0.06 < 2 = (d+1)/(d-1) at d = 3: every rotation is PPT
+    "spec34.json": '{"dims":{"locals":[3,4]},"spectrum":[0.08,0.1,0.06,0.095,0.065,0.1,'
+                   '0.07,0.085,0.1,0.075,0.09,0.08]}\n',
     # diag(1/4 + 1e-6 (1.5, -.5, -.5, -.5))
     "near_mm.json": '{"dims":{"locals":[2,2]},"matrix":[[[0.2500015,0],[0,0],[0,0],[0,0]],'
                     '[[0,0],[0.2499995,0],[0,0],[0,0]],[[0,0],[0,0],[0.2499995,0],[0,0]],'
@@ -51,6 +57,7 @@ COMMANDS = [
     ("phi22.json", ["construct", "phi_plus"]),
     ("mm3.json", ["construct", "maximally_mixed", "--d-a", "3", "--d-b", "3"]),
     ("mm2.json", ["construct", "maximally_mixed"]),
+    ("rt89.json", ["construct", "rho_tilde", "--d-a", "8", "--d-b", "9"]),
     ("c_rt.json", ["classify", "rt.json"]),
     ("c_phi.json", ["classify", "phi.json"]),
     ("c_spec.json", ["classify", "spec23.json"]),
@@ -70,6 +77,8 @@ COMMANDS = [
     ("f_spec.json", ["falsify", "spec23.json", "--samples", "200", "--seed", "7"]),
     ("f_late.json", ["falsify", "late22.json", "--samples", "500", "--seed", "2"]),
     ("f_late16.json", ["falsify", "late22.json", "--samples", "500", "--seed", "17"]),
+    ("f_spec34.json", ["falsify", "spec34.json", "--samples", "1000", "--seed", "5"]),
+    ("f_rt89.json", ["falsify", "rt89.json", "--samples", "300"]),
 ]
 
 
