@@ -32,22 +32,10 @@ from .states import (
 UNITALITY_TOL = 1e-9
 
 
-class SubPovmViolation(ValueError):
-    """The branch effects do not form a sub-POVM."""
-
-
-class NotUnital(ValueError):
-    """The map does not send the identity to a multiple of the identity."""
-
-
 class RatioTooSmall(ValueError):
-    """Input spectral ratio below the target's: the transformation is
-    impossible with nonzero probability."""
-
-
-class InputIsCAS(ValueError):
-    """Input ratio within the CAS threshold: no probabilistic unital channel
-    can extract entanglement from it."""
+    """No stochastic unital map reaches the target with nonzero probability:
+    the input's spectral ratio is below the target's (in ``entangle_from``,
+    within the CAS threshold, so below every entangled target's)."""
 
 
 @dataclass(frozen=True)
@@ -63,26 +51,26 @@ def make_map(dims, branches):
     """Validate the branch list and wrap it with its unitality factor."""
     dims = as_dims(dims)
     if not branches:
-        raise NotUnital("map has no branches")
+        raise ValueError("map has no branches")
     big_d = dims.total
     checked = []
     for effect, output in branches:
-        e = hermitian_part(effect, dims, SubPovmViolation)
+        e = hermitian_part(effect, dims)
         if float(np.linalg.eigvalsh(e).min()) < -PSD_TOL:
-            raise SubPovmViolation("effect has a negative eigenvalue")
+            raise ValueError("effect has a negative eigenvalue")
         if output.dims != dims:
-            raise SubPovmViolation("output dims %r differ from map dims %r"
-                                   % (output.dims.locals, dims.locals))
+            raise ValueError("output dims %r differ from map dims %r"
+                             % (output.dims.locals, dims.locals))
         checked.append((e, output))
     total = sum(e for e, _ in checked)
     if float(np.linalg.eigvalsh(total).max()) > 1.0 + PSD_TOL:
-        raise SubPovmViolation("sum of effects exceeds the identity")
+        raise ValueError("sum of effects exceeds the identity")
     image = sum(float(e.trace().real) * out.matrix for e, out in checked)
     q = float(image.trace().real) / big_d
     if q <= 0:
-        raise NotUnital("map annihilates the identity")
+        raise ValueError("map annihilates the identity")
     if np.abs(image - q * np.eye(big_d)).max() > UNITALITY_TOL:
-        raise NotUnital("image of the identity is not proportional to the identity")
+        raise ValueError("image of the identity is not proportional to the identity")
     return MeasurePrepareMap(dims=dims, branches=tuple(checked), unitality_factor=q)
 
 
@@ -184,16 +172,16 @@ def entangle_from(rho):
 
     Targets the identity-depleted family at t = d (R-1)/(R+1) (any interior
     t for singular inputs), whose partial transpose has the negative
-    eigenvalue (1-t)/(D-t).  Raises InputIsCAS when the ratio is within the
-    CAS threshold.
+    eigenvalue (1-t)/(D-t).  Raises RatioTooSmall when the ratio is within the
+    CAS threshold, which no entangled target meets.
     """
     d_a, d_b = rho.dims.bipartite()
     d = min(d_a, d_b)
     cas = ratio_criterion(spectrum(rho))
     ratio = cas.computed["ratio"]
     if cas.detected:
-        raise InputIsCAS("spectral ratio %.12g within CAS threshold %.12g"
-                         % (ratio, cas.computed["threshold"]))
+        raise RatioTooSmall("spectral ratio %.12g within CAS threshold %.12g"
+                            % (ratio, cas.computed["threshold"]))
     t = d * (ratio - 1.0) / (ratio + 1.0) if math.isfinite(ratio) else (1.0 + d) / 2.0
     target = make_omega_t(d_a, d_b, t)
     return construct_transformation(rho, target), target
@@ -206,7 +194,7 @@ def complete_to_deterministic(m):
     """
     q = m.unitality_factor
     if q > 1.0 + PSD_TOL:
-        raise NotUnital("unitality factor %.17g exceeds 1; cannot complete" % q)
+        raise ValueError("unitality factor %.17g exceeds 1; cannot complete" % q)
     big_d = m.dims.total
     e_fail = np.eye(big_d, dtype=complex) - sum(e for e, _ in m.branches)
     # Clamp tiny negative remainders from sub-POVM slack.

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: classify, construct, transform, witness, bounds, falsify.
-Exit codes: 0 = ran (verdicts carry the science), 2 = invalid input,
-3 = a construction precondition was violated.  Each command returns its
+Exit codes: 0 = ran (verdicts carry the science), 2 = invalid input (the
+library raises ValueError), 3 = an infeasible transformation (it raises
+``channels.RatioTooSmall``, a ValueError).  Each command returns its
 report, which ``main`` writes to ``--output``; construct writes its state
 file itself and returns None.
 """
@@ -47,8 +48,7 @@ def _build_parsers():
                    help="also tabulate the named reference states at these dims")
 
     p = sub.add_parser("construct", parents=[parent], help="build a named state")
-    p.add_argument("name", choices=["maximally_mixed", "seed_state", "werner",
-                                    "phi_plus", "omega_t", "rho_tilde"])
+    p.add_argument("name", choices=states.NAMED_STATES)
     p.add_argument("--d-a", type=int, default=2)
     p.add_argument("--d-b", type=int, default=2)
     p.add_argument("--t", type=float, default=None)
@@ -287,7 +287,7 @@ def main(argv=None):
         if report is not None and args.output:
             fileio.save_report(args.output, report)
         return EXIT_OK
-    except (channels.RatioTooSmall, channels.InputIsCAS) as exc:
+    except channels.RatioTooSmall as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
     except ValueError as exc:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .states import InvalidStateError, Spectrum, as_dims, density_matrix, spectrum_from_values
+from .states import Spectrum, as_dims, density_matrix, spectrum_from_values
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -123,34 +123,34 @@ def _json_numbers(data, ndim):
 
 def load_state(path):
     """Parse a state file into a DensityMatrix (matrix file) or a Spectrum
-    (spectrum file).  Raises InvalidStateError on malformed content or
-    invariant violations.
+    (spectrum file).  Raises ValueError on malformed content or invariant
+    violations.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
     except (OSError, ValueError, RecursionError) as exc:
-        raise InvalidStateError("cannot parse state file %s: %s" % (path, exc))
+        raise ValueError("cannot parse state file %s: %s" % (path, exc))
     try:
         dims = as_dims(payload["dims"]["locals"])
     except (KeyError, TypeError, ValueError):
-        raise InvalidStateError("state file lacks a valid dims.locals entry")
+        raise ValueError("state file lacks a valid dims.locals entry")
     has_matrix = "matrix" in payload
     has_spectrum = "spectrum" in payload
     if has_matrix == has_spectrum:
-        raise InvalidStateError("state file must contain exactly one of matrix/spectrum")
+        raise ValueError("state file must contain exactly one of matrix/spectrum")
     if has_matrix:
         try:
             a = _json_numbers(payload["matrix"], 3)
             if a.shape[2] != 2:
                 raise TypeError
         except (TypeError, ValueError, OverflowError):
-            raise InvalidStateError("matrix entries must be (re, im) pairs of numbers")
+            raise ValueError("matrix entries must be (re, im) pairs of numbers")
         return density_matrix(a.view(complex)[..., 0], dims)
     try:
         vals = _json_numbers(payload["spectrum"], 1)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidStateError("spectrum entries must be real numbers")
+        raise ValueError("spectrum entries must be real numbers")
     return spectrum_from_values(vals, dims)
 
 

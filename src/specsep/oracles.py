@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,8 +220,9 @@ def thm2_violation_value(values, d_a, d_bprime):
     Computed analytically from the spectra, never materializing the
     extended matrix.
     """
+    d_a, d_bprime = _integer(d_a, 1, "d_a"), _integer(d_bprime, 1, "d_bprime")
     needed = d_a * (d_a + 1) // 2
-    if operator.index(d_bprime) < needed:
+    if d_bprime < needed:
         raise ValueError("d_bprime must be >= d_A(d_A+1)/2 = %d" % needed)
     extended = np.repeat(values, d_bprime, axis=-1) / d_bprime
     return rearrangement_min(

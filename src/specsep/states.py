@@ -30,10 +30,6 @@ TRACE_TOL = 1e-10
 EIG_CLAMP = 1e-12
 
 
-class InvalidStateError(ValueError):
-    """A matrix or spectrum fails the density-matrix invariants."""
-
-
 def _integer(value, low, name):
     """``value`` as an int >= ``low``, else ValueError: the library's one
     integer rule.  ``operator.index`` refuses 2.5, "5" and NaN, and a bool,
@@ -122,40 +118,40 @@ class DensityMatrix:
         return self.spectrum.dims
 
 
-def hermitian_part(m, dims, error):
+def hermitian_part(m, dims):
     """(m + m^dagger) / 2 for a finite (D, D) matrix over ``dims`` (a Dims).
 
-    Raises ``error`` on a wrong shape, a non-finite entry, or a Hermiticity
+    Raises ValueError on a wrong shape, a non-finite entry, or a Hermiticity
     residual above HERMITICITY_TOL relative to the largest entry of ``m`` (or
     to 1, whichever is larger).
     """
     m = np.asarray(m, dtype=complex)
     d = dims.total
     if m.shape != (d, d):
-        raise error("matrix shape %r does not match dims %r (total %d)"
-                    % (m.shape, dims.locals, d))
+        raise ValueError("matrix shape %r does not match dims %r (total %d)"
+                         % (m.shape, dims.locals, d))
     # every check and sum runs on m / 2, where no modulus or sum of two overflows;
     # halving is exact for parts of magnitude >= 2^-1021, and it is done on the
     # floats, since complex * 0.5 turns some -0.0 parts into +0.0
     half = (np.ascontiguousarray(m).view(float) * 0.5).view(complex)
     scale = np.abs(half).max()  # finite unless an entry is
     if not math.isfinite(scale):
-        raise error("matrix has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     adjoint = half.conj().T
     residual = np.abs(half - adjoint).max()
     if residual > HERMITICITY_TOL * max(scale, 0.5):
-        raise error("matrix is not Hermitian (residual %.3e)" % (2 * float(residual)))
+        raise ValueError("matrix is not Hermitian (residual %.3e)" % (2 * float(residual)))
     return half + adjoint
 
 
 def density_matrix(matrix, dims):
     """Validate ``matrix`` against the density-matrix invariants and wrap it.
 
-    Raises InvalidStateError on a matrix that ``hermitian_part`` refuses or
-    whose eigenvalues ``spectrum_from_values`` refuses.
+    Raises ValueError on a matrix that ``hermitian_part`` refuses or whose
+    eigenvalues ``spectrum_from_values`` refuses.
     """
     dims = as_dims(dims)
-    m = hermitian_part(matrix, dims, InvalidStateError)
+    m = hermitian_part(matrix, dims)
     s = spectrum_from_values(np.linalg.eigvalsh(m), dims)
     return DensityMatrix(matrix=m, spectrum=s)
 
@@ -170,22 +166,20 @@ def spectrum_from_values(values, dims):
     v = np.asarray(values, dtype=float)
     dims = as_dims(dims)
     if len(v) != dims.total:
-        raise InvalidStateError(
-            "spectrum has %d values, dims %r require %d" % (len(v), dims.locals, dims.total)
-        )
+        raise ValueError("spectrum has %d values, dims %r require %d"
+                         % (len(v), dims.locals, dims.total))
     ascending = np.sort(v)  # -inf first, +inf and nan last
     low = ascending[0]
     if not (math.isfinite(low) and math.isfinite(ascending[-1])):
-        raise InvalidStateError("spectrum has non-finite values")
+        raise ValueError("spectrum has non-finite values")
     if low < -PSD_TOL:
-        raise InvalidStateError("state is not PSD (eigenvalue %.3e below -%.3g)"
-                                % (low, PSD_TOL))
+        raise ValueError("state is not PSD (eigenvalue %.3e below -%.3g)" % (low, PSD_TOL))
     # in the given order, which the message's digits show; a sum that overflows
     # is inf, which fails the trace check below
     with np.errstate(over="ignore"):
         total = v.sum()
     if abs(total - 1.0) > TRACE_TOL:
-        raise InvalidStateError("trace is %.17g, expected 1" % total)
+        raise ValueError("trace is %.17g, expected 1" % total)
     return Spectrum(values=_clamped_descending(ascending), dims=dims)
 
 
@@ -269,13 +263,14 @@ def maximally_mixed(dims):
     return density_matrix(np.eye(dims.total, dtype=complex) / dims.total, dims)
 
 
-def make_named_state(name, d_a=2, d_b=2, t=None):
-    """Construct one of the named reference states.
+NAMED_STATES = ("maximally_mixed", "seed_state", "werner", "phi_plus", "omega_t", "rho_tilde")
 
-    Names: ``maximally_mixed``, ``seed_state``, ``werner``, ``phi_plus``,
-    ``omega_t``, ``rho_tilde``.  ``seed_state`` and ``werner`` exist only
-    at 2 x 2, and only ``omega_t`` takes (and requires) ``t``; anything
-    else is refused rather than ignored.
+
+def make_named_state(name, d_a=2, d_b=2, t=None):
+    """Construct one of the named reference states, NAMED_STATES.
+
+    ``seed_state`` and ``werner`` exist only at 2 x 2, and only ``omega_t``
+    takes (and requires) ``t``; anything else is refused rather than ignored.
     """
     if t is not None and name != "omega_t":
         raise ValueError("%s takes no parameter t" % name)

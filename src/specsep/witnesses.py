@@ -10,6 +10,7 @@ import numpy as np
 
 from .states import (
     Dims,
+    _integer,
     as_dims,
     hermitian_part,
     partial_transpose,
@@ -51,7 +52,7 @@ class Witness:
 def make_witness(matrix, dims):
     dims = as_dims(dims)
     dims.bipartite()
-    m = hermitian_part(matrix, dims, ValueError)
+    m = hermitian_part(matrix, dims)
     return Witness(dims=dims, matrix=m)
 
 
@@ -205,8 +206,7 @@ def seesaw_minimize(w, starts, iters):
     scales the values back, so every scale rounds alike.  Raises ValueError on
     a start row that is not finite.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    iters = _integer(iters, 1, "iters")
     d_a, d_b = w.dims.bipartite()
     b = np.asarray(starts, dtype=complex)
     if b.ndim != 2 or b.shape[1] != d_b:
@@ -277,8 +277,7 @@ def min_product_expectation(w, restarts=32, iters=100, seed=0):
     but can lie above the rule-free minimum where a merged or pruned start
     would have escaped to a lower basin.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    restarts = _integer(restarts, 1, "restarts")
     _, d_b = w.dims.bipartite()
     starts = np.random.default_rng(seed).standard_normal((restarts, d_b, 2)).view(complex)[..., 0]
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)

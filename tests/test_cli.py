@@ -18,6 +18,7 @@ from specsep.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, MAX_TOTAL_DIM,
 from specsep.criteria import gibbs_threshold
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
 from specsep.states import (
+    NAMED_STATES,
     DensityMatrix,
     density_matrix,
     make_named_state,
@@ -49,6 +50,15 @@ def test_construct_omega_t_requires_valid_t(tmp_path):
     rho = load_state(out)
     assert np.allclose(rho.matrix, make_omega_t(2, 2, 1.2).matrix, atol=1e-15)
     assert main(["construct", "omega_t", "--t", "2.5", "--output", out]) == EXIT_INVALID
+
+
+def test_construct_takes_exactly_the_named_states(tmp_path):
+    (name_arg,) = [a for a in cli._SUBPARSERS["construct"]._actions if a.dest == "name"]
+    assert name_arg.choices is NAMED_STATES
+    options = {"seed_state": [], "werner": [], "omega_t": ["--t", "1.5"]}
+    for name in NAMED_STATES:
+        argv = ["construct", name, "--output", str(tmp_path / "s.json")]
+        assert main(argv + options.get(name, ["--d-b", "3"])) == EXIT_OK, name
 
 
 def test_construct_rho_tilde_needs_unequal_dims(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from specsep import __version__
 from specsep.cli import EXIT_INVALID, EXIT_OK, main
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
-from specsep.states import InvalidStateError, density_matrix, spectrum_from_values
+from specsep.states import density_matrix, spectrum_from_values
 
 LOCALS = st.sampled_from([(2,), (1, 2), (2, 2), (2, 3), (3, 3), (2, 2, 2)])
 BIPARTITE = st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
@@ -149,7 +149,9 @@ def test_near_psd_files_get_one_verdict_and_run(files):
             Path(path).write_text(dumps(payload))
             try:
                 load_state(path)
-            except InvalidStateError:
+            except ValueError as exc:
+                if "not PSD" not in str(exc) and "trace is" not in str(exc):
+                    raise
                 accepted.append(False)
                 continue
             accepted.append(True)
@@ -231,7 +233,7 @@ def test_bool_local_dimensions_are_refused(tmp_path, locals_, big_d):
     path = tmp_path / "s.json"
     path.write_text('{"dims":{"locals":%s},"spectrum":[%s]}'
                     % (locals_, ",".join(["%r" % (1.0 / big_d)] * big_d)))
-    with pytest.raises(InvalidStateError, match="dims.locals"):
+    with pytest.raises(ValueError, match="^state file lacks a valid dims.locals entry$"):
         load_state(path)
     code, err = _run(["classify", str(path)])
     assert code == EXIT_INVALID
@@ -242,7 +244,7 @@ def test_matrix_entries_of_three_numbers_are_refused(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(dumps({"dims": {"locals": [2, 2]},
                            "matrix": [[[v, 0.0, 0.0] for v in row] for row in np.eye(4) / 4]}))
-    with pytest.raises(InvalidStateError, match=r"matrix entries must be \(re, im\) pairs"):
+    with pytest.raises(ValueError, match=r"^matrix entries must be \(re, im\) pairs of numbers$"):
         load_state(path)
     assert _run(["classify", str(path)]) == (
         EXIT_INVALID, "error: matrix entries must be (re, im) pairs of numbers\n")

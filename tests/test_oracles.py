@@ -496,11 +496,20 @@ def test_thm2_violation_examples():
     assert thm2_violation_value(boundary.values, 2, 3) == pytest.approx(0.0, abs=1e-12)
     mixed = spectrum_from_values([0.25] * 4, (2, 2))
     assert thm2_violation_value(mixed.values, 2, 3) > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^d_bprime must be >= d_A\(d_A\+1\)/2 = 3$"):
         thm2_violation_value(s.values, 2, 2)  # ancilla below d_A(d_A+1)/2
-    for d_bprime in (3.5, 3.0, math.nan):  # 3.5 repeated 3 times but divided by 3.5
-        with pytest.raises(TypeError):
+    # 3.5 would be repeated 3 times but divided by 3.5, and True read as 1
+    for d_bprime in (3.5, 3.0, np.float64(3.0), math.nan, True):
+        with pytest.raises(ValueError, match="^d_bprime must be an integer, got "):
             thm2_violation_value(s.values, 2, d_bprime)
+    # at d_A = 1 one ancilla level suffices, so True was once accepted as 1
+    with pytest.raises(ValueError, match="^d_bprime must be an integer, got True$"):
+        thm2_violation_value(s.values, 1, True)
+    # d_A once reached np.full (TypeError) or a division by zero
+    for d_a, message in ((True, "an integer, got True"), (2.5, r"an integer, got 2\.5"),
+                         (0, ">= 1, got 0")):
+        with pytest.raises(ValueError, match="^d_a must be %s$" % message):
+            thm2_violation_value(s.values, d_a, 3)
 
 
 def test_thm2_negative_iff_ratio_exceeds_threshold(rng):

@@ -11,7 +11,6 @@ from specsep.fileio import load_state, save_state
 from specsep.oracles import haar_unitaries, haar_unitary
 from specsep.states import (
     Dims,
-    InvalidStateError,
     as_dims,
     attach_mixed_ancilla,
     bipartite_dims,
@@ -55,7 +54,7 @@ def test_spectrum_rho_tilde():
 
 def test_spectrum_rejects_non_hermitian():
     m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(residual 2\.500e-01\)$"):
         density_matrix(np.kron(m, np.eye(2) / 2), (2, 2))
 
 
@@ -154,7 +153,7 @@ def test_named_state_parameter_ranges():
         make_omega_t(2, 2, -0.1)
     with pytest.raises(ValueError):
         make_rho_tilde(3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown state name 'no_such_state'$"):
         make_named_state("no_such_state")
 
 
@@ -271,12 +270,13 @@ def test_purity_multiplicative(rng):
 
 
 def test_validation_rejects_bad_trace_and_negativity():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(ValueError, match="^trace is 2, expected 1$"):
         density_matrix(np.eye(4) / 2, (2, 2))
     m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
-    with pytest.raises(InvalidStateError):
+    not_psd = r"^state is not PSD \(eigenvalue -1\.000e-01 below -1e-10\)$"
+    with pytest.raises(ValueError, match=not_psd):
         density_matrix(m, (2, 2))
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(ValueError, match=not_psd):
         spectrum_from_values([0.5, 0.6, -0.1, 0.0], (2, 2))
 
 
@@ -314,11 +314,11 @@ def test_bipartite_refuses_a_local_dimension_of_one(locals_):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_validation_rejects_non_finite(bad):
-    with pytest.raises(InvalidStateError, match="non-finite"):
+    with pytest.raises(ValueError, match="^spectrum has non-finite values$"):
         spectrum_from_values([bad, 0.5, 0.5, 0.0], (2, 2))
     m = np.eye(4, dtype=complex) / 4
     m[0, 0] = bad
-    with pytest.raises(InvalidStateError, match="non-finite"):
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
         density_matrix(m, (2, 2))
 
 
@@ -327,12 +327,12 @@ def test_validation_rejects_non_finite(bad):
 def test_validation_finds_non_finite_anywhere(bad, where):
     vals = [0.25] * 4
     vals[where] = bad
-    with pytest.raises(InvalidStateError, match="spectrum has non-finite values"):
+    with pytest.raises(ValueError, match="^spectrum has non-finite values$"):
         spectrum_from_values(vals, (2, 2))
     for entry in (complex(bad, 0.0), complex(0.0, bad), complex(bad, bad)):
         m = np.eye(4, dtype=complex) / 4
         m[where, 3 - where] = entry
-        with pytest.raises(InvalidStateError, match="matrix has non-finite entries"):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
             density_matrix(m, (2, 2))
 
 
@@ -344,9 +344,9 @@ def test_noise_negatives_clamp_in_both_forms():
     rho = density_matrix(np.diag(vals).astype(complex), (2, 2))
     assert spectrum(rho).values[-1] == 0.0
     for bad in ([0.4, 0.3, 0.3 + 2e-10, -2e-10], [0.4, 0.3, 0.3 + 5e-9, -5e-9]):
-        with pytest.raises(InvalidStateError, match="not PSD"):
+        with pytest.raises(ValueError, match=r"^state is not PSD \(eigenvalue "):
             spectrum_from_values(bad, (2, 2))
-        with pytest.raises(InvalidStateError, match="not PSD"):
+        with pytest.raises(ValueError, match=r"^state is not PSD \(eigenvalue "):
             density_matrix(np.diag(bad).astype(complex), (2, 2))
 
 
@@ -360,7 +360,8 @@ def test_spectrum_does_not_validate_again():
 
 @pytest.mark.parametrize("shape", [(4,), (3, 3), (4, 5)])
 def test_validation_rejects_wrong_shapes(shape):
-    with pytest.raises(InvalidStateError, match="does not match dims"):
+    with pytest.raises(ValueError,
+                       match=r"^matrix shape \(.*\) does not match dims \(2, 2\) \(total 4\)$"):
         density_matrix(np.zeros(shape), (2, 2))
 
 
@@ -384,8 +385,8 @@ def signed_zero_hermitian(draw):
 @given(m=signed_zero_hermitian())
 def test_hermitian_part_is_bitwise_idempotent(m):
     dims = as_dims((len(m),))
-    once = hermitian_part(m, dims, InvalidStateError)
-    assert hermitian_part(once, dims, InvalidStateError).tobytes() == once.tobytes()
+    once = hermitian_part(m, dims)
+    assert hermitian_part(once, dims).tobytes() == once.tobytes()
 
 
 @st.composite
@@ -407,8 +408,10 @@ def unit_hermitian_and_shift(draw):
 
 def _hermitian_part_or_refusal(m):
     try:
-        return hermitian_part(m, as_dims((len(m),)), InvalidStateError)
-    except InvalidStateError:
+        return hermitian_part(m, as_dims((len(m),)))
+    except ValueError as exc:
+        if "not Hermitian" not in str(exc) and "non-finite" not in str(exc):
+            raise
         return None
 
 

@@ -693,12 +693,13 @@ def test_qubit_sides_call_no_eigh(monkeypatch, rng):
 
 def test_seesaw_refuses_non_integer_counts():
     w = make_ppt_witness(bipartite_dims(2, 2))
-    with pytest.raises(TypeError):
-        min_product_expectation(w, restarts=2.5)
-    with pytest.raises(TypeError):
-        min_product_expectation(w, iters=2.5)
-    with pytest.raises(TypeError):
-        seesaw_minimize(w, np.eye(2, dtype=complex), 2.5)
+    for bad in (2.5, np.float64(3.0), True):
+        with pytest.raises(ValueError, match="^restarts must be an integer, got "):
+            min_product_expectation(w, restarts=bad)
+        with pytest.raises(ValueError, match="^iters must be an integer, got "):
+            min_product_expectation(w, iters=bad)
+        with pytest.raises(ValueError, match="^iters must be an integer, got "):
+            seesaw_minimize(w, np.eye(2, dtype=complex), bad)
 
 
 def test_evaluate_linear_in_state(rng):

@@ -8,8 +8,12 @@
 # into a temporary directory and require `diff -r` to find no difference; then,
 # under each tree, run the three demos and `classify --compare-criteria` on
 # rt.json, werner.json and mm3.json of those files, and require `diff` to find
-# the two trees' stdout identical.  In the tier-1 suite, the demos and the
-# report runs a numpy RuntimeWarning (overflow, invalid value) is an error.
+# the two trees' stdout identical.  Last, under each tree, run the failing
+# commands in FAILING (bad state files written from literal text, an
+# infeasible transform, refused options) and require each to exit non-zero
+# with the same exit code and stderr under both trees.  In the tier-1 suite,
+# the demos and the report runs a numpy RuntimeWarning (overflow, invalid
+# value) is an error.
 # Ends by printing the line count of src/ and then of each src/specsep/*.py,
 # after the parent's (`src/ lines: 1771 -> 1750`, `  criteria.py: 194 -> 185`)
 # when a parent is given; a module missing from one tree counts 0 lines there.
@@ -28,6 +32,17 @@ if [ $# -eq 1 ]; then
 fi
 cd "$(dirname "$0")/.."
 src="$(pwd)/src"
+# argvs run from a tree's report directory; ../bad holds the literal files below
+FAILING="classify ../bad/unparsable.json
+classify ../bad/not_psd.json
+classify ../bad/bad_trace.json
+classify ../bad/not_hermitian.json
+classify ../bad/wrong_shape.json
+transform mm2.json werner.json
+construct werner --d-a 3
+falsify mm2.json --seed -1
+witness ppt --d-a 32 --d-b 33
+bounds"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
@@ -74,6 +89,29 @@ if [ -n "$parent" ]; then
     diff "$out/parent.stdout" "$out/change.stdout"
     echo "stdout: demos and classify --compare-criteria identical" \
          "($(wc -l < "$out/change.stdout") lines)"
+    mkdir "$out/bad"
+    printf '{"dims":{"locals":[2,2]},"spectrum":[0.25,' > "$out/bad/unparsable.json"
+    echo '{"dims":{"locals":[2,2]},"spectrum":[0.6,0.5,0.0,-0.1]}' > "$out/bad/not_psd.json"
+    echo '{"dims":{"locals":[2,2]},"spectrum":[0.5,0.5,0.5,0.5]}' > "$out/bad/bad_trace.json"
+    echo '{"dims":{"locals":[2]},"matrix":[[[0.5,0],[0.5,0]],[[0,0],[0.5,0]]]}' \
+        > "$out/bad/not_hermitian.json"
+    echo '{"dims":{"locals":[2,2]},"matrix":[[[1,0]]]}' > "$out/bad/wrong_shape.json"
+    for tree in parent change; do
+        if [ "$tree" = parent ]; then path="$parent"; else path="$src"; fi
+        echo "$FAILING" | while read -r argv; do
+            code=0
+            # word splitting of $argv is intended: no argument holds a space
+            (cd "$out/$tree" && PYTHONPATH="$path" python3 -W error::RuntimeWarning \
+                -m specsep.cli $argv > /dev/null 2>> "$out/$tree.failing") || code=$?
+            echo "$argv: exit $code" >> "$out/$tree.failing"
+        done
+    done
+    if grep ": exit 0$" "$out/change.failing"; then
+        echo "failing commands: the commands above exited 0" >&2
+        exit 1
+    fi
+    diff "$out/parent.failing" "$out/change.failing"
+    echo "failing commands: $(echo "$FAILING" | wc -l) exit codes and stderr identical"
     echo "src/ lines: $(cat "$parent"/specsep/*.py | wc -l) -> $(cat "$src"/specsep/*.py | wc -l)"
     for module in $( (cd "$parent/specsep" && ls *.py; cd "$src/specsep" && ls *.py) | sort -u); do
         echo "  $module: $(cat "$parent/specsep/$module" 2>/dev/null | wc -l)" \
