@@ -25,6 +25,7 @@ from .states import (
     make_omega_t,
     maximally_mixed,
     ratio_at_least,
+    same_dims,
     spectral_ratio,
     spectrum,
 )
@@ -58,9 +59,7 @@ def make_map(dims, branches):
         e = hermitian_part(effect, dims)
         if float(np.linalg.eigvalsh(e).min()) < -PSD_TOL:
             raise ValueError("effect has a negative eigenvalue")
-        if output.dims != dims:
-            raise ValueError("output dims %r differ from map dims %r"
-                             % (output.dims.locals, dims.locals))
+        same_dims(output.dims, dims, "output", "map")
         checked.append((e, output))
     total = sum(e for e, _ in checked)
     if float(np.linalg.eigvalsh(total).max()) > 1.0 + PSD_TOL:
@@ -84,15 +83,12 @@ def apply_to_operator(m, x):
 
 
 def apply_map(m, rho):
-    """Apply to a state: returns (unnormalized output, success probability)."""
-    if m.dims != rho.dims:
-        raise ValueError("map dims %r do not match state dims %r"
-                         % (m.dims.locals, rho.dims.locals))
+    """Apply to a state: returns (unnormalized output, success probability),
+    the latter unchecked: in [0, 1] up to the tolerances at which ``make_map``
+    and ``density_matrix`` admitted the operands, a noise negative clamped to 0."""
+    same_dims(m.dims, rho.dims, "map", "state")
     out = apply_to_operator(m, rho.matrix)
-    prob = float(out.trace().real)
-    if not (-PSD_TOL <= prob <= 1.0 + PSD_TOL):
-        raise ValueError("success probability %.17g outside [0, 1]" % prob)
-    return out, max(prob, 0.0)
+    return out, max(float(out.trace().real), 0.0)
 
 
 def normalized_output(m, rho):
@@ -137,9 +133,7 @@ def construct_transformation(rho, sigma):
     where ``make_sec_c_example`` has (2/9)(I - |11><11|).
     A maximally mixed target yields the depolarizing channel.
     """
-    if rho.dims != sigma.dims:
-        raise ValueError("input dims %r and target dims %r differ"
-                         % (rho.dims.locals, sigma.dims.locals))
+    same_dims(rho.dims, sigma.dims, "input", "target")
     big_d = rho.dims.total
     eye = np.eye(big_d, dtype=complex)
 
@@ -190,11 +184,10 @@ def entangle_from(rho):
 def complete_to_deterministic(m):
     """Append the failure branch (identity remainder -> maximally mixed).
 
-    The completed instrument is trace preserving and unital (q = 1).
+    The completed instrument is trace preserving and unital (q = 1).  Every
+    ``make_map`` map can be completed: its q = tr(sum E) / D is at most
+    lambda_max(sum E) <= 1 + PSD_TOL.
     """
-    q = m.unitality_factor
-    if q > 1.0 + PSD_TOL:
-        raise ValueError("unitality factor %.17g exceeds 1; cannot complete" % q)
     big_d = m.dims.total
     e_fail = np.eye(big_d, dtype=complex) - sum(e for e, _ in m.branches)
     # Clamp tiny negative remainders from sub-POVM slack.

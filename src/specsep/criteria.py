@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .states import is_singular, purity, spectral_ratio
+from .states import purity, spectral_ratio
 
 BOUNDARY_TOL = 1e-12
 
@@ -40,12 +40,10 @@ def ratio_criterion(s):
     """
     d = min(s.dims.bipartite())
     threshold = (d + 1) / (d - 1)
-    if is_singular(s):
-        return CriterionVerdict("ratio_cas", False, {"ratio": math.inf, "threshold": threshold},
-                                "singular spectrum: CAS states are full rank")
-    ratio = spectral_ratio(s)
+    ratio = spectral_ratio(s)  # +inf, never detected, for a singular spectrum
+    singular = "singular spectrum: CAS states are full rank" if math.isinf(ratio) else ""
     return CriterionVerdict("ratio_cas", ratio <= threshold + BOUNDARY_TOL,
-                            {"ratio": ratio, "threshold": threshold})
+                            {"ratio": ratio, "threshold": threshold}, singular)
 
 
 def purity_ball(s):

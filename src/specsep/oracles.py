@@ -16,7 +16,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, eigvalsh_lo as _eigvalsh_lo
 from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
 
-from .states import _integer, spectral_ratio, spectrum
+from .states import _integer, same_dims, spectral_ratio, spectrum
 
 NPT_THRESHOLD = -1e-9
 
@@ -134,9 +134,7 @@ def as_falsify_search(s, dims, samples, seed):
     failure still raises ``np.linalg.LinAlgError``.  ``samples`` >= 1 and
     ``seed`` >= 0 are integers, not bools.
     """
-    if dims != s.dims:
-        raise ValueError("spectrum dims %r differ from search dims %r"
-                         % (s.dims.locals, dims.locals))
+    same_dims(s.dims, dims, "spectrum", "search")
     d_a, d_b = dims.bipartite()
     samples = _integer(samples, 1, "samples")
     seed = _integer(seed, 0, "seed")
@@ -200,7 +198,7 @@ def pure_state_pt_spectrum(p, ambient):
         raise ValueError("Schmidt weights must be nonnegative and sum to 1")
     p = np.clip(p, 0.0, None)
     d = p.shape[-1]
-    if ambient < d * d:
+    if _integer(ambient, 1, "ambient dimension") < d * d:
         raise ValueError("ambient dimension must be at least len(p)^2")
     i, j = np.triu_indices(d, 1)
     root = np.sqrt(p[..., i] * p[..., j])

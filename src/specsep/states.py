@@ -22,7 +22,7 @@ import numpy as np
 # enters the library, by one code path: shape, finiteness and Hermiticity in
 # ``hermitian_part`` (at half scale), PSD and trace in ``spectrum_from_values``.
 # Eigenvalues in [-PSD_TOL, 0) are numerical noise and clamped to zero, and
-# ``channels`` allows the same noise in I - sum E and in probabilities.
+# ``channels`` allows the same noise in I - sum E.
 # EIG_CLAMP only marks a state as singular (smallest eigenvalue at or below it).
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -88,6 +88,13 @@ def as_dims(dims):
 def bipartite_dims(d_a, d_b):
     """Dims for a two-party system; both local dimensions must be >= 2."""
     return Dims(_bipartite((d_a, d_b)))
+
+
+def same_dims(a, b, a_name, b_name):
+    """The one rule for two operands' dims: ValueError unless Dims a == b."""
+    if a != b:
+        raise ValueError("%s dims %r differ from %s dims %r"
+                         % (a_name, a.locals, b_name, b.locals))
 
 
 @dataclass(frozen=True)

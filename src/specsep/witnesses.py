@@ -16,6 +16,7 @@ from .states import (
     partial_transpose,
     phi_plus_pt,
     rho_tilde_blocks,
+    same_dims,
 )
 
 # A see-saw start stops once its objective falls by less than this fraction of
@@ -57,14 +58,10 @@ def make_witness(matrix, dims):
 
 
 def evaluate(w, rho):
-    """Tr(W rho).  Dims must match; the imaginary residue is checked relative to max(1, max|W|)."""
-    if w.dims.locals != rho.dims.locals:
-        raise ValueError("witness dims %r do not match state dims %r"
-                         % (w.dims.locals, rho.dims.locals))
-    val = np.trace(w.matrix @ rho.matrix)
-    if abs(val.imag) > 1e-10 * max(1.0, np.abs(w.matrix).max()):  # rounding, W and rho Hermitian
-        raise ValueError("expectation has imaginary residue %.3e" % val.imag)
-    return float(val.real)
+    """Tr(W rho), real: ``make_witness`` and ``density_matrix`` make both
+    operands Hermitian, so an imaginary part is rounding.  Dims must match."""
+    same_dims(w.dims, rho.dims, "witness", "state")
+    return float(np.trace(w.matrix @ rho.matrix).real)
 
 
 def make_ppt_witness(dims):
@@ -278,6 +275,7 @@ def min_product_expectation(w, restarts=32, iters=100, seed=0):
     would have escaped to a lower basin.
     """
     restarts = _integer(restarts, 1, "restarts")
+    seed = _integer(seed, 0, "seed")
     _, d_b = w.dims.bipartite()
     starts = np.random.default_rng(seed).standard_normal((restarts, d_b, 2)).view(complex)[..., 0]
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from specsep.channels import (
-    MeasurePrepareMap,
     RatioTooSmall,
     apply_map,
     apply_to_operator,
@@ -372,9 +371,6 @@ def test_complete_already_deterministic():
     completed = complete_to_deterministic(depol)
     assert completed.unitality_factor == pytest.approx(1.0, abs=1e-12)
     assert float(completed.branches[-1][0].trace().real) == pytest.approx(0.0, abs=1e-10)
-    raw = MeasurePrepareMap(dims=DIMS22, branches=depol.branches, unitality_factor=2.0)
-    with pytest.raises(ValueError, match="^unitality factor 2 exceeds 1; cannot complete$"):
-        complete_to_deterministic(raw)
 
 
 def test_complete_random_maps(rng):
@@ -424,17 +420,23 @@ def test_success_probability_range(rng):
         m = rand_valid_map(rng, (2, 2))
         _, prob = apply_map(m, rand_state(rng, (2, 2)))
         assert 0.0 <= prob <= 1.0 + 1e-10
-    # a hand-built map whose effect exceeds I yields a probability above 1
     mixed = maximally_mixed(DIMS22)
-    raw = MeasurePrepareMap(dims=DIMS22, branches=((2.0 * np.eye(4, dtype=complex), mixed),),
-                            unitality_factor=2.0)
-    with pytest.raises(ValueError, match="success probability 2 outside"):
-        apply_map(raw, mixed)
     # the seed state has no weight on |3>, so measuring |3><3| never succeeds
     last = make_map(DIMS22, [(np.diag([0.0, 0.0, 0.0, 1.0]), mixed)])
     assert apply_map(last, make_named_state("seed_state"))[1] == 0.0
     with pytest.raises(ValueError, match="success probability is numerically zero"):
         normalized_output(last, make_named_state("seed_state"))
+
+
+def test_apply_map_admits_what_the_constructors_admit():
+    # lambda_max(sum E) = 1 + 0.9e-10 and Tr(rho) = 1 + 0.9e-10 are both within
+    # tolerance, so Tr(E rho) = 1 + 1.8e-10 is admitted, not refused as above 1
+    scale = 1.0 + 0.9e-10
+    m = make_map(DIMS22, [(scale * np.eye(4), maximally_mixed(DIMS22))])
+    rho = density_matrix(scale * np.eye(4) / 4, DIMS22)
+    _, prob = apply_map(m, rho)
+    assert prob == pytest.approx(1.0 + 1.8e-10, rel=0, abs=1e-15)
+    assert complete_to_deterministic(m).unitality_factor == pytest.approx(scale, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -279,6 +279,16 @@ def test_witness_ppt_verdict(tmp_path, capsys, state, d_b, value, verdict):
     assert json.loads(report.read_text())["expectation"] == pytest.approx(value, abs=1e-12)
 
 
+def test_witness_evaluate_refuses_other_dims(tmp_path, capsys):
+    state = _write(tmp_path, "phi.json", make_named_state("phi_plus", 2, 3))
+    report = tmp_path / "w.json"
+    assert main(["witness", "ppt", "--d-a", "3", "--d-b", "2",
+                 "--evaluate", state, "--output", str(report)]) == EXIT_INVALID
+    assert (capsys.readouterr().err
+            == "error: witness dims (3, 2) differ from state dims (2, 3)\n")
+    assert not report.exists()
+
+
 def test_witness_evaluate_refuses_a_spectrum_file(tmp_path, capsys):
     state = _write(tmp_path, "s.json", spectrum(make_named_state("werner")))
     report = tmp_path / "w.json"
@@ -661,7 +671,8 @@ def test_transform_refuses_transposed_local_dims(tmp_path, capsys):
     phi = _write(tmp_path, "phi.json", make_named_state("phi_plus", 2, 3))
     relabelled = _write(tmp_path, "rt32.json", density_matrix(make_rho_tilde(2, 3).matrix, (3, 2)))
     assert main(["transform", phi, relabelled, "--output", str(tmp_path / "t.json")]) == EXIT_INVALID
-    assert "(2, 3)" in capsys.readouterr().err
+    assert (capsys.readouterr().err
+            == "error: input dims (2, 3) differ from target dims (3, 2)\n")
     assert not (tmp_path / "t.json").exists()
 
 

@@ -428,8 +428,14 @@ def test_pure_state_pt_spectrum_examples():
     r = math.sqrt(0.125)
     expected = np.sort([0.5, 0.25, 0.25, r, -r, r, -r, 0.25, -0.25])
     assert np.allclose(spec, expected, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ambient dimension must be at least len\(p\)\^2$"):
         pure_state_pt_spectrum([0.5, 0.5], 3)
+    # 4.0 once raised numpy's TypeError, and True was read as 1
+    for ambient in (4.0, "4", True):
+        with pytest.raises(ValueError, match="^ambient dimension must be an integer, got "):
+            pure_state_pt_spectrum([0.5, 0.5], ambient)
+    with pytest.raises(ValueError, match="^ambient dimension must be >= 1, got 0$"):
+        pure_state_pt_spectrum([1.0], 0)
     with pytest.raises(ValueError):
         pure_state_pt_spectrum([0.7, 0.7], 4)
     # a NaN weight fails both checks, alone or in one row of a stack

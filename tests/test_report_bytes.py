@@ -17,7 +17,7 @@ def test_report_bytes_writes_one_strict_json_file_per_command(tmp_path):
         raise ValueError("non-finite constant %s" % name)
 
     files = sorted(tmp_path.iterdir())
-    assert len(files) == 32
+    assert len(files) == 34
     assert ({path.name for path in files}
             == {out for out, _ in module.COMMANDS} | set(module.STATE_FILES))
     for path in files:

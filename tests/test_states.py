@@ -1,3 +1,4 @@
+import ast
 import math
 import tempfile
 from pathlib import Path
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsep.channels import construct_transformation
+from specsep.channels import apply_map, construct_transformation, make_map
 from specsep.fileio import load_state, save_state
-from specsep.oracles import haar_unitaries, haar_unitary
+from specsep.oracles import as_falsify_search, haar_unitaries, haar_unitary
 from specsep.states import (
     Dims,
     as_dims,
@@ -32,6 +33,7 @@ from specsep.states import (
     spectrum_from_values,
     tensor_product,
 )
+from specsep.witnesses import evaluate, make_ppt_witness
 
 from conftest import rand_state
 
@@ -310,6 +312,60 @@ def test_bipartite_refuses_a_local_dimension_of_one(locals_):
         dims.bipartite()
     with pytest.raises(ValueError, match="local dimensions must be >= 2"):
         bipartite_dims(*locals_)
+
+
+_D23, _D32 = bipartite_dims(2, 3), bipartite_dims(3, 2)
+
+
+# each site pairs an operand on 2 x 3 with one on 3 x 2, named as it refuses them
+@pytest.mark.parametrize("call,names", [
+    (lambda: evaluate(make_ppt_witness(_D23), maximally_mixed(_D32)), ("witness", "state")),
+    (lambda: make_map(_D32, [(np.eye(6), maximally_mixed(_D23))]), ("output", "map")),
+    (lambda: apply_map(make_map(_D23, [(np.eye(6), maximally_mixed(_D23))]),
+                       maximally_mixed(_D32)), ("map", "state")),
+    (lambda: construct_transformation(make_named_state("phi_plus", 2, 3), maximally_mixed(_D32)),
+     ("input", "target")),
+    (lambda: as_falsify_search(spectrum(maximally_mixed(_D23)), _D32, 1, 0),
+     ("spectrum", "search")),
+], ids=["evaluate", "make_map", "apply_map", "construct_transformation", "as_falsify_search"])
+def test_operand_dims_agree_by_one_rule(call, names):
+    with pytest.raises(ValueError,
+                       match=r"^%s dims \(2, 3\) differ from %s dims \(3, 2\)$" % names):
+        call()
+
+
+# The value types and the only functions that may call them: each validating
+# constructor, ``tensor_product`` (a product of admitted states) and
+# ``seesaw_minimize`` (its copy of an admitted witness scaled by a power of 2).
+# That no other code builds them is what lets the library check every state,
+# witness and map once, where it enters.
+VALUE_CONSTRUCTORS = {
+    "DensityMatrix": {"density_matrix", "tensor_product"},
+    "Spectrum": {"spectrum_from_values", "tensor_product"},
+    "Witness": {"make_witness", "seesaw_minimize"},
+    "MeasurePrepareMap": {"make_map"},
+}
+
+
+def _value_type_calls(node, function=None):
+    """(type name, enclosing function) for each call of a value type under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        function = getattr(node, "name", "<lambda>")
+    if isinstance(node, ast.Call):
+        callee = node.func
+        name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+        if name in VALUE_CONSTRUCTORS:
+            yield name, function
+    for child in ast.iter_child_nodes(node):
+        yield from _value_type_calls(child, function)
+
+
+def test_value_types_are_built_only_by_their_constructors():
+    package = Path(__file__).resolve().parents[1] / "src" / "specsep"
+    calls = {(name, function) for path in sorted(package.glob("*.py"))
+             for name, function in _value_type_calls(ast.parse(path.read_text()))}
+    assert calls == {(name, function) for name, functions in VALUE_CONSTRUCTORS.items()
+                     for function in functions}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -16,7 +16,6 @@ from specsep.states import (
     spectrum,
 )
 from specsep.witnesses import (
-    Witness,
     _HALF_PAULI,
     _least_eigenpair,
     evaluate,
@@ -65,16 +64,10 @@ def test_evaluate_dim_mismatch():
         evaluate(w, maximally_mixed(bipartite_dims(2, 3)))
 
 
-def test_evaluate_refuses_an_imaginary_expectation():
-    # make_witness takes the Hermitian part; a hand-built anti-Hermitian W gives Tr(W rho) = i/4
-    w = Witness(dims=bipartite_dims(2, 2), matrix=np.diag([1j, 0, 0, 0]))
-    with pytest.raises(ValueError, match="expectation has imaginary residue 2.500e-01"):
-        evaluate(w, maximally_mixed(bipartite_dims(2, 2)))
-
-
 def test_evaluate_scales_with_the_witness():
-    # the imaginary residue of two Hermitian operands is rounding, relative to
-    # max |W_ij|: an absolute bound refused 43 of 50 such pairs at scale 1e8
+    # the imaginary part of Tr(W rho) for two Hermitian operands is rounding, which
+    # grows with max |W_ij|: an absolute bound on it refused 43 of 50 such pairs
+    # at scale 1e8
     rng = np.random.default_rng(29)
     dims = bipartite_dims(3, 4)
     for _ in range(20):
@@ -700,6 +693,12 @@ def test_seesaw_refuses_non_integer_counts():
             min_product_expectation(w, iters=bad)
         with pytest.raises(ValueError, match="^iters must be an integer, got "):
             seesaw_minimize(w, np.eye(2, dtype=complex), bad)
+    # the seed once reached default_rng: True ran as seed 1, 2.5 and "3" raised TypeError
+    for bad in (2.5, "3", True):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            min_product_expectation(w, seed=bad)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        min_product_expectation(w, seed=-1)
 
 
 def test_evaluate_linear_in_state(rng):

@@ -1,13 +1,14 @@
-"""Write the files of 28 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Write the files of 30 fixed CLI commands into OUTDIR, for byte-identity checks.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
 Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 9 ``construct`` commands (state files) and 19 commands that write
+importable, 9 ``construct`` commands (state files) and 21 commands that write
 reports: ``classify`` x3, ``transform`` x5 (one onto a singular target, and
 one onto a target within 1.5e-6 of I/4, where a map that divides by a small
-number would amplify the target's rounding), ``witness`` x3 (one on 4 x 9, a
-36 x 36 matrix), ``bounds`` and ``falsify`` x7 (three misses, a hit on the
+number would amplify the target's rounding), ``witness`` x5 (one on 4 x 9, a
+36 x 36 matrix, and three that evaluate the witness on a state), ``bounds``
+and ``falsify`` x7 (three misses, a hit on the
 first sample, a hit at index 16, the last rotation of the second batch, a
 hit at index 131, deep in a batch most of whose rotations the orbit search
 screens out, and two long misses: 1000 samples on 3 x 4, six batches mostly
@@ -15,7 +16,7 @@ screened out, and 300 samples of rho_tilde on 8 x 9, where the 2^20-entry cap
 cuts the third batch to 202 rotations).  The files ``construct`` cannot write
 are written first from the literal text in STATE_FILES: the spectrum files
 that one ``classify`` and four ``falsify`` read (unsorted, so loading sorts
-them) and that near-I/4 matrix.  So OUTDIR ends up holding 32 files.  To
+them) and that near-I/4 matrix.  So OUTDIR ends up holding 34 files.  To
 compare two source trees, run it once against each and ``diff -r`` the two
 output directories.  Then loads each ``construct`` file with ``load_state``
 and saves it again with ``save_state`` (into a temporary directory), checking
@@ -70,6 +71,8 @@ COMMANDS = [
                     "--evaluate", "rt.json"]),
     ("w_ppt.json", ["witness", "ppt"]),
     ("w_sep49.json", ["witness", "separating", "--d-a", "4", "--d-b", "9"]),
+    ("w_ppt_phi.json", ["witness", "ppt", "--d-a", "2", "--d-b", "3", "--evaluate", "phi.json"]),
+    ("w_ppt_mm3.json", ["witness", "ppt", "--d-a", "3", "--d-b", "3", "--evaluate", "mm3.json"]),
     ("bounds.json", ["bounds", "--copies", "3", "--h-norm", "1.5", "--l", "2",
                      "--k-b", "0.5"]),
     ("f_phi.json", ["falsify", "phi.json", "--samples", "50", "--seed", "11"]),
