@@ -27,6 +27,12 @@ EXIT_PRECONDITION = 3
 # builds a D x D rotation per sample.
 MAX_TOTAL_DIM = 1024
 
+# The named states that classify --compare-criteria tabulates, where make_named_state
+# builds them at the file's dims.  phi_plus is left out: its spectrum (1, 0, ..., 0)
+# is also a product state's, so no spectral criterion detects it and its row would
+# read "(none)" at every dims.  omega_t is left out: it needs a t the table has none of.
+COMPARED_STATES = ("maximally_mixed", "seed_state", "werner", "rho_tilde")
+
 
 def build_parser():
     return _build_parsers()[0]
@@ -124,7 +130,7 @@ def cmd_classify(args):
 def _print_comparison(spec):
     print("named-state comparison at dims %s:" % ("x".join(map(str, spec.dims.locals))))
     d_a, d_b = spec.dims.bipartite()
-    for name in ("maximally_mixed", "seed_state", "werner", "rho_tilde"):
+    for name in COMPARED_STATES:
         try:
             rho = states.make_named_state(name, d_a, d_b)
         except ValueError:  # not defined at these dims

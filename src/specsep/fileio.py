@@ -14,8 +14,11 @@ float (an infinite spectral ratio, say) as ``null``; bool as
 str as ASCII-escaped JSON; list and tuple as arrays.  Anything else,
 np.bool_ and set among them, raises TypeError.
 
-An np.ndarray is written exactly as its ``.tolist()`` would be; a floating
-array in one ``%`` operation from a template of ``%.17g`` slots for its shape.
+A subclass of one of these types is written as its base.  An np.ndarray is
+written exactly as its ``.tolist()`` would be; a floating array in one ``%``
+operation from a template of ``%.17g`` slots for its shape.  A complex matrix
+goes in as ``matrix_to_payload``'s read-only (re, im) view of its buffer, not
+a copy, and the text goes to the file as ASCII bytes.
 """
 
 from __future__ import annotations
@@ -34,36 +37,44 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def dumps(obj):
-    """Serialize nested dict/list/scalar data deterministically.
+    """Serialize nested dict/list/scalar data deterministically, by the writer
+    that ``_writer_for`` finds for ``type(obj)`` in ``_WRITERS`` and memoizes."""
+    writer = _WRITER_OF.get(type(obj)) or _writer_for(type(obj))
+    return writer(obj)
 
-    Floats are tested first, lists second and arrays third: reports are
-    mostly np.float64 (a float), lists and float arrays.
-    """
-    if isinstance(obj, float):
-        return "%.17g" % obj if math.isfinite(obj) else "null"
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ",".join(map(dumps, obj))
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            text = _grid_template(obj.shape) % tuple(obj.ravel().tolist())
-            # a finite double is spelled with digits, '-', '.', 'e' and '+'; inf and nan hold an n
-            if "n" not in text:
-                return text
-        return dumps(obj.tolist())
-    if isinstance(obj, dict):
-        items = ",".join("%s:%s" % (_encode_str(str(k)), dumps(v)) for k, v in sorted(obj.items()))
-        return "{%s}" % items
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, np.floating):
-        return dumps(float(obj))
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    raise TypeError("cannot serialize %r" % type(obj))
+
+def _array(a):
+    if a.dtype.kind == "f":
+        text = _grid_template(a.shape) % tuple(a.ravel().tolist())
+        # a finite double is spelled with digits, '-', '.', 'e' and '+'; inf and nan hold an n
+        if "n" not in text:
+            return text
+    return dumps(a.tolist())
+
+
+# searched in order, as an isinstance chain: a subclass takes the writer of its
+# first base here (bool before int), and np.bool_ and set, of none, are refused
+_WRITERS = (
+    (float, lambda x: "%.17g" % x if math.isfinite(x) else "null"),
+    ((list, tuple), lambda seq: "[%s]" % ",".join(map(dumps, seq))),
+    (np.ndarray, _array),
+    (dict, lambda d: "{%s}" % ",".join("%s:%s" % (_encode_str(str(k)), dumps(v))
+                                       for k, v in sorted(d.items()))),
+    (bool, lambda b: "true" if b else "false"),
+    (type(None), lambda _: "null"),
+    ((int, np.integer), lambda i: str(int(i))),
+    (np.floating, lambda x: dumps(float(x))),
+    (str, _encode_str),
+)
+_WRITER_OF = {}
+
+
+def _writer_for(cls):
+    for types, writer in _WRITERS:
+        if issubclass(cls, types):
+            _WRITER_OF[cls] = writer
+            return writer
+    raise TypeError("cannot serialize %r" % cls)
 
 
 def _grid_template(shape):
@@ -75,9 +86,11 @@ def _grid_template(shape):
 
 
 def matrix_to_payload(m):
-    """A complex matrix as a row-major float array of (re, im) pairs, shape (..., 2)."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1)
+    """A complex matrix as a row-major float array of (re, im) pairs, shape (..., 2):
+    a read-only view of ``m``, or of its C-contiguous complex copy."""
+    pairs = np.asarray(m, dtype=complex, order="C")[..., None].view(float)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def state_to_payload(state):
@@ -91,10 +104,11 @@ def state_to_payload(state):
 
 
 def _write(path, payload):
-    text = dumps(payload) + "\n"
+    data = (dumps(payload) + "\n").encode("ascii")
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        # a buffered handle retries a short write; a raw one (buffering=0) would not
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from exc
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import specsep
 from specsep import __version__, cli
 from specsep.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, MAX_TOTAL_DIM, main
-from specsep.criteria import gibbs_threshold
+from specsep.criteria import gibbs_threshold, run_all
 from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
 from specsep.states import (
     NAMED_STATES,
@@ -100,6 +100,10 @@ def test_classify_compare_criteria(tmp_path, capsys):
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()
              if "detected-by:" in line]
     assert names == ["maximally_mixed", "seed_state", "werner"]
+    assert [n for n in NAMED_STATES if n in cli.COMPARED_STATES] == list(cli.COMPARED_STATES)
+    # the table leaves phi_plus out because no criterion detects its pure spectrum
+    for d_a, d_b in ((2, 2), (2, 3), (3, 3)):
+        assert not any(v.detected for v in run_all(spectrum(make_named_state("phi_plus", d_a, d_b))))
 
 
 def test_classify_compare_criteria_refuses_dims_above_the_limit(tmp_path, capsys):

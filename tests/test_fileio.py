@@ -1,7 +1,9 @@
 """Properties of the state and report files over generated inputs: exact
 round trips, strict JSON reports, and exit code 2 on malformed state files."""
 
+import collections
 import contextlib
+import enum
 import io
 import json
 import math
@@ -14,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from specsep import __version__
 from specsep.cli import EXIT_INVALID, EXIT_OK, main
-from specsep.fileio import dumps, load_state, matrix_to_payload, save_state
+from specsep.fileio import dumps, load_state, matrix_to_payload, save_report, save_state
 from specsep.states import density_matrix, spectrum_from_values
 
 LOCALS = st.sampled_from([(2,), (1, 2), (2, 2), (2, 3), (3, 3), (2, 2, 2)])
@@ -271,7 +273,8 @@ def test_dumps_golden_bytes():
         '{"a":[0.10000000149011612,null,null,null,0.10000000000000001],'
         '"b":{"a":[-7,-0,4.9406564584124654e-324],"z":[1,true,false,null]},'
         '"\\u00e9":"Z\\u00fcrich \\u221e"}')
-    for bad in (np.bool_(True), {1.0}):
+    # twice, the second time with the writers of every type above memoized
+    for bad in (np.bool_(True), {1.0}) * 2:
         with pytest.raises(TypeError):
             dumps(bad)
 
@@ -288,6 +291,45 @@ def test_matrix_to_payload_gives_a_float_array_of_pairs():
     assert math.copysign(1.0, real[0, 1, 0]) == -1.0
     assert math.copysign(1.0, real[0, 1, 1]) == 1.0
     assert dumps(real) == "[[[1,0],[-0,0]],[[0.5,0],[2,0]]]"
+
+
+@st.composite
+def matrix_layouts(draw):
+    """A complex or real matrix of every float and the edge values, now and
+    then transposed, strided, read-only or real."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    flat = draw(st.lists(_FLOATS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = np.array(flat, dtype=float).view(complex).reshape(rows, cols)
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided", "read-only", "real"]))
+    if layout == "transposed":
+        m = m.T
+    elif layout == "strided":
+        m = m[::2, ::-1]
+    elif layout == "read-only":
+        m.flags.writeable = False
+    elif layout == "real":
+        m = m.real.T if draw(st.booleans()) else m.real
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrix_layouts())
+def test_matrix_to_payload_matches_stacked_parts_bit_for_bit(m):
+    pairs = matrix_to_payload(m)
+    expected = np.stack([m.real, m.imag], -1)
+    assert pairs.dtype == np.float64 and pairs.shape == expected.shape
+    assert pairs.tobytes() == expected.tobytes()  # signed zeros and nan payloads included
+    assert not pairs.flags.writeable
+    with pytest.raises(ValueError):
+        pairs[...] = 0.0
+
+
+def test_save_report_writes_the_ascii_bytes_of_dumps(tmp_path):
+    report = {"label": "Z\u00fcrich \u221e \U0001d49c", "values": np.array([0.1, -0.0, math.inf])}
+    path = tmp_path / "report.json"
+    save_report(path, report)
+    expected = (dumps({**report, "tool_version": __version__}) + "\n").encode("ascii")
+    assert path.read_bytes() == expected
 
 
 def _per_value_dumps(obj):
@@ -319,8 +361,36 @@ def _per_value_dumps(obj):
 _EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan,
                                 math.inf, -math.inf])
 _FLOATS = st.floats() | _EDGE_FLOATS
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+_Pair = collections.namedtuple("_Pair", "x y")
+
+# values of subclasses and numpy scalar types, which a writer looked up by the
+# exact type must resolve as an isinstance chain does
+_SUBCLASSED = st.one_of(
+    _FLOATS.map(_Float), st.text(max_size=4).map(_Str), st.lists(_FLOATS, max_size=3).map(_List),
+    st.dictionaries(st.text(max_size=4), _FLOATS, max_size=3).map(collections.OrderedDict),
+    st.sampled_from(_Level), st.tuples(_FLOATS, st.integers()).map(lambda t: _Pair(*t)),
+    st.integers(-2**31, 2**31 - 1).map(np.int32), st.floats(width=16).map(np.float16))
 _LEAVES = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), st.text(max_size=4),
-                    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32))
+                    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32), _SUBCLASSED)
 
 
 @st.composite

@@ -10,7 +10,8 @@
 # rt.json, werner.json and mm3.json of those files, and require `diff` to find
 # the two trees' stdout identical.  Last, under each tree, run the failing
 # commands in FAILING (bad state files written from literal text, an
-# infeasible transform, refused options) and require each to exit non-zero
+# infeasible transform, operands of other dims, refused options, an
+# unwritable --output) and require each to exit non-zero
 # with the same exit code and stderr under both trees.  In the tier-1 suite,
 # the demos and the report runs a numpy RuntimeWarning (overflow, invalid
 # value) is an error.
@@ -39,10 +40,13 @@ classify ../bad/bad_trace.json
 classify ../bad/not_hermitian.json
 classify ../bad/wrong_shape.json
 transform mm2.json werner.json
+transform rt.json ../bad/mm32.json
 construct werner --d-a 3
 falsify mm2.json --seed -1
 witness ppt --d-a 32 --d-b 33
-bounds"
+witness ppt --d-a 2 --d-b 3 --evaluate mm2.json
+bounds
+bounds --copies 3 --output ../bad/missing/b.json"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
@@ -96,6 +100,14 @@ if [ -n "$parent" ]; then
     echo '{"dims":{"locals":[2]},"matrix":[[[0.5,0],[0.5,0]],[[0,0],[0.5,0]]]}' \
         > "$out/bad/not_hermitian.json"
     echo '{"dims":{"locals":[2,2]},"matrix":[[[1,0]]]}' > "$out/bad/wrong_shape.json"
+    # the maximally mixed state of dims 3x2, which no 2x3 state is carried to
+    printf '%s' '{"dims":{"locals":[3,2]},"matrix":[' \
+        '[[0.16666666666666666,0],[0,0],[0,0],[0,0],[0,0],[0,0]],' \
+        '[[0,0],[0.16666666666666666,0],[0,0],[0,0],[0,0],[0,0]],' \
+        '[[0,0],[0,0],[0.16666666666666666,0],[0,0],[0,0],[0,0]],' \
+        '[[0,0],[0,0],[0,0],[0.16666666666666666,0],[0,0],[0,0]],' \
+        '[[0,0],[0,0],[0,0],[0,0],[0.16666666666666666,0],[0,0]],' \
+        '[[0,0],[0,0],[0,0],[0,0],[0,0],[0.16666666666666666,0]]]}' > "$out/bad/mm32.json"
     for tree in parent change; do
         if [ "$tree" = parent ]; then path="$parent"; else path="$src"; fi
         echo "$FAILING" | while read -r argv; do
