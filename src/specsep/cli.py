@@ -141,7 +141,7 @@ def _print_comparison(spec):
 
 
 def cmd_construct(args):
-    _check_total_dim(args.d_a * args.d_b)
+    _check_total_dim(states.bipartite_dims(args.d_a, args.d_b).total)
     rho = states.make_named_state(args.name, d_a=args.d_a, d_b=args.d_b, t=args.t)
     out = args.output or ("%s.state.json" % args.name)
     fileio.save_state(out, rho)
@@ -181,8 +181,8 @@ def cmd_transform(args):
 
 
 def cmd_witness(args):
-    _check_total_dim(args.d_a * args.d_b)
     dims = states.bipartite_dims(args.d_a, args.d_b)
+    _check_total_dim(dims.total)
     if args.kind == "ppt":
         w = witnesses.make_ppt_witness(dims)
     else:

@@ -244,19 +244,10 @@ def partial_transpose(rho):
     return np.ascontiguousarray(t.reshape(d_a * d_b, d_a * d_b))
 
 
-def max_entangled_ket(d_a, d_b):
-    """|Phi+> over the smaller dimension, embedded in the leading basis
-    vectors of each side: |i>|i> sits at index i (d_b + 1)."""
-    d = min(d_a, d_b)
-    psi = np.zeros(d_a * d_b, dtype=complex)
-    psi[np.arange(d) * (d_b + 1)] = 1.0
-    return psi / math.sqrt(d)
-
-
 def phi_plus_pt(d_a, d_b):
-    """Partial transpose of |Phi+><Phi+| over ``max_entangled_ket``: |ij><ji| / d
-    for i, j < d = min(d_a, d_b).  Each entry is amp * amp with amp = 1/sqrt(d),
-    as ``np.outer`` forms it from the ket, so the result is bit-identical."""
+    """Partial transpose of |Phi+><Phi+| over the leading d = min(d_a, d_b)
+    basis vectors of each side: |ij><ji| / d for i, j < d.  Each entry is
+    amp * amp with amp = 1/sqrt(d), as ``phi_plus`` writes |ii><jj|."""
     d = min(d_a, d_b)
     amp = 1.0 / math.sqrt(d)
     i, j = np.divmod(np.arange(d * d), d)
@@ -299,9 +290,14 @@ def make_named_state(name, d_a=2, d_b=2, t=None):
         return density_matrix(m, bipartite_dims(2, 2))
 
     if name == "phi_plus":
+        # |ii><jj| / d for i, j < d = min(d_a, d_b); |ii> sits at index i (d_b + 1)
         dims = bipartite_dims(d_a, d_b)
-        psi = max_entangled_ket(d_a, d_b)
-        return density_matrix(np.outer(psi, psi.conj()), dims)
+        d = min(d_a, d_b)
+        amp = 1.0 / math.sqrt(d)
+        ii = np.arange(d) * (d_b + 1)
+        m = np.zeros((dims.total, dims.total), dtype=complex)
+        m[np.ix_(ii, ii)] = amp * amp
+        return density_matrix(m, dims)
 
     if name == "omega_t":
         if t is None:

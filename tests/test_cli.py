@@ -311,6 +311,16 @@ def test_witness_separating_equal_dims_invalid():
     assert main(["witness", "separating", "--d-a", "2", "--d-b", "2"]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("kind", ["ppt", "separating"])
+def test_witness_refuses_negative_dims_before_the_limit(tmp_path, capsys, kind):
+    # -40 x -40 = 1600 is above the limit D <= 1024, but the dims are refused first
+    out = tmp_path / "w.json"
+    assert main(["witness", kind, "--d-a", "-40", "--d-b", "-40",
+                 "--output", str(out)]) == EXIT_INVALID
+    assert "local dimensions must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_copy_and_gibbs(tmp_path, capsys):
     report = str(tmp_path / "b.json")
     assert main(["bounds", "--copies", "3", "--output", report]) == EXIT_OK
@@ -441,8 +451,9 @@ def test_construct_omega_t_without_t_is_invalid(tmp_path, capsys):
     (["maximally_mixed", "--d-a", "3", "--t", "1"], "takes no parameter t"),
     (["rho_tilde", "--d-b", "3", "--t", "1"], "takes no parameter t"),
     (["phi_plus", "--d-a", "-1"], "local dimensions must be >= 2"),
+    (["phi_plus", "--d-a", "-40", "--d-b", "-40"], "local dimensions must be >= 2"),
 ], ids=["werner-3x3", "seed-2x3", "werner-t", "phi-t", "mixed-t", "rho-tilde-t",
-        "phi-negative-dims"])
+        "phi-negative-dims", "phi-negative-dims-above-the-limit"])
 def test_construct_refuses_options_the_state_ignores(tmp_path, capsys, argv, message):
     out = tmp_path / "s.state.json"
     assert main(["construct", *argv, "--output", str(out)]) == EXIT_INVALID

@@ -533,16 +533,14 @@ def test_thm2_negative_iff_ratio_exceeds_threshold(rng):
 
 def test_thm2_matches_brute_force_search(rng):
     # the analytic value lower-bounds every Haar sample of the extended state
-    from specsep.states import attach_mixed_ancilla, max_entangled_ket, partial_transpose
+    from specsep.states import phi_plus_pt
 
     d_a, d_bprime = 2, 3
     for _ in range(10):
         s = rand_spectrum(rng, (2, 2))
         value = thm2_violation_value(s.values, d_a, d_bprime)
         extended = np.repeat(s.values, d_bprime) / d_bprime
-        ket = max_entangled_ket(2, 6)
-        proj = np.outer(ket, ket.conj()).reshape(2, 6, 2, 6)
-        w = proj.transpose(0, 3, 2, 1).reshape(12, 12)
+        w = phi_plus_pt(2, 6)
         best = math.inf
         for seed in range(100):
             u = haar_unitary(12, 7000 + seed)

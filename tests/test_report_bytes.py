@@ -1,4 +1,5 @@
-"""Smoke test of tools/report_bytes.py, the fixed byte-identity command list."""
+"""Smoke test of tools/report_bytes.py, the harness that records what the CLI
+writes, prints and refuses."""
 
 import importlib.util
 import json
@@ -16,9 +17,31 @@ def test_report_bytes_writes_one_strict_json_file_per_command(tmp_path):
     def refuse(name):
         raise ValueError("non-finite constant %s" % name)
 
-    files = sorted(tmp_path.iterdir())
-    assert len(files) == 34
-    assert ({path.name for path in files}
-            == {out for out, _ in module.COMMANDS} | set(module.STATE_FILES))
-    for path in files:
+    reports = sorted(path for path in tmp_path.iterdir() if path.suffix == ".json")
+    assert len(reports) == 34
+    assert ({path.name for path in reports}
+            == {module.output_of(argv) for argv in module.COMMANDS} - {None}
+            | {name for name in module.LITERAL_FILES if not name.startswith("bad/")})
+    for path in reports:
         assert isinstance(json.loads(path.read_text(), parse_constant=refuse), dict)
+    assert ({path.name for path in tmp_path.iterdir()} - {path.name for path in reports}
+            == {"bad", "stdout.txt", "failing.txt"})
+
+    demos = sorted(SCRIPT.parents[1].glob("demos/*.py"))
+    headers = [line for line in (tmp_path / "stdout.txt").read_text().splitlines()
+               if line.startswith("$ ")]
+    assert headers == (["$ specsep " + argv for argv in module.COMMANDS]
+                       + ["$ python3 demos/" + demo.name for demo in demos])
+    assert len(headers) == 36
+
+    rows = (tmp_path / "failing.txt").read_text().split("$ specsep ")[1:]
+    assert [row.split("\n", 1)[0] for row in rows] == module.FAILING
+    assert len(rows) == 13
+    for row in rows:
+        stderr, _, code = row.rstrip("\n").split("\n", 1)[1].rpartition("\n")
+        assert stderr
+        assert code.startswith("exit ") and int(code[len("exit "):]) != 0
+
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            assert str(tmp_path) not in path.read_text()

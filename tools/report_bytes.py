@@ -1,41 +1,35 @@
-"""Write the files of 30 fixed CLI commands into OUTDIR, for byte-identity checks.
+"""Record what the CLI writes, prints and refuses, to compare two source trees.
 
 Usage: PYTHONPATH=<src> python3 tools/report_bytes.py OUTDIR
 
-Runs, in-process through ``specsep.cli.main`` of whichever ``specsep`` is
-importable, 9 ``construct`` commands (state files) and 21 commands that write
-reports: ``classify`` x3, ``transform`` x5 (one onto a singular target, and
-one onto a target within 1.5e-6 of I/4, where a map that divides by a small
-number would amplify the target's rounding), ``witness`` x5 (one on 4 x 9, a
-36 x 36 matrix, and three that evaluate the witness on a state), ``bounds``
-and ``falsify`` x7 (three misses, a hit on the
-first sample, a hit at index 16, the last rotation of the second batch, a
-hit at index 131, deep in a batch most of whose rotations the orbit search
-screens out, and two long misses: 1000 samples on 3 x 4, six batches mostly
-screened out, and 300 samples of rho_tilde on 8 x 9, where the 2^20-entry cap
-cuts the third batch to 202 rotations).  The files ``construct`` cannot write
-are written first from the literal text in STATE_FILES: the spectrum files
-that one ``classify`` and four ``falsify`` read (unsorted, so loading sorts
-them) and that near-I/4 matrix.  So OUTDIR ends up holding 34 files.  To
-compare two source trees, run it once against each and ``diff -r`` the two
-output directories.  Then loads each ``construct`` file with ``load_state``
-and saves it again with ``save_state`` (into a temporary directory), checking
-save -> load -> save on real output; the literal STATE_FILES are left out, as
-specsep did not write them.  Exits 1 if a command does not exit 0 or a
-saved-again file's bytes differ.
+Runs each command in-process through ``specsep.cli.main`` of whichever
+``specsep`` is importable, in OUTDIR with relative file names, so printed paths
+do not depend on OUTDIR; a numpy RuntimeWarning is an error.  Writes into
+OUTDIR the LITERAL_FILES (six under ``bad/``, for FAILING), the files of the 30
+``--output`` COMMANDS (34 report files with the other four), ``stdout.txt``
+(each of the 33 COMMANDS and of the demos, then its stdout) and ``failing.txt``
+(each of the 13 FAILING commands, then its stderr and exit code, argparse's
+SystemExit code included).  Exits 1 if one of COMMANDS exits non-zero, one of
+FAILING exits 0, or save -> load -> save changes a ``construct`` file.  To
+compare two source trees, run it under each and ``diff -r`` the two OUTDIRs.
 """
 
 import contextlib
 import filecmp
 import io
 import os
+import runpy
 import sys
 import tempfile
+import warnings
+from pathlib import Path
 
 from specsep.cli import main as specsep_main
 from specsep.fileio import load_state, save_state
 
-STATE_FILES = {
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+LITERAL_FILES = {
     "spec23.json": '{"dims":{"locals":[2,3]},"spectrum":[0.125,0.25,0.125,0.25,0.125,0.125]}\n',
     # lambda_1 = 0.4 > lambda_3 + 2 sqrt(lambda_2 lambda_4) = 0.3: NPT rotations exist
     "late22.json": '{"dims":{"locals":[2,2]},"spectrum":[0.3,0.4,0,0.3]}\n',
@@ -46,43 +40,125 @@ STATE_FILES = {
     "near_mm.json": '{"dims":{"locals":[2,2]},"matrix":[[[0.2500015,0],[0,0],[0,0],[0,0]],'
                     '[[0,0],[0.2499995,0],[0,0],[0,0]],[[0,0],[0,0],[0.2499995,0],[0,0]],'
                     '[[0,0],[0,0],[0,0],[0.2499995,0]]]}\n',
+    "bad/unparsable.json": '{"dims":{"locals":[2,2]},"spectrum":[0.25,',
+    "bad/not_psd.json": '{"dims":{"locals":[2,2]},"spectrum":[0.6,0.5,0.0,-0.1]}\n',
+    "bad/bad_trace.json": '{"dims":{"locals":[2,2]},"spectrum":[0.5,0.5,0.5,0.5]}\n',
+    "bad/not_hermitian.json": '{"dims":{"locals":[2]},"matrix":[[[0.5,0],[0.5,0]],'
+                              '[[0,0],[0.5,0]]]}\n',
+    "bad/wrong_shape.json": '{"dims":{"locals":[2,2]},"matrix":[[[1,0]]]}\n',
+    # the maximally mixed state of dims 3x2, which no 2x3 state is carried to
+    "bad/mm32.json": '{"dims":{"locals":[3,2]},"matrix":[%s]}' % ",".join(
+        "[%s]" % ",".join("[0.16666666666666666,0]" if i == j else "[0,0]" for j in range(6))
+        for i in range(6)),
 }
 
-# (output file, argv without --output); later commands read earlier files
+# argvs that must exit 0, in order: later commands read earlier files.  transform
+# onto phi22.json hits a singular target, onto near_mm.json one within 1.5e-6 of I/4
+# (a map that divided by a small number would amplify its rounding).  falsify: hits at
+# index 0, 16 and 131 (deep in a batch mostly screened out), and three misses, two long:
+# six batches on 3 x 4, and on 8 x 9 a third batch the 2^20-entry cap cuts to 202.
 COMMANDS = [
-    ("rt.json", ["construct", "rho_tilde", "--d-a", "2", "--d-b", "3"]),
-    ("om.json", ["construct", "omega_t", "--t", "1.2"]),
-    ("seed.json", ["construct", "seed_state"]),
-    ("werner.json", ["construct", "werner"]),
-    ("phi.json", ["construct", "phi_plus", "--d-a", "2", "--d-b", "3"]),
-    ("phi22.json", ["construct", "phi_plus"]),
-    ("mm3.json", ["construct", "maximally_mixed", "--d-a", "3", "--d-b", "3"]),
-    ("mm2.json", ["construct", "maximally_mixed"]),
-    ("rt89.json", ["construct", "rho_tilde", "--d-a", "8", "--d-b", "9"]),
-    ("c_rt.json", ["classify", "rt.json"]),
-    ("c_phi.json", ["classify", "phi.json"]),
-    ("c_spec.json", ["classify", "spec23.json"]),
-    ("t_seed_werner.json", ["transform", "seed.json", "werner.json"]),
-    ("t_seed_phi.json", ["transform", "seed.json", "phi22.json"]),
-    ("t_werner_om.json", ["transform", "werner.json", "om.json"]),
-    ("t_om_mm.json", ["transform", "om.json", "mm2.json"]),
-    ("t_werner_near.json", ["transform", "werner.json", "near_mm.json"]),
-    ("w_sep.json", ["witness", "separating", "--d-a", "2", "--d-b", "3",
-                    "--evaluate", "rt.json"]),
-    ("w_ppt.json", ["witness", "ppt"]),
-    ("w_sep49.json", ["witness", "separating", "--d-a", "4", "--d-b", "9"]),
-    ("w_ppt_phi.json", ["witness", "ppt", "--d-a", "2", "--d-b", "3", "--evaluate", "phi.json"]),
-    ("w_ppt_mm3.json", ["witness", "ppt", "--d-a", "3", "--d-b", "3", "--evaluate", "mm3.json"]),
-    ("bounds.json", ["bounds", "--copies", "3", "--h-norm", "1.5", "--l", "2",
-                     "--k-b", "0.5"]),
-    ("f_phi.json", ["falsify", "phi.json", "--samples", "50", "--seed", "11"]),
-    ("f_mm.json", ["falsify", "mm3.json", "--samples", "300"]),
-    ("f_spec.json", ["falsify", "spec23.json", "--samples", "200", "--seed", "7"]),
-    ("f_late.json", ["falsify", "late22.json", "--samples", "500", "--seed", "2"]),
-    ("f_late16.json", ["falsify", "late22.json", "--samples", "500", "--seed", "17"]),
-    ("f_spec34.json", ["falsify", "spec34.json", "--samples", "1000", "--seed", "5"]),
-    ("f_rt89.json", ["falsify", "rt89.json", "--samples", "300"]),
+    "construct rho_tilde --d-a 2 --d-b 3 --output rt.json",
+    "construct omega_t --t 1.2 --output om.json",
+    "construct seed_state --output seed.json",
+    "construct werner --output werner.json",
+    "construct phi_plus --d-a 2 --d-b 3 --output phi.json",
+    "construct phi_plus --output phi22.json",
+    "construct maximally_mixed --d-a 3 --d-b 3 --output mm3.json",
+    "construct maximally_mixed --output mm2.json",
+    "construct rho_tilde --d-a 8 --d-b 9 --output rt89.json",
+    "classify rt.json --output c_rt.json",
+    "classify phi.json --output c_phi.json",
+    "classify spec23.json --output c_spec.json",
+    "transform seed.json werner.json --output t_seed_werner.json",
+    "transform seed.json phi22.json --output t_seed_phi.json",
+    "transform werner.json om.json --output t_werner_om.json",
+    "transform om.json mm2.json --output t_om_mm.json",
+    "transform werner.json near_mm.json --output t_werner_near.json",
+    "witness separating --d-a 2 --d-b 3 --evaluate rt.json --output w_sep.json",
+    "witness ppt --output w_ppt.json",
+    "witness separating --d-a 4 --d-b 9 --output w_sep49.json",
+    "witness ppt --d-a 2 --d-b 3 --evaluate phi.json --output w_ppt_phi.json",
+    "witness ppt --d-a 3 --d-b 3 --evaluate mm3.json --output w_ppt_mm3.json",
+    "bounds --copies 3 --h-norm 1.5 --l 2 --k-b 0.5 --output bounds.json",
+    "falsify phi.json --samples 50 --seed 11 --output f_phi.json",
+    "falsify mm3.json --samples 300 --output f_mm.json",
+    "falsify spec23.json --samples 200 --seed 7 --output f_spec.json",
+    "falsify late22.json --samples 500 --seed 2 --output f_late.json",
+    "falsify late22.json --samples 500 --seed 17 --output f_late16.json",
+    "falsify spec34.json --samples 1000 --seed 5 --output f_spec34.json",
+    "falsify rt89.json --samples 300 --output f_rt89.json",
+    "classify rt.json --compare-criteria",
+    "classify werner.json --compare-criteria",
+    "classify mm3.json --compare-criteria",
 ]
+
+# argvs that must exit non-zero: bad state files, an infeasible transform,
+# operands of other dims, refused options and an unwritable --output
+FAILING = [
+    "classify bad/unparsable.json",
+    "classify bad/not_psd.json",
+    "classify bad/bad_trace.json",
+    "classify bad/not_hermitian.json",
+    "classify bad/wrong_shape.json",
+    "transform mm2.json werner.json",
+    "transform rt.json bad/mm32.json",
+    "construct werner --d-a 3",
+    "falsify mm2.json --seed -1",
+    "witness ppt --d-a 32 --d-b 33",
+    "witness ppt --d-a 2 --d-b 3 --evaluate mm2.json",
+    "bounds",
+    "bounds --copies 3 --output bad/missing/b.json",
+]
+
+
+def output_of(argv):
+    """The file that argv names after --output, or None."""
+    words = argv.split()
+    return words[words.index("--output") + 1] if "--output" in words else None
+
+
+def run(argv):
+    """Run specsep on the words of argv: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = specsep_main(argv.split())
+        except SystemExit as exc:  # argparse refused the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(tmp):
+    """Write every file into the working directory; exit 1 when a check fails."""
+    os.makedirs("bad", exist_ok=True)
+    for name, text in LITERAL_FILES.items():
+        with open(name, "w") as fh:
+            fh.write(text)
+    stdout, failing, again = [], [], os.path.join(tmp, "again.json")
+    for argv in COMMANDS:
+        code, out, err = run(argv)
+        if code != 0:
+            sys.exit("%s exited %s: %s" % (argv, code, err.strip()))
+        stdout.append("$ specsep %s\n%s" % (argv, out))
+        if argv.startswith("construct "):
+            name = output_of(argv)
+            save_state(again, load_state(name))
+            if not filecmp.cmp(name, again, shallow=False):
+                sys.exit("%s changed on save -> load -> save" % name)
+    for demo in sorted(DEMOS.glob("*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        stdout.append("$ python3 demos/%s\n%s" % (demo.name, out.getvalue()))
+    for argv in FAILING:
+        code, _, err = run(argv)
+        if code == 0:
+            sys.exit("%s exited 0" % argv)
+        failing.append("$ specsep %s\n%sexit %s\n" % (argv, err, code))
+    for name, lines in (("stdout.txt", stdout), ("failing.txt", failing)):
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
 
 
 def main(argv=None):
@@ -90,30 +166,15 @@ def main(argv=None):
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    outdir = argv[0]
-    os.makedirs(outdir, exist_ok=True)
-
-    def path(name):
-        return os.path.join(outdir, name) if name.endswith(".json") else name
-
-    for name, text in STATE_FILES.items():
-        with open(path(name), "w") as fh:
-            fh.write(text)
-    for out, command in COMMANDS:
-        args = [path(a) for a in command] + ["--output", path(out)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = specsep_main(args)
-        if code != 0:
-            print("%s exited %d" % (" ".join(command), code), file=sys.stderr)
-            return 1
-    with tempfile.TemporaryDirectory() as tmp:
-        again = os.path.join(tmp, "again.json")
-        for out, command in COMMANDS:
-            if command[0] == "construct":
-                save_state(again, load_state(path(out)))
-                if not filecmp.cmp(path(out), again, shallow=False):
-                    print("%s changed on save -> load -> save" % out, file=sys.stderr)
-                    return 1
+    os.makedirs(argv[0], exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(argv[0])
+    try:  # not contextlib.chdir, which needs Python 3.11
+        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+            warnings.simplefilter("error", RuntimeWarning)
+            record(tmp)
+    finally:
+        os.chdir(cwd)
     return 0
 
 
